@@ -1,11 +1,31 @@
 """The linear machine: instruction set, code container, executor.
 
 Lowered code is a list of tuples ``(opcode, a, b, c)`` over virtual
-registers. The executor is a straightforward dispatch loop; cycle
-accounting is block-granular — lowering prefixes each basic block with
-a ``COST`` pseudo-instruction carrying the block's precomputed cycle
-price, so executing a block costs one extra Python dispatch, not one
-per instruction.
+registers. Cycle accounting is block-granular: lowering prefixes each
+basic block with a ``COST`` pseudo-instruction carrying the block's
+precomputed cycle price.
+
+The executor does not walk those tuples one at a time. The first
+execution of a :class:`MachineCode` decodes it into straight-line
+*segments* and caches them on the code object (:func:`decode`):
+
+- a segment ends at its *tail*: the first ``JMP``, ``BR``, ``RET``/
+  ``RETV``, non-native ``CALL``, ``VCALL``, ``GUARD`` or ``DEOPT``, or
+  an implicit jump just before any jump target;
+- its ``COST`` instructions fold into one add at segment entry;
+- every other instruction, native ``CALL`` included, becomes a
+  pre-bound handler closure ``h(regs, vm)`` whose operands are fixed at
+  decode time.
+
+Invariant: no cycle flush happens inside a segment. Accumulated cycles
+reach the sink only in tails (before a non-native call, at a return,
+before a deopt) and never on a trap, so charging all of a segment's
+``COST`` at its entry is exact: each flush sees precisely the ``COST``
+instructions that precede it in instruction order.
+
+Decoding binds nothing engine-specific (the VM state is an argument of
+every handler), so every executor, tenant and thread running one code
+object shares one decoded table.
 """
 
 from repro.deopt import DeoptSignal, materialize_frames
@@ -15,6 +35,7 @@ from repro.errors import (
     NullPointerTrap,
     VMError,
 )
+from repro.runtime import int64
 from repro.runtime.int64 import int_div, int_rem, wrap64
 from repro.runtime.values import ArrayRef, ObjRef, NULL
 from repro.runtime.intrinsics import intrinsic_function
@@ -85,6 +106,9 @@ class MachineCode:
             :class:`~repro.deopt.FrameTemplate` tuples, indexed by the
             operand of ``GUARD``/``DEOPT`` instructions. Empty for
             non-speculative code.
+        segments: the entry segment of the decoded form the executor
+            runs (:func:`decode`), built on first execution; ``None``
+            until then. ``instrs`` stays the source of truth.
         py_factory / py_source: the Python execution tier riding along
             (:mod:`repro.backend.pycodegen`): ``py_factory(vm,
             dispatch, sink)`` returns the closure the engine runs
@@ -103,6 +127,7 @@ class MachineCode:
         "entry_cost",
         "size",
         "deopt_table",
+        "segments",
         "py_factory",
         "py_source",
     )
@@ -114,6 +139,7 @@ class MachineCode:
         self.entry_cost = entry_cost
         self.size = len(instrs)
         self.deopt_table = tuple(deopt_table)
+        self.segments = None
         self.py_factory = None
         self.py_source = None
 
@@ -127,12 +153,468 @@ class MachineCode:
         return "\n".join(lines)
 
 
+# -- decoding -----------------------------------------------------------------
+
+#: Opcodes that always end a segment. A ``CALL`` ends one only when its
+#: target is not native: intrinsics run in-line and never flush.
+_TAILS = frozenset((M_JMP, M_BR, M_RET, M_RETV, M_VCALL, M_GUARD, M_DEOPT))
+
+
+def decode(code):
+    """Decode *code* into segments; cache and return the entry segment.
+
+    A segment is a list ``[cost, body, tail, a, b, c, next]``: the
+    folded ``COST`` total, the tuple of handler closures, the tail
+    opcode with the tail instruction's operands, and the segment that
+    runs after the tail. For ``JMP`` (and the implicit jump before a
+    jump target) ``next`` is the target; for ``BR`` it is the
+    fall-through and ``b`` the taken segment; ``CALL``, ``VCALL`` and
+    ``GUARD`` continue at the next instruction; returns and ``DEOPT``
+    have none.
+
+    Only code reachable from the entry is decoded. An unknown opcode
+    becomes a handler that raises ``VMError`` when executed and ends
+    its segment, so unreached garbage never raises. Two threads may
+    decode the same code concurrently; both tables are equivalent and
+    the last one stored wins.
+    """
+    instrs = code.instrs
+    targets = set()
+    for instr in instrs:
+        if instr[0] == M_JMP:
+            targets.add(instr[1])
+        elif instr[0] == M_BR:
+            targets.add(instr[2])
+    segments = {}
+    pending = []
+
+    def segment_at(pc):
+        segment = segments.get(pc)
+        if segment is None:
+            segment = segments[pc] = [0, (), M_JMP, None, None, None, None]
+            pending.append(pc)
+        return segment
+
+    entry = segment_at(0)
+    while pending:
+        start = pc = pending.pop()
+        segment = segments[start]
+        cost = 0
+        body = []
+        while True:
+            if pc != start and pc in targets:
+                segment[6] = segment_at(pc)
+                break
+            if not 0 <= pc < len(instrs):
+                body.append(_fault("pc %d outside the code" % pc))
+                break
+            instr = instrs[pc]
+            op = instr[0]
+            if op in _TAILS or (op == M_CALL and not instr[2].is_native):
+                a, b, c = (instr[1:] + (None, None, None))[:3]
+                if op == M_JMP:
+                    follow = segment_at(a)
+                elif op in (M_RET, M_RETV, M_DEOPT):
+                    follow = None
+                else:
+                    follow = segment_at(pc + 1)
+                    if op == M_BR:
+                        b = segment_at(b)
+                segment[2:] = [op, a, b, c, follow]
+                break
+            if op == M_COST:
+                cost += instr[1]
+            else:
+                make = _HANDLERS.get(op)
+                if make is None:
+                    body.append(_fault("bad machine opcode %d" % op))
+                    break
+                body.append(make(*instr[1:]))
+            pc += 1
+        segment[0] = cost
+        segment[1] = tuple(body)
+    code.segments = entry
+    return entry
+
+
+def _deoptimize(code, index, reason, regs):
+    frames = materialize_frames(code.deopt_table[index], regs)
+    raise DeoptSignal(
+        code.method,
+        reason,
+        (frames[0].method.qualified_name, frames[0].bci),
+        frames,
+    )
+
+
+# -- handlers -------------------------------------------------------------------
+#
+# One maker per body opcode: ``make(*instr[1:])`` returns the handler
+# ``h(regs, vm)``. ADD/SUB/MUL/NEG/SHL inline wrap64 as
+# ``(x + _SIGN & _MASK) - _SIGN`` (the same formula pycodegen emits);
+# the constants come from the single int64 definition.
+
+_SIGN = int64._SIGN
+_MASK = int64._WRAP - 1
+
+
+def _fault(message):
+    def h(regs, vm):
+        raise VMError(message)
+
+    return h
+
+
+def _movi(d, value):
+    def h(regs, vm):
+        regs[d] = value
+
+    return h
+
+
+def _mov(d, s):
+    def h(regs, vm):
+        regs[d] = regs[s]
+
+    return h
+
+
+def _movnull(d):
+    def h(regs, vm):
+        regs[d] = NULL
+
+    return h
+
+
+def _add(d, a, b):
+    def h(regs, vm):
+        regs[d] = (regs[a] + regs[b] + _SIGN & _MASK) - _SIGN
+
+    return h
+
+
+def _sub(d, a, b):
+    def h(regs, vm):
+        regs[d] = (regs[a] - regs[b] + _SIGN & _MASK) - _SIGN
+
+    return h
+
+
+def _mul(d, a, b):
+    def h(regs, vm):
+        regs[d] = (regs[a] * regs[b] + _SIGN & _MASK) - _SIGN
+
+    return h
+
+
+def _div(d, a, b):
+    def h(regs, vm):
+        regs[d] = wrap64(int_div(regs[a], regs[b]))
+
+    return h
+
+
+def _rem(d, a, b):
+    def h(regs, vm):
+        regs[d] = wrap64(int_rem(regs[a], regs[b]))
+
+    return h
+
+
+def _neg(d, s):
+    def h(regs, vm):
+        regs[d] = (-regs[s] + _SIGN & _MASK) - _SIGN
+
+    return h
+
+
+def _and(d, a, b):
+    def h(regs, vm):
+        regs[d] = regs[a] & regs[b]
+
+    return h
+
+
+def _or(d, a, b):
+    def h(regs, vm):
+        regs[d] = regs[a] | regs[b]
+
+    return h
+
+
+def _xor(d, a, b):
+    def h(regs, vm):
+        regs[d] = regs[a] ^ regs[b]
+
+    return h
+
+
+def _shl(d, a, b):
+    def h(regs, vm):
+        regs[d] = ((regs[a] << (regs[b] & 63)) + _SIGN & _MASK) - _SIGN
+
+    return h
+
+
+def _shr(d, a, b):
+    def h(regs, vm):
+        regs[d] = regs[a] >> (regs[b] & 63)
+
+    return h
+
+
+def _eq(d, a, b):
+    def h(regs, vm):
+        regs[d] = 1 if regs[a] == regs[b] else 0
+
+    return h
+
+
+def _ne(d, a, b):
+    def h(regs, vm):
+        regs[d] = 1 if regs[a] != regs[b] else 0
+
+    return h
+
+
+def _lt(d, a, b):
+    def h(regs, vm):
+        regs[d] = 1 if regs[a] < regs[b] else 0
+
+    return h
+
+
+def _le(d, a, b):
+    def h(regs, vm):
+        regs[d] = 1 if regs[a] <= regs[b] else 0
+
+    return h
+
+
+def _gt(d, a, b):
+    def h(regs, vm):
+        regs[d] = 1 if regs[a] > regs[b] else 0
+
+    return h
+
+
+def _ge(d, a, b):
+    def h(regs, vm):
+        regs[d] = 1 if regs[a] >= regs[b] else 0
+
+    return h
+
+
+def _refeq(d, a, b):
+    def h(regs, vm):
+        regs[d] = 1 if regs[a] is regs[b] else 0
+
+    return h
+
+
+def _refne(d, a, b):
+    def h(regs, vm):
+        regs[d] = 1 if regs[a] is not regs[b] else 0
+
+    return h
+
+
+def _new(d, class_name):
+    def h(regs, vm):
+        regs[d] = vm.allocate(class_name)
+
+    return h
+
+
+def _newarr(d, n, elem_type):
+    def h(regs, vm):
+        length = regs[n]
+        if length < 0:
+            raise BoundsTrap("negative array length %d" % length)
+        regs[d] = vm.allocate_array(elem_type, length)
+
+    return h
+
+
+def _aload(d, a, i):
+    def h(regs, vm):
+        array = regs[a]
+        index = regs[i]
+        if array is NULL:
+            raise NullPointerTrap("ALOAD")
+        data = array.data
+        if not (0 <= index < len(data)):
+            raise BoundsTrap("%d / %d" % (index, len(data)))
+        regs[d] = data[index]
+
+    return h
+
+
+def _astore(a, i, s):
+    def h(regs, vm):
+        array = regs[a]
+        index = regs[i]
+        if array is NULL:
+            raise NullPointerTrap("ASTORE")
+        data = array.data
+        if not (0 <= index < len(data)):
+            raise BoundsTrap("%d / %d" % (index, len(data)))
+        data[index] = regs[s]
+
+    return h
+
+
+def _alen(d, a):
+    def h(regs, vm):
+        array = regs[a]
+        if array is NULL:
+            raise NullPointerTrap("ARRAYLEN")
+        regs[d] = len(array.data)
+
+    return h
+
+
+def _getf(d, o, field):
+    message = "GETFIELD %s" % field
+
+    def h(regs, vm):
+        obj = regs[o]
+        if obj is NULL:
+            raise NullPointerTrap(message)
+        regs[d] = obj.fields[field]
+
+    return h
+
+
+def _putf(o, field, s):
+    message = "PUTFIELD %s" % field
+
+    def h(regs, vm):
+        obj = regs[o]
+        if obj is NULL:
+            raise NullPointerTrap(message)
+        obj.fields[field] = regs[s]
+
+    return h
+
+
+def _gets(d, class_name, field):
+    def h(regs, vm):
+        regs[d] = vm.get_static(class_name, field)
+
+    return h
+
+
+def _puts(class_name, field, s):
+    def h(regs, vm):
+        vm.put_static(class_name, field, regs[s])
+
+    return h
+
+
+def _isinst(d, s, type_name):
+    def h(regs, vm):
+        value = regs[s]
+        if value is NULL:
+            regs[d] = 0
+        else:
+            actual = (
+                value.class_name if isinstance(value, ObjRef) else value.type_name
+            )
+            regs[d] = 1 if vm.program.is_subtype(actual, type_name) else 0
+
+    return h
+
+
+def _isexact(d, s, class_name):
+    def h(regs, vm):
+        value = regs[s]
+        regs[d] = (
+            1
+            if isinstance(value, ObjRef) and value.class_name == class_name
+            else 0
+        )
+
+    return h
+
+
+def _cast(d, s, type_name):
+    def h(regs, vm):
+        value = regs[s]
+        if value is not NULL:
+            actual = (
+                value.class_name if isinstance(value, ObjRef) else value.type_name
+            )
+            if not vm.program.is_subtype(actual, type_name):
+                raise CastTrap("%s -> %s" % (actual, type_name))
+        regs[d] = value
+
+    return h
+
+
+def _native_call(d, target, arg_regs):
+    function = intrinsic_function(target.name)
+
+    def h(regs, vm):
+        value = function(vm, *[regs[r] for r in arg_regs])
+        if d >= 0:
+            regs[d] = value
+
+    return h
+
+
+_HANDLERS = {
+    M_MOVI: _movi,
+    M_MOV: _mov,
+    M_MOVNULL: _movnull,
+    M_ADD: _add,
+    M_SUB: _sub,
+    M_MUL: _mul,
+    M_DIV: _div,
+    M_REM: _rem,
+    M_NEG: _neg,
+    M_AND: _and,
+    M_OR: _or,
+    M_XOR: _xor,
+    M_SHL: _shl,
+    M_SHR: _shr,
+    M_EQ: _eq,
+    M_NE: _ne,
+    M_LT: _lt,
+    M_LE: _le,
+    M_GT: _gt,
+    M_GE: _ge,
+    M_REFEQ: _refeq,
+    M_REFNE: _refne,
+    M_NEW: _new,
+    M_NEWARR: _newarr,
+    M_ALOAD: _aload,
+    M_ASTORE: _astore,
+    M_ALEN: _alen,
+    M_GETF: _getf,
+    M_PUTF: _putf,
+    M_GETS: _gets,
+    M_PUTS: _puts,
+    M_ISINST: _isinst,
+    M_ISEXACT: _isexact,
+    M_CAST: _cast,
+    M_CALL: _native_call,
+}
+
+
 class MachineExecutor:
     """Executes :class:`MachineCode` against a VM state.
 
+    :meth:`execute` runs the code's decoded segments (built by
+    :func:`decode` on first execution and shared by every executor):
+    add the segment's folded ``COST``, run its handlers, then act on
+    its tail — follow a jump or branch, flush and dispatch a call,
+    check a guard, flush and return, or flush and deoptimize. Nothing
+    inside a segment flushes cycles, and nothing flushes on a trap.
+
     The executor is deliberately free of policy: tier transfer decisions
     live in the dispatch callable (the JIT engine), which is invoked for
-    every CALL/VCALL.
+    every non-native CALL and every VCALL.
     """
 
     def __init__(self, vm, dispatch, cycle_sink):
@@ -147,201 +629,61 @@ class MachineExecutor:
         self.cycle_sink = cycle_sink
 
     def execute(self, code, args):
+        """Run *code* with *args* in registers 0..n-1; return its
+        result (NULL for a void return)."""
+        segment = code.segments
+        if segment is None:
+            segment = decode(code)
         vm = self.vm
-        program = vm.program
-        dispatch = self.dispatch
-        instrs = code.instrs
+        sink = self.cycle_sink
         regs = [NULL] * code.num_regs
-        for index, arg in enumerate(args):
-            regs[index] = arg
+        regs[: len(args)] = args
         cycles = code.entry_cost
-        pc = 0
         while True:
-            instr = instrs[pc]
-            op = instr[0]
-            if op == M_COST:
-                cycles += instr[1]
-            elif op == M_MOVI:
-                regs[instr[1]] = instr[2]
-            elif op == M_MOV:
-                regs[instr[1]] = regs[instr[2]]
-            elif op == M_MOVNULL:
-                regs[instr[1]] = NULL
-            elif op == M_ADD:
-                regs[instr[1]] = wrap64(regs[instr[2]] + regs[instr[3]])
-            elif op == M_SUB:
-                regs[instr[1]] = wrap64(regs[instr[2]] - regs[instr[3]])
-            elif op == M_MUL:
-                regs[instr[1]] = wrap64(regs[instr[2]] * regs[instr[3]])
-            elif op == M_DIV:
-                regs[instr[1]] = wrap64(int_div(regs[instr[2]], regs[instr[3]]))
-            elif op == M_REM:
-                regs[instr[1]] = wrap64(int_rem(regs[instr[2]], regs[instr[3]]))
-            elif op == M_NEG:
-                regs[instr[1]] = wrap64(-regs[instr[2]])
-            elif op == M_AND:
-                regs[instr[1]] = regs[instr[2]] & regs[instr[3]]
-            elif op == M_OR:
-                regs[instr[1]] = regs[instr[2]] | regs[instr[3]]
-            elif op == M_XOR:
-                regs[instr[1]] = regs[instr[2]] ^ regs[instr[3]]
-            elif op == M_SHL:
-                regs[instr[1]] = wrap64(regs[instr[2]] << (regs[instr[3]] & 63))
-            elif op == M_SHR:
-                regs[instr[1]] = regs[instr[2]] >> (regs[instr[3]] & 63)
-            elif op == M_EQ:
-                regs[instr[1]] = 1 if regs[instr[2]] == regs[instr[3]] else 0
-            elif op == M_NE:
-                regs[instr[1]] = 1 if regs[instr[2]] != regs[instr[3]] else 0
-            elif op == M_LT:
-                regs[instr[1]] = 1 if regs[instr[2]] < regs[instr[3]] else 0
-            elif op == M_LE:
-                regs[instr[1]] = 1 if regs[instr[2]] <= regs[instr[3]] else 0
-            elif op == M_GT:
-                regs[instr[1]] = 1 if regs[instr[2]] > regs[instr[3]] else 0
-            elif op == M_GE:
-                regs[instr[1]] = 1 if regs[instr[2]] >= regs[instr[3]] else 0
-            elif op == M_REFEQ:
-                regs[instr[1]] = 1 if regs[instr[2]] is regs[instr[3]] else 0
-            elif op == M_REFNE:
-                regs[instr[1]] = 1 if regs[instr[2]] is not regs[instr[3]] else 0
-            elif op == M_JMP:
-                pc = instr[1]
-                continue
-            elif op == M_BR:
-                if regs[instr[1]] != 0:
-                    pc = instr[2]
-                    continue
-            elif op == M_RET:
-                self.cycle_sink.add_compiled_cycles(cycles)
-                return NULL
-            elif op == M_RETV:
-                self.cycle_sink.add_compiled_cycles(cycles)
-                return regs[instr[1]]
-            elif op == M_NEW:
-                regs[instr[1]] = vm.allocate(instr[2])
-            elif op == M_NEWARR:
-                length = regs[instr[2]]
-                if length < 0:
-                    raise BoundsTrap("negative array length %d" % length)
-                regs[instr[1]] = vm.allocate_array(instr[3], length)
-            elif op == M_ALOAD:
-                array = regs[instr[2]]
-                index = regs[instr[3]]
-                if array is NULL:
-                    raise NullPointerTrap("ALOAD")
-                data = array.data
-                if not (0 <= index < len(data)):
-                    raise BoundsTrap("%d / %d" % (index, len(data)))
-                regs[instr[1]] = data[index]
-            elif op == M_ASTORE:
-                array = regs[instr[1]]
-                index = regs[instr[2]]
-                if array is NULL:
-                    raise NullPointerTrap("ASTORE")
-                data = array.data
-                if not (0 <= index < len(data)):
-                    raise BoundsTrap("%d / %d" % (index, len(data)))
-                data[index] = regs[instr[3]]
-            elif op == M_ALEN:
-                array = regs[instr[2]]
-                if array is NULL:
-                    raise NullPointerTrap("ARRAYLEN")
-                regs[instr[1]] = len(array.data)
-            elif op == M_GETF:
-                obj = regs[instr[2]]
-                if obj is NULL:
-                    raise NullPointerTrap("GETFIELD %s" % instr[3])
-                regs[instr[1]] = obj.fields[instr[3]]
-            elif op == M_PUTF:
-                obj = regs[instr[1]]
-                if obj is NULL:
-                    raise NullPointerTrap("PUTFIELD %s" % instr[2])
-                obj.fields[instr[2]] = regs[instr[3]]
-            elif op == M_GETS:
-                regs[instr[1]] = vm.get_static(instr[2], instr[3])
-            elif op == M_PUTS:
-                vm.put_static(instr[1], instr[2], regs[instr[3]])
-            elif op == M_ISINST:
-                value = regs[instr[2]]
-                if value is NULL:
-                    regs[instr[1]] = 0
-                else:
-                    type_name = (
-                        value.class_name
-                        if isinstance(value, ObjRef)
-                        else value.type_name
-                    )
-                    regs[instr[1]] = (
-                        1 if program.is_subtype(type_name, instr[3]) else 0
-                    )
-            elif op == M_ISEXACT:
-                value = regs[instr[2]]
-                regs[instr[1]] = (
-                    1
-                    if isinstance(value, ObjRef) and value.class_name == instr[3]
-                    else 0
-                )
-            elif op == M_CAST:
-                value = regs[instr[2]]
-                if value is not NULL:
-                    type_name = (
-                        value.class_name
-                        if isinstance(value, ObjRef)
-                        else value.type_name
-                    )
-                    if not program.is_subtype(type_name, instr[3]):
-                        raise CastTrap("%s -> %s" % (type_name, instr[3]))
-                regs[instr[1]] = value
-            elif op == M_CALL:
-                # instr: (op, result_reg, target_method, arg_regs)
-                target = instr[2]
-                call_args = [regs[r] for r in instr[3]]
-                if target.is_native:
-                    value = intrinsic_function(target.name)(vm, *call_args)
-                else:
-                    self.cycle_sink.add_compiled_cycles(cycles)
-                    cycles = 0
-                    value = dispatch(target, call_args)
-                if instr[1] >= 0:
-                    regs[instr[1]] = value
-            elif op == M_VCALL:
-                # instr: (op, result_reg, method_name, arg_regs)
-                call_args = [regs[r] for r in instr[3]]
+            cost, body, tail, a, b, c, follow = segment
+            cycles += cost
+            for h in body:
+                h(regs, vm)
+            if tail == M_JMP:
+                segment = follow
+            elif tail == M_BR:
+                segment = b if regs[a] != 0 else follow
+            elif tail == M_CALL:
+                # (result_reg, target_method, arg_regs)
+                sink.add_compiled_cycles(cycles)
+                cycles = 0
+                value = self.dispatch(b, [regs[r] for r in c])
+                if a >= 0:
+                    regs[a] = value
+                segment = follow
+            elif tail == M_VCALL:
+                # (result_reg, method_name, arg_regs)
+                call_args = [regs[r] for r in c]
                 receiver = call_args[0]
                 if receiver is NULL:
-                    raise NullPointerTrap("call %s" % instr[2])
+                    raise NullPointerTrap("call %s" % b)
                 if isinstance(receiver, ArrayRef):
                     raise VMError("virtual call on array receiver")
-                target = program.resolve_method(receiver.class_name, instr[2])
-                self.cycle_sink.add_compiled_cycles(cycles)
+                target = vm.program.resolve_method(receiver.class_name, b)
+                sink.add_compiled_cycles(cycles)
                 cycles = 0
-                value = dispatch(target, call_args)
-                if instr[1] >= 0:
-                    regs[instr[1]] = value
-            elif op == M_GUARD:
-                # instr: (op, condition_reg, deopt_table_index, reason)
-                if regs[instr[1]] == 0:
-                    self.cycle_sink.add_compiled_cycles(cycles)
-                    frames = materialize_frames(
-                        code.deopt_table[instr[2]], regs
-                    )
-                    raise DeoptSignal(
-                        code.method,
-                        instr[3],
-                        (frames[0].method.qualified_name, frames[0].bci),
-                        frames,
-                    )
-            elif op == M_DEOPT:
-                # instr: (op, deopt_table_index, reason)
-                self.cycle_sink.add_compiled_cycles(cycles)
-                frames = materialize_frames(code.deopt_table[instr[1]], regs)
-                raise DeoptSignal(
-                    code.method,
-                    instr[2],
-                    (frames[0].method.qualified_name, frames[0].bci),
-                    frames,
-                )
+                value = self.dispatch(target, call_args)
+                if a >= 0:
+                    regs[a] = value
+                segment = follow
+            elif tail == M_RETV:
+                sink.add_compiled_cycles(cycles)
+                return regs[a]
+            elif tail == M_RET:
+                sink.add_compiled_cycles(cycles)
+                return NULL
+            elif tail == M_GUARD:
+                # (condition_reg, deopt_table_index, reason)
+                if regs[a] == 0:
+                    sink.add_compiled_cycles(cycles)
+                    _deoptimize(code, b, c, regs)
+                segment = follow
             else:
-                raise VMError("bad machine opcode %d" % op)
-            pc += 1
+                # DEOPT: (deopt_table_index, reason)
+                sink.add_compiled_cycles(cycles)
+                _deoptimize(code, a, b, regs)

@@ -35,6 +35,9 @@ instruction by instruction):
   accumulator flushes to the engine sink exactly where the machine
   flushes — before non-native dispatches, before a deopt raise, and at
   returns; never on a trap.
+- phis: a phi with a ``None`` input (a local undefined along that
+  edge) starts as ``None`` at entry, as its machine register starts
+  NULL; that edge assigns nothing on either tier.
 - traps: the same trap classes with the same kinds, raised after the
   same checks in the same order.
 - deopt: guard/deopt sites build :class:`~repro.deopt.FrameTemplate`
@@ -190,6 +193,13 @@ class _PyCodegen:
         lines.append("    def _run(args):")
         for index, param in enumerate(graph.params):
             self._line(2, "v%d = args[%d]" % (param.id, index))
+        # An edge with a None phi input assigns nothing, so the phi
+        # keeps whatever it held, as its machine register does; that
+        # register starts NULL, and so must the local.
+        for block in order:
+            for phi in block.phis:
+                if any(source is None for source in phi.inputs):
+                    self._line(2, "v%d = None" % phi.id)
         self._line(2, "_cy = %d" % self.cost.METHOD_ENTRY)
 
         # The entry block runs exactly once when it has no predecessors

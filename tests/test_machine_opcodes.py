@@ -1,33 +1,41 @@
 """Per-opcode machine executor tests via hand-assembled machine code.
 
 The lowering tests already cover the common paths; these pin the exact
-semantics of each machine instruction in isolation, which matters when
-the cost model or the executor dispatch loop is refactored.
+semantics of each machine instruction in isolation, and the cycle
+flush points, control-flow shapes and sharing the executor's segment
+decoding must preserve.
 """
 
 import pytest
 
 from repro.backend import machine as m
 from repro.backend.machine import MachineCode, MachineExecutor
+from repro.deopt import DeoptSignal, FrameTemplate
 from repro.errors import BoundsTrap, CastTrap, NullPointerTrap, VMError
 from repro.interp import Interpreter
 from repro.runtime import VMState
-from tests.helpers import fresh_program, shapes_program
+from tests.helpers import (
+    fresh_program,
+    shapes_program,
+    single_method_program,
+)
 
 
 class _Sink:
     def __init__(self):
         self.cycles = 0
+        self.flushes = []
 
     def add_compiled_cycles(self, cycles):
         self.cycles += cycles
+        self.flushes.append(cycles)
 
 
-def _execute(instrs, args=(), program=None, num_regs=16):
+def _execute(instrs, args=(), program=None, num_regs=16, sink=None):
     program = program or fresh_program()
     vm = VMState(program)
     interp = Interpreter(vm)
-    sink = _Sink()
+    sink = sink or _Sink()
     executor = MachineExecutor(vm, interp.execute, sink)
     method = None
     code = MachineCode(method, list(instrs), num_regs, entry_cost=0)
@@ -91,8 +99,172 @@ class TestControl:
         assert sink.cycles == 12
 
     def test_bad_opcode(self):
-        with pytest.raises(VMError):
-            _execute([(999,)])
+        with pytest.raises(VMError, match="^bad machine opcode 999$"):
+            _execute([(m.M_COST, 3), (m.M_MOVI, 0, 1), (999,), (m.M_RET,)])
+
+    def test_unreached_bad_opcode_is_harmless(self):
+        result, _, _ = _execute(
+            [
+                (m.M_MOVI, 0, 1),
+                (m.M_BR, 0, 3),
+                (999,),  # fall-through never taken
+                (m.M_RETV, 0),
+                (998,),  # after the return
+            ]
+        )
+        assert result == 1
+
+    def test_branch_into_middle_of_cost_block(self):
+        code = [
+            (m.M_COST, 10),
+            (m.M_MOVI, 1, 1),
+            (m.M_BR, 0, 5),
+            (m.M_COST, 100),
+            (m.M_MOVI, 1, 7),
+            (m.M_ADD, 2, 1, 1),  # branch target, after the block's COST
+            (m.M_RETV, 2),
+        ]
+        taken, _, sink = _execute(code, args=[1])
+        assert (taken, sink.flushes) == (2, [10])
+        fell, _, sink = _execute(code, args=[0])
+        assert (fell, sink.flushes) == (14, [110])
+
+    def test_jmp_into_middle_of_cost_block(self):
+        result, _, sink = _execute(
+            [
+                (m.M_COST, 1),
+                (m.M_MOVI, 0, 0),
+                (m.M_MOVI, 1, 3),
+                (m.M_MOVI, 2, 1),
+                (m.M_JMP, 6),
+                (m.M_RET,),  # skipped
+                (m.M_COST, 10),
+                (m.M_ADD, 0, 0, 2),  # loop target, after the COST
+                (m.M_LT, 3, 0, 1),
+                (m.M_BR, 3, 7),
+                (m.M_RETV, 0),
+            ]
+        )
+        assert result == 3
+        # The block price is paid once, on entry through its COST;
+        # back edges jump past it.
+        assert sink.flushes == [11]
+
+
+def _callee_program():
+    """``T.f(x) = x + 1``: a non-native call target."""
+    return single_method_program(
+        lambda b: b.load(0).const(1).add().retv()
+    )
+
+
+class TestCycleFlushes:
+    def test_trap_after_call_keeps_only_flushed_cycles(self):
+        program = _callee_program()
+        callee = program.lookup_method("T", "f")
+        sink = _Sink()
+        with pytest.raises(NullPointerTrap):
+            _execute(
+                [
+                    (m.M_COST, 7),
+                    (m.M_MOVI, 0, 4),
+                    (m.M_CALL, 1, callee, (0,)),
+                    (m.M_COST, 5),
+                    (m.M_MOVNULL, 2),
+                    (m.M_ALEN, 3, 2),
+                    (m.M_RETV, 3),
+                ],
+                program=program,
+                sink=sink,
+            )
+        assert sink.flushes == [7]
+
+    def test_call_flushes_before_dispatch(self):
+        program = _callee_program()
+        callee = program.lookup_method("T", "f")
+        result, _, sink = _execute(
+            [
+                (m.M_COST, 7),
+                (m.M_MOVI, 0, 4),
+                (m.M_CALL, 1, callee, (0,)),
+                (m.M_COST, 5),
+                (m.M_RETV, 1),
+            ],
+            program=program,
+        )
+        assert (result, sink.flushes) == (5, [7, 5])
+
+    def test_native_call_does_not_flush(self):
+        program = fresh_program()
+        imax = program.lookup_method("Builtins", "imax")
+        result, _, sink = _execute(
+            [
+                (m.M_COST, 7),
+                (m.M_MOVI, 0, 3),
+                (m.M_MOVI, 1, 9),
+                (m.M_CALL, 2, imax, (0, 1)),
+                (m.M_COST, 5),
+                (m.M_RETV, 2),
+            ],
+            program=program,
+        )
+        assert (result, sink.flushes) == (9, [12])
+        sink = _Sink()
+        with pytest.raises(NullPointerTrap):
+            _execute(
+                [
+                    (m.M_COST, 7),
+                    (m.M_MOVI, 0, 3),
+                    (m.M_CALL, 1, imax, (0, 0)),
+                    (m.M_MOVNULL, 2),
+                    (m.M_ALEN, 3, 2),
+                    (m.M_RETV, 3),
+                ],
+                program=program,
+                sink=sink,
+            )
+        assert sink.flushes == []
+
+    def _guarded(self, condition):
+        program = _callee_program()
+        method = program.lookup_method("T", "f")
+        code = MachineCode(
+            method,
+            [
+                (m.M_COST, 3),
+                (m.M_MOVI, 0, 1),
+                (m.M_GUARD, 0, 0, "first"),  # always passes
+                (m.M_COST, 4),
+                (m.M_MOVI, 1, condition),
+                (m.M_GUARD, 1, 0, "second"),
+                (m.M_COST, 5),
+                (m.M_MOVNULL, 2),
+                (m.M_ALEN, 3, 2),  # traps when the guards pass
+                (m.M_RETV, 3),
+            ],
+            4,
+            entry_cost=2,
+            deopt_table=[(FrameTemplate(method, 0, [(0, 0)], [1], 0, False),)],
+        )
+        vm = VMState(program)
+        sink = _Sink()
+        executor = MachineExecutor(vm, Interpreter(vm).execute, sink)
+        return executor, code, sink
+
+    def test_failing_guard_flushes_cycles_before_it(self):
+        executor, code, sink = self._guarded(0)
+        with pytest.raises(DeoptSignal) as info:
+            executor.execute(code, [])
+        assert sink.flushes == [2 + 3 + 4]
+        assert info.value.reason == "second"
+        frame = info.value.frames[0]
+        assert (frame.locals[0], frame.stack) == (1, [0])
+
+    def test_passing_guard_flushes_nothing(self):
+        executor, code, sink = self._guarded(1)
+        with pytest.raises(NullPointerTrap):
+            executor.execute(code, [])
+        assert sink.flushes == []
 
 
 class TestMemory:
@@ -274,3 +446,77 @@ class TestCalls:
             entry_cost=0,
         )
         assert executor.execute(code, []) == 9
+
+
+class TestSharedCode:
+    """The serve shape: tenants share installed code objects, each
+    running them with its own VM state, dispatch and cycle sink."""
+
+    def _setup(self):
+        from repro.bytecode.klass import FieldDef
+
+        program = fresh_program()
+        holder = program.define_class("G")
+        holder.add_field(FieldDef("c", "int", is_static=True))
+        printer = program.lookup_method("Builtins", "print")
+        code = MachineCode(
+            None,
+            [
+                (m.M_COST, 6),
+                (m.M_GETS, 1, "G", "c"),  # per-VM static
+                (m.M_MUL, 2, 1, 0),
+                (m.M_CALL, -1, printer, (2,)),  # per-VM output
+                (m.M_NEWARR, 3, 1, "int"),  # per-VM allocation
+                (m.M_ALEN, 4, 3),
+                (m.M_ADD, 5, 2, 4),
+                (m.M_RETV, 5),
+            ],
+            8,
+            entry_cost=1,
+        )
+        tenants = []
+        for c in (3, 5):
+            vm = VMState(program)
+            vm.put_static("G", "c", c)
+            sink = _Sink()
+            tenants.append(
+                (MachineExecutor(vm, Interpreter(vm).execute, sink), vm, sink)
+            )
+        return code, tenants
+
+    def test_two_executors_one_code(self):
+        code, ((a, vm_a, sink_a), (b, vm_b, sink_b)) = self._setup()
+        assert a.execute(code, [2]) == 9
+        assert b.execute(code, [2]) == 15
+        assert a.execute(code, [4]) == 15
+        assert (list(vm_a.output), list(vm_b.output)) == ([6, 12], [10])
+        assert (vm_a.allocation_count, vm_b.allocation_count) == (2, 1)
+        assert (sink_a.flushes, sink_b.flushes) == ([7, 7], [7])
+
+    def test_two_threads_one_code(self):
+        import sys
+        import threading
+
+        code, tenants = self._setup()
+        results = [[], []]
+
+        def run(slot):
+            executor = tenants[slot][0]
+            for arg in range(60):
+                results[slot].append(executor.execute(code, [arg]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for (_, vm, sink), c, values in zip(tenants, (3, 5), results):
+            assert values == [c * arg + c for arg in range(60)]
+            assert list(vm.output) == [c * arg for arg in range(60)]
+            assert sink.cycles == 7 * 60

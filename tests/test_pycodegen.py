@@ -12,9 +12,11 @@ import pytest
 from repro.backend import pycodegen
 from repro.backend.pycodegen import PyCodegenBailout, _MASK, _SIGN
 from repro.baselines import tuned_inliner
+from repro.bench import get_benchmark
 from repro.errors import TrapError
 from repro.jit.config import JitConfig
 from repro.jit.engine import Engine
+from repro.lang import compile_source
 from repro.obs import Observability
 from repro.runtime.int64 import wrap64
 from tests.helpers import (
@@ -133,6 +135,20 @@ def test_trap_differential():
     assert_identical(machine, py)
     kinds = {kind for kind, _ in machine[0]}
     assert kinds == {"value", "trap"}
+
+
+def test_phi_undefined_on_every_edge_starts_null():
+    # batik's Main.run merges a local that is undefined along every
+    # incoming edge; the phi is never assigned, yet a later edge move
+    # copies it. Its machine register starts NULL, so the py local
+    # must start as None rather than raise NameError.
+    program = compile_source(get_benchmark("batik").source)
+    machine, py = _run_both(
+        program, ("Main", "run"), lambda i: [], 3,
+        hot_threshold=25, interp_predecode=True,
+    )
+    assert_identical(machine, py)
+    assert [kind for kind, _ in py[0]] == ["value"] * 3
 
 
 def test_env_pin_forces_machine(monkeypatch):
