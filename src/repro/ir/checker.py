@@ -28,7 +28,7 @@ def _frame_state_start(node):
 
 def check_graph(graph, program=None):
     """Validate *graph*; raises :class:`~repro.errors.IRError` on failure."""
-    reachable = set(graph.reverse_postorder())
+    reachable = graph.reachable_blocks()
     _check_membership(graph)
     _check_edges(graph, reachable)
     _check_use_def(graph)

@@ -7,9 +7,14 @@ callsite frequencies f(n)) and the loop-peeling optimization.
 """
 
 
-def compute_dominators(graph):
-    """Return ``{block: immediate_dominator}``; the entry maps to itself."""
-    order = graph.reverse_postorder()
+def compute_dominators(graph, order=None):
+    """Return ``{block: immediate_dominator}``; the entry maps to itself.
+
+    *order* is the graph's reverse postorder, for callers that already
+    have it; it is computed when omitted.
+    """
+    if order is None:
+        order = graph.reverse_postorder()
     index_of = {block: i for i, block in enumerate(order)}
     idom = {order[0]: order[0]}
 
@@ -74,25 +79,31 @@ class Loop:
         return "<Loop header=B%d, %d blocks>" % (self.header.id, len(self.blocks))
 
 
-def compute_loops(graph, idom=None):
+def compute_loops(graph, idom=None, order=None):
     """Find natural loops; returns them innermost-first.
 
     Two backedges to the same header merge into one loop. Nesting is
-    recorded via :attr:`Loop.parent`.
+    recorded via :attr:`Loop.parent`. *idom* and *order* (the reverse
+    postorder) are the caller's, when it already has them.
     """
+    if order is None:
+        order = graph.reverse_postorder()
     if idom is None:
-        idom = compute_dominators(graph)
-    order = graph.reverse_postorder()
-    reachable = set(order)
+        idom = compute_dominators(graph, order)
+    index_of = {block: i for i, block in enumerate(order)}
     loops_by_header = {}
-    for block in order:
+    for position, block in enumerate(order):
         for succ in block.successors():
-            if succ in reachable and dominates(idom, succ, block):
+            # A dominator precedes the block it dominates in reverse
+            # postorder: only an edge to an earlier (or the same)
+            # reachable block can be a backedge.
+            earlier = index_of.get(succ, position + 1) <= position
+            if earlier and dominates(idom, succ, block):
                 loop = loops_by_header.get(succ)
                 if loop is None:
                     loop = loops_by_header[succ] = Loop(succ)
                 loop.backedge_preds.append(block)
-                _collect_loop_body(loop, block, reachable)
+                _collect_loop_body(loop, block, index_of)
     loops = list(loops_by_header.values())
     # Establish nesting: a loop's parent is the smallest strictly
     # containing loop.

@@ -15,7 +15,7 @@ Loop frequencies are capped so that a profile claiming a never-exiting
 loop cannot produce infinities (Graal caps similarly).
 """
 
-from repro.ir.dominators import compute_dominators, compute_loops
+from repro.ir.dominators import compute_loops
 from repro.ir import nodes as n
 
 #: Maximum trip-count estimate for a single loop.
@@ -31,8 +31,7 @@ def annotate_frequencies(graph):
     order = graph.reverse_postorder()
     if not order:
         return []
-    idom = compute_dominators(graph)
-    loops = compute_loops(graph, idom)
+    loops = compute_loops(graph, order=order)
     backedges = set()
     header_of = {}
     for loop in loops:
@@ -64,9 +63,8 @@ def annotate_frequencies(graph):
             if isinstance(node, n.InvokeNode):
                 node.frequency = block.frequency
     # Unreachable blocks keep frequency 0 so nothing downstream counts them.
-    reachable = set(order)
     for block in graph.blocks:
-        if block not in reachable:
+        if block not in freq:
             block.frequency = 0.0
             for node in block.instrs:
                 if isinstance(node, n.InvokeNode):

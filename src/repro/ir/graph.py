@@ -151,7 +151,12 @@ class Graph:
 
     def node_count(self):
         """The paper's |ir| metric: number of nodes in the graph."""
-        return sum(1 for _ in self.all_nodes())
+        count = len(self.params)
+        for block in self.blocks:
+            count += len(block.phis) + len(block.instrs)
+            if block.terminator is not None:
+                count += 1
+        return count
 
     def invokes(self):
         """All call nodes, in block order."""
@@ -186,6 +191,17 @@ class Graph:
         visit(self.entry)
         order.reverse()
         return order
+
+    def reachable_blocks(self):
+        """The set of blocks reachable from the entry (no ordering)."""
+        seen = {self.entry}
+        work = [self.entry]
+        while work:
+            for succ in work.pop().successors():
+                if succ not in seen:
+                    seen.add(succ)
+                    work.append(succ)
+        return seen
 
     def recompute_preds(self):
         """Rebuild predecessor lists from terminators.

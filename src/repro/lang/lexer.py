@@ -123,9 +123,11 @@ def tokenize(source):
             index += 2
             column += 2
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
+            # ASCII only: str.isdigit() also accepts digits such as
+            # "²" (which int() rejects) and "٣" (which it reads as 3).
             start = index
-            while index < length and source[index].isdigit():
+            while index < length and "0" <= source[index] <= "9":
                 index += 1
             text = source[start:index]
             tokens.append(Token("num", int(text), line, column))

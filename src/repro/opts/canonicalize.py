@@ -111,21 +111,35 @@ class _Canonicalizer:
         for user in node.uses:
             self._enqueue(user)
 
+    def _seed(self):
+        """Queue every node in block order: phis, body, terminator.
+
+        Node ids are unique within a graph, so this is what enqueueing
+        the nodes one at a time would queue.
+        """
+        work = self._work = []
+        for block in self.graph.blocks:
+            work += block.phis
+            work += block.instrs
+            if block.terminator is not None:
+                work.append(block.terminator)
+        self._queued = {node.id for node in work}
+
     def run(self, max_rounds):
+        visitors = _VISITORS
         for _ in range(max_rounds):
             self.stats.rounds += 1
-            self._work = []
-            self._queued = set()
-            for block in self.graph.blocks:
-                for node in block.all_nodes():
-                    self._enqueue(node)
+            self._seed()
+            work = self._work
+            queued = self._queued
             before = self.stats.total()
-            while self._work:
-                node = self._work.pop()
-                self._queued.discard(node.id)
-                if node.block is None and not isinstance(node, n.ParamNode):
-                    continue  # already removed
-                self._visit(node)
+            while work:
+                node = work.pop()
+                queued.discard(node.id)
+                visit = visitors.get(type(node))
+                # Skip types without rewrites and already removed nodes.
+                if visit is not None and node.block is not None:
+                    visit(self, node)
             if self.stats.total() == before:
                 break
         return self.stats
@@ -168,31 +182,6 @@ class _Canonicalizer:
         else:
             block.insert(0, null)
         return null
-
-    # -- dispatch ------------------------------------------------------------
-
-    def _visit(self, node):
-        t = type(node)
-        if t is n.BinOpNode:
-            self._visit_binop(node)
-        elif t is n.NegNode:
-            self._visit_neg(node)
-        elif t is n.CompareNode:
-            self._visit_compare(node)
-        elif t is n.PhiNode:
-            self._visit_phi(node)
-        elif t is n.IfNode:
-            self._visit_if(node)
-        elif t is n.InstanceOfNode:
-            self._visit_instanceof(node)
-        elif t is n.CheckCastNode:
-            self._visit_checkcast(node)
-        elif t is n.PiNode:
-            self._visit_pi(node)
-        elif t is n.InvokeNode:
-            self._visit_invoke(node)
-        elif t is n.GuardNode:
-            self._visit_guard(node)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -495,6 +484,22 @@ class _Canonicalizer:
         if len(targets) == 1:
             return targets.pop()
         return None
+
+
+#: The visitor for each node type that has rewrites; the worklist skips
+#: every other type.
+_VISITORS = {
+    n.BinOpNode: _Canonicalizer._visit_binop,
+    n.NegNode: _Canonicalizer._visit_neg,
+    n.CompareNode: _Canonicalizer._visit_compare,
+    n.PhiNode: _Canonicalizer._visit_phi,
+    n.IfNode: _Canonicalizer._visit_if,
+    n.InstanceOfNode: _Canonicalizer._visit_instanceof,
+    n.CheckCastNode: _Canonicalizer._visit_checkcast,
+    n.PiNode: _Canonicalizer._visit_pi,
+    n.InvokeNode: _Canonicalizer._visit_invoke,
+    n.GuardNode: _Canonicalizer._visit_guard,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from repro.ir import nodes as n
 
 def remove_unreachable_blocks(graph):
     """Drop blocks unreachable from the entry; returns removed count."""
-    reachable = set(graph.reverse_postorder())
+    reachable = graph.reachable_blocks()
     dead = [block for block in graph.blocks if block not in reachable]
     if not dead:
         return 0

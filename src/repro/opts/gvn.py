@@ -16,7 +16,7 @@ def global_value_numbering(graph):
     order = graph.reverse_postorder()
     if not order:
         return 0
-    idom = compute_dominators(graph)
+    idom = compute_dominators(graph, order)
     children = {block: [] for block in order}
     for block in order:
         parent = idom.get(block)
@@ -24,18 +24,14 @@ def global_value_numbering(graph):
             children[parent].append(block)
 
     eliminated = 0
-    scopes = [{}]
-
-    def lookup(key):
-        for scope in reversed(scopes):
-            node = scope.get(key)
-            if node is not None:
-                return node
-        return None
+    # One table for the whole dominator-tree walk: a block's entries
+    # shadow its dominators' and are rolled back from the block's undo
+    # log on the way out, so a lookup is one dict probe.
+    table = {}
 
     def process(block):
         nonlocal eliminated
-        scopes.append({})
+        undo = []
         # Phis first: two phis in one block with identical inputs merge.
         seen_phis = {}
         for phi in list(block.phis):
@@ -53,7 +49,7 @@ def global_value_numbering(graph):
             key = node.value_number_key()
             if key is None:
                 continue
-            existing = lookup(key)
+            existing = table.get(key)
             if existing is not None and existing.block is not None:
                 graph.replace_uses(node, existing)
                 node.clear_inputs()
@@ -61,10 +57,15 @@ def global_value_numbering(graph):
                 node.block = None
                 eliminated += 1
             else:
-                scopes[-1][key] = node
+                undo.append((key, existing))
+                table[key] = node
         for child in children.get(block, ()):
             process(child)
-        scopes.pop()
+        for key, previous in reversed(undo):
+            if previous is None:
+                del table[key]
+            else:
+                table[key] = previous
 
     process(order[0])
     return eliminated

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.errors import ResolveError
+from repro.errors import LexError, ResolveError
 from repro.lang import compile_source
+from repro.lang.lexer import tokenize
 from tests.helpers import run_static
 
 
@@ -237,3 +238,18 @@ class TestLambdaEdges:
         assert len(lambdas) == 2
         result, _, _ = run_static(program, "Main", "run")
         assert result == 31
+
+
+class TestNumberLiterals:
+    """Number literals are ASCII digits only; other Unicode digits are
+    lexical errors with a position, not numbers or a bare ValueError."""
+
+    def test_superscript_digit_after_number(self):
+        with pytest.raises(LexError) as info:
+            tokenize("var x = 3\u00b2;")
+        assert (info.value.line, info.value.column) == (1, 10)
+
+    def test_arabic_indic_digit_is_not_a_number(self):
+        with pytest.raises(LexError) as info:
+            tokenize("var x = 1;\nvar y = \u0663;")
+        assert (info.value.line, info.value.column) == (2, 9)
