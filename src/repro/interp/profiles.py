@@ -19,6 +19,26 @@ profile only says "megamorphic".
 
 MAX_RECORDED_TYPES = 8
 
+#: Copies a snapshot tries before giving up: other tenant threads
+#: writing pooled profiles can resize a dict mid-copy.
+SNAPSHOT_ATTEMPTS = 8
+
+
+def note_snapshot_fallback(obs, source):
+    """Record a snapshot that gave up after :data:`SNAPSHOT_ATTEMPTS`
+    copies, so the compile reads default profiles for *source*
+    (``"store"`` or a pooled method name). Inert without observability."""
+    if obs is None:
+        return
+    if obs.enabled:
+        obs.metrics.counter("profile.snapshot_fallbacks").inc()
+    if obs.flight.enabled:
+        obs.flight.record(
+            "profile.snapshot_fallback",
+            source=source,
+            attempts=SNAPSHOT_ATTEMPTS,
+        )
+
 
 class BranchProfile:
     """Taken / not-taken counters for one IF instruction."""
@@ -46,6 +66,12 @@ class BranchProfile:
         else:
             self.not_taken += 1
 
+    def copy(self):
+        clone = BranchProfile()
+        clone.taken = self.taken
+        clone.not_taken = self.not_taken
+        return clone
+
 
 class ReceiverProfile:
     """Receiver-type histogram for one virtual/interface callsite."""
@@ -66,6 +92,13 @@ class ReceiverProfile:
             self.counts[class_name] = 1
         else:
             self.overflow += 1
+
+    def copy(self):
+        clone = ReceiverProfile()
+        clone.counts = self.counts.copy()
+        clone.overflow = self.overflow
+        clone.total = self.total
+        return clone
 
     @property
     def is_megamorphic(self):
@@ -119,6 +152,14 @@ class TypeCheckProfile:
             self.counts[class_name] = 1
         else:
             self.overflow += 1
+
+    def copy(self):
+        clone = TypeCheckProfile()
+        clone.counts = self.counts.copy()
+        clone.overflow = self.overflow
+        clone.nulls = self.nulls
+        clone.total = self.total
+        return clone
 
     @property
     def is_megamorphic(self):
@@ -205,6 +246,19 @@ class MethodProfile:
 
     def backedge_total(self):
         return sum(self.backedges.values())
+
+    def copy(self):
+        """An independent copy: fresh dicts and per-site profiles, in
+        the same insertion order. Raises :class:`RuntimeError` when
+        another thread resizes a dict mid-copy."""
+        clone = MethodProfile()
+        clone.invocations = self.invocations
+        clone.branches = {i: p.copy() for i, p in self.branches.items()}
+        clone.backedges = self.backedges.copy()
+        clone.callsites = self.callsites.copy()
+        clone.receivers = {i: p.copy() for i, p in self.receivers.items()}
+        clone.typechecks = {i: p.copy() for i, p in self.typechecks.items()}
+        return clone
 
     def hotness(self):
         """Scalar hotness: invocations plus a backedge contribution.
@@ -293,31 +347,36 @@ class ProfileStore:
         self.generation += 1
 
     def snapshot(self):
-        """A deep copy safe to hand to another thread.
+        """An independent copy safe to hand to another thread.
 
         Background compilation (:mod:`repro.serve`) reads profiles off
         the application thread; handing the compiler a snapshot taken
         on the *submitting* thread means it never iterates a dict the
-        interpreter is concurrently growing. Writers in other tenant
-        threads can still race the copy (shared aggregate profiles), so
-        a copy that observes a mid-iteration size change is simply
-        retried.
+        interpreter is concurrently growing. Each profile is copied by
+        :meth:`MethodProfile.copy`. Writers in other tenant threads can
+        still race the copy (shared aggregate profiles), so a copy that
+        observes a mid-iteration size change is simply retried.
         """
-        import copy
-
-        for _ in range(8):
+        for _ in range(SNAPSHOT_ATTEMPTS):
             try:
                 clone = ProfileStore(
                     context_sensitive=self.context_sensitive
                 )
-                clone._methods = copy.deepcopy(self._methods)
-                clone._contexts = copy.deepcopy(self._contexts)
+                clone._methods = {
+                    key: profile.copy()
+                    for key, profile in self._methods.items()
+                }
+                clone._contexts = {
+                    key: profile.copy()
+                    for key, profile in self._contexts.items()
+                }
                 clone.generation = self.generation
                 return clone
             except RuntimeError:
                 continue
         # Pathological contention: fall back to an empty store — the
         # compiler degrades to default profiles, never to a crash.
+        note_snapshot_fallback(self._obs, "store")
         return ProfileStore(context_sensitive=self.context_sensitive)
 
     def hotness(self, method):

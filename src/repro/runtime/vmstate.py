@@ -21,6 +21,14 @@ class VMState:
             (the benchmark harness checksums it to validate runs).
         allocation_count: number of objects and arrays allocated.
         tick_counter: virtual clock backing the ``ticks`` intrinsic.
+
+    NEW, GETSTATIC and PUTSTATIC resolve through per-class link tables
+    filled on first use: each class's instance-field template and the
+    declaring ``(class, field)`` key of each static reference. Like
+    :meth:`_init_statics`, they assume the program is complete when its
+    VM is built: classes may still be added, but no existing class
+    changes its fields. Failures are never cached, so an unknown class
+    or field raises the same :class:`LinkError` on every call.
     """
 
     def __init__(self, program, seed=0x5EED):
@@ -29,6 +37,8 @@ class VMState:
         self.allocation_count = 0
         self.tick_counter = 0
         self._statics = {}
+        self._static_keys = {}  # (class, field) -> declaring (class, field)
+        self._templates = {}  # class name -> instance-field defaults
         self._rng_state = (seed ^ 0x9E3779B97F4A7C15) & _MASK
         self._init_statics()
 
@@ -44,18 +54,29 @@ class VMState:
     # Statics
     # ------------------------------------------------------------------
 
-    def get_static(self, class_name, field_name):
+    def _link_static(self, class_name, field_name):
         declaring, _ = self.program.lookup_field(class_name, field_name)
+        key = self._static_keys[(class_name, field_name)] = (
+            declaring.name, field_name
+        )
+        return key
+
+    def get_static(self, class_name, field_name):
+        key = self._static_keys.get((class_name, field_name))
+        if key is None:
+            key = self._link_static(class_name, field_name)
         try:
-            return self._statics[(declaring.name, field_name)]
+            return self._statics[key]
         except KeyError:
             raise LinkError(
                 "static field %s.%s not initialized" % (class_name, field_name)
             )
 
     def put_static(self, class_name, field_name, value):
-        declaring, _ = self.program.lookup_field(class_name, field_name)
-        self._statics[(declaring.name, field_name)] = value
+        key = self._static_keys.get((class_name, field_name))
+        if key is None:
+            key = self._link_static(class_name, field_name)
+        self._statics[key] = value
 
     # ------------------------------------------------------------------
     # Allocation
@@ -63,13 +84,17 @@ class VMState:
 
     def allocate(self, class_name):
         """Allocate an object with default-initialized fields."""
-        fields = {}
-        for klass in self.program.superclass_chain(class_name):
-            for field in klass.fields.values():
-                if not field.is_static:
-                    fields[field.name] = default_value(field.type)
+        template = self._templates.get(class_name)
+        if template is None:
+            template = {}
+            for klass in self.program.superclass_chain(class_name):
+                for field in klass.fields.values():
+                    if not field.is_static:
+                        template[field.name] = default_value(field.type)
+            self._templates[class_name] = template
         self.allocation_count += 1
-        return ObjRef(class_name, fields)
+        # Defaults are 0 or None, so a shallow copy is a fresh object.
+        return ObjRef(class_name, template.copy())
 
     def allocate_array(self, elem_type, length):
         self.allocation_count += 1

@@ -30,10 +30,15 @@ all their profiles), and a prefix predicate
 (:func:`share_by_class_prefix`) restricts pooling to library classes.
 """
 
-import copy
 import threading
 
-from repro.interp.profiles import MethodProfile, ProfileStore, _FanoutProfile
+from repro.interp.profiles import (
+    SNAPSHOT_ATTEMPTS,
+    MethodProfile,
+    ProfileStore,
+    _FanoutProfile,
+    note_snapshot_fallback,
+)
 
 
 def share_by_class_prefix(*prefixes):
@@ -68,18 +73,21 @@ class SharedProfileAggregator:
                 )
         return profile
 
-    def merged_copy(self, qualified_name):
+    def merged_copy(self, qualified_name, obs=None):
         """A snapshot copy of the global profile, or None when the pool
         has nothing. Copied because the caller (a compiler) iterates
-        its dicts while other tenant threads keep writing."""
+        its dicts while other tenant threads keep writing; a copy that
+        keeps losing that race also yields None, recorded through
+        *obs*."""
         profile = self._global.get(qualified_name)
         if profile is None or profile.invocations == 0:
             return None
-        for _ in range(8):
+        for _ in range(SNAPSHOT_ATTEMPTS):
             try:
-                return copy.deepcopy(profile)
+                return profile.copy()
             except RuntimeError:
                 continue
+        note_snapshot_fallback(obs, qualified_name)
         return None
 
     def pooled_method_names(self):
@@ -128,20 +136,22 @@ class TenantProfileStore(ProfileStore):
         local = super().maybe_of(method)
         if not self._pooled(method.qualified_name):
             return local
-        merged = self._aggregator.merged_copy(method.qualified_name)
+        merged = self._aggregator.merged_copy(
+            method.qualified_name, self._obs
+        )
         return merged if merged is not None else local
 
     def snapshot(self):
-        """Deep copy for background compilation: local tables first,
-        then pooled methods overlaid with their merged profiles — the
-        worker sees exactly what a synchronous compile would."""
+        """Copy for background compilation: local tables first, then
+        pooled methods overlaid with their merged profiles — the worker
+        sees exactly what a synchronous compile would."""
         clone = super().snapshot()
         if self.merge != "shared":
             return clone
         for name in self._aggregator.pooled_method_names():
             if not self._aggregator.shares(name):
                 continue
-            merged = self._aggregator.merged_copy(name)
+            merged = self._aggregator.merged_copy(name, self._obs)
             if merged is not None:
                 clone._methods[name] = merged
         return clone

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.bench import all_benchmarks
 from repro.bytecode.klass import FieldDef
-from repro.errors import TrapError
+from repro.errors import LinkError, TrapError
+from repro.fuzz.generator import generate_case
 from repro.runtime import VMState, install_builtins
 from repro.runtime.intrinsics import intrinsic_function
 from repro.runtime.values import ArrayRef, ObjRef, default_value, dynamic_type_name
@@ -132,3 +134,190 @@ class TestIntrinsics:
         vm = VMState(fresh_program())
         ticks = intrinsic_function("ticks")
         assert ticks(vm) < ticks(vm)
+
+
+# ----------------------------------------------------------------------
+# Link tables: allocation templates and static keys resolved once per
+# VM must match the per-call superclass walk they replaced.
+# ----------------------------------------------------------------------
+
+
+def _walk_allocate_fields(program, class_name):
+    """Oracle: the field dict NEW built by walking the chain each time."""
+    fields = {}
+    for klass in program.superclass_chain(class_name):
+        for field in klass.fields.values():
+            if not field.is_static:
+                fields[field.name] = default_value(field.type)
+    return fields
+
+
+def _walk_static_key(program, class_name, field_name):
+    """Oracle: the ``_statics`` key GETSTATIC/PUTSTATIC resolved per call."""
+    declaring, _ = program.lookup_field(class_name, field_name)
+    return (declaring.name, field_name)
+
+
+def _walk_get_static(vm, class_name, field_name):
+    key = _walk_static_key(vm.program, class_name, field_name)
+    try:
+        return vm._statics[key]
+    except KeyError:
+        raise LinkError(
+            "static field %s.%s not initialized" % (class_name, field_name)
+        )
+
+
+def _outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except LinkError as error:
+        return ("LinkError", str(error))
+
+
+def _visible_field_names(program, class_name):
+    names = ["no_such_field"]
+    for klass in program.superclass_chain(class_name):
+        names.extend(klass.fields)
+    return names
+
+
+def _check_link_parity(program):
+    vm = VMState(program)
+    walk = VMState(program)
+    for class_name in program.classes:
+        expected = _walk_allocate_fields(program, class_name)
+        for _ in range(2):
+            fields = vm.allocate(class_name).fields
+            assert list(fields.items()) == list(expected.items()), class_name
+        for field_name in _visible_field_names(program, class_name):
+            for _ in range(2):
+                assert _outcome(vm.get_static, class_name, field_name) == (
+                    _outcome(_walk_get_static, walk, class_name, field_name)
+                ), (class_name, field_name)
+            marker = object()
+            try:
+                key = _walk_static_key(program, class_name, field_name)
+            except LinkError:
+                with pytest.raises(LinkError):
+                    vm.put_static(class_name, field_name, marker)
+                continue
+            vm.put_static(class_name, field_name, marker)
+            walk._statics[key] = marker
+            assert vm._statics == walk._statics, (class_name, field_name)
+
+
+@pytest.mark.parametrize(
+    "spec", all_benchmarks(), ids=lambda spec: spec.name
+)
+def test_link_tables_match_walk_on_suite_program(spec):
+    _check_link_parity(spec.load())
+
+
+def test_link_tables_match_walk_on_generated_programs():
+    for index in range(50):
+        program, _ = generate_case(1_000_003 + index).build()
+        _check_link_parity(program)
+
+
+class TestLinkTables:
+    def test_shadowed_field_keeps_first_position_and_super_default(self):
+        program = fresh_program()
+        base = program.define_class("B")
+        base.add_field(FieldDef("a", "int"))
+        base.add_field(FieldDef("x", "B"))
+        sub = program.define_class("S", superclass="B")
+        sub.add_field(FieldDef("x", "int"))
+        sub.add_field(FieldDef("b", "int"))
+        vm = VMState(program)
+        expected = [("x", None), ("b", 0), ("a", 0)]
+        assert list(_walk_allocate_fields(program, "S").items()) == expected
+        for _ in range(2):
+            assert list(vm.allocate("S").fields.items()) == expected
+        assert list(vm.allocate("B").fields.items()) == [("a", 0), ("x", None)]
+
+    def test_statics_through_subclass_name(self):
+        program = fresh_program()
+        base = program.define_class("Base")
+        base.add_field(FieldDef("shared", "int", is_static=True))
+        program.define_class("Mid", superclass="Base")
+        program.define_class("Leaf", superclass="Mid")
+        vm = VMState(program)
+        for round_ in range(2):
+            vm.put_static("Leaf", "shared", 10 + round_)
+            assert vm.get_static("Base", "shared") == 10 + round_
+            assert vm.get_static("Mid", "shared") == 10 + round_
+            vm.put_static("Base", "shared", 20 + round_)
+            assert vm.get_static("Leaf", "shared") == 20 + round_
+        assert vm._statics == {("Base", "shared"): 21}
+
+    def test_same_static_name_on_unrelated_classes_stays_apart(self):
+        program = fresh_program()
+        for name in ("A", "B"):
+            program.define_class(name).add_field(
+                FieldDef("count", "int", is_static=True)
+            )
+        vm = VMState(program)
+        for round_ in range(2):
+            vm.put_static("A", "count", 1 + round_)
+            vm.put_static("B", "count", 10 + round_)
+            assert vm.get_static("A", "count") == 1 + round_
+            assert vm.get_static("B", "count") == 10 + round_
+
+    def test_unknown_class_or_field_raises_same_error_every_call(self):
+        program = fresh_program()
+        program.define_class("G").add_field(
+            FieldDef("c", "int", is_static=True)
+        )
+        vm = VMState(program)
+        calls = [
+            (vm.allocate, _walk_allocate_fields, program, "Nope"),
+            (vm.get_static, _walk_get_static, vm, "Nope", "c"),
+            (vm.get_static, _walk_get_static, vm, "G", "nope"),
+            (lambda *key: vm.put_static(*key, 1), _walk_static_key,
+             program, "Nope", "c"),
+            (lambda *key: vm.put_static(*key, 1), _walk_static_key,
+             program, "G", "nope"),
+        ]
+        for fn, oracle, context, *args in calls:
+            expected = _outcome(oracle, context, *args)
+            assert expected[0] == "LinkError"
+            for _ in range(2):
+                assert _outcome(fn, *args) == expected
+        assert vm.allocation_count == 0
+        assert vm._statics == {("G", "c"): 0}
+
+    def test_failure_is_not_cached(self):
+        program = fresh_program()
+        vm = VMState(program)
+        with pytest.raises(LinkError):
+            vm.allocate("Late")
+        program.define_class("Late").add_field(FieldDef("v", "int"))
+        assert vm.allocate("Late").fields == {"v": 0}
+
+    def test_getstatic_of_instance_field_not_initialized(self):
+        program = fresh_program()
+        program.define_class("P").add_field(FieldDef("x", "int"))
+        program.define_class("Q", superclass="P")
+        vm = VMState(program)
+        for class_name in ("P", "Q", "Q"):
+            with pytest.raises(LinkError, match="not initialized"):
+                vm.get_static(class_name, "x")
+            assert _outcome(vm.get_static, class_name, "x") == _outcome(
+                _walk_get_static, vm, class_name, "x"
+            )
+
+    def test_allocations_never_share_a_dict(self):
+        program = fresh_program()
+        klass = program.define_class("P")
+        klass.add_field(FieldDef("x", "int"))
+        klass.add_field(FieldDef("next", "P"))
+        vm = VMState(program)
+        first = vm.allocate("P")
+        second = vm.allocate("P")
+        assert first.fields is not second.fields
+        first.fields["x"] = 7
+        first.fields["next"] = second
+        assert second.fields == {"x": 0, "next": None}
+        assert vm.allocate("P").fields == {"x": 0, "next": None}
+        assert vm.allocation_count == 3

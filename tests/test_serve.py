@@ -8,9 +8,15 @@ via :meth:`~repro.serve.scheduler.BackgroundCompiler.run_queued` — so
 test *constructs*, not a race it hopes to win.
 """
 
+import os
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.baselines import tuned_inliner
+from repro.interp.profiles import ProfileStore
 from repro.jit.config import JitConfig
 from repro.jit.engine import Engine
 from repro.obs import Observability
@@ -392,6 +398,102 @@ class TestProfilePooling:
         assert snap.maybe_of(method).invocations == 13
         a.of(method).invocations += 1
         assert snap.maybe_of(method).invocations == 13
+
+    def test_snapshots_under_concurrent_writers(self):
+        """Stress: more writer threads than cores record into tenants
+        sharing one aggregator while this thread snapshots. Dicts resize
+        mid-copy all the time; no exception may escape and no snapshot
+        may hold a live profile object."""
+
+        class _Method:
+            def __init__(self, qualified_name):
+                self.qualified_name = qualified_name
+
+        methods = [_Method("Lib.m%d" % i) for i in range(40)]
+        aggregator = SharedProfileAggregator()
+        obs = Observability()
+        stores = [
+            aggregator.store_for_tenant(merge="shared", obs=obs)
+            for _ in range((os.cpu_count() or 1) + 2)
+        ]
+        own = aggregator.store_for_tenant(merge="shared", obs=obs)
+        own.of(methods[0]).invocations += 1
+        stop = threading.Event()
+        errors = []
+
+        def write(store, seed):
+            try:
+                step = seed
+                while not stop.is_set():
+                    step += 1
+                    profile = store.of(methods[step % len(methods)])
+                    profile.invocations += 1
+                    profile.branch(step % 997).record(step & 1)
+                    profile.record_backedge(step % 991)
+                    profile.record_callsite(step % 983)
+                    profile.receiver(step % 977).record("C%d" % (step % 11))
+                    profile.typecheck(step % 971).record(
+                        None if step % 5 == 0 else "T%d" % (step % 3)
+                    )
+            except Exception as error:  # reported by the assert below
+                errors.append(error)
+
+        writers = [
+            threading.Thread(target=write, args=(store, 7919 * index),
+                             daemon=True)
+            for index, store in enumerate(stores)
+        ]
+        snapshots = []
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for writer in writers:
+                writer.start()
+            deadline = time.monotonic() + 1.0
+            while time.monotonic() < deadline:
+                other = stores[len(snapshots) % len(stores)]
+                snapshots += [own.snapshot(), other.snapshot()]
+                merged = aggregator.merged_copy(methods[1].qualified_name, obs)
+                if merged is not None:
+                    snapshots.append(merged)
+        finally:
+            stop.set()
+            for writer in writers:
+                writer.join(timeout=10)
+            sys.setswitchinterval(old_interval)
+        assert not any(writer.is_alive() for writer in writers)
+        assert errors == []
+
+        def mutable_objects(obj):
+            """Every dict and profile object a store or profile holds."""
+            if isinstance(obj, ProfileStore):
+                for table in (obj._methods, obj._contexts):
+                    for profile in table.values():
+                        yield from mutable_objects(profile)
+                return
+            yield from (obj, obj.backedges, obj.callsites)
+            for table in (obj.branches, obj.receivers, obj.typechecks):
+                yield table
+                for site in table.values():
+                    yield site
+                    if hasattr(site, "counts"):
+                        yield site.counts
+
+        live = {
+            id(obj)
+            for store in stores + [own]
+            for obj in mutable_objects(store)
+        }
+        live.update(
+            id(obj)
+            for profile in aggregator._global.values()
+            for obj in mutable_objects(profile)
+        )
+        assert len(snapshots) > 2
+        for snapshot in snapshots:
+            assert not any(
+                id(obj) in live for obj in mutable_objects(snapshot)
+            )
 
 
 # ----------------------------------------------------------------------
