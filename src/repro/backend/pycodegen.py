@@ -14,15 +14,36 @@ Codegen shape
 -------------
 
 One function per graph. Each SSA value becomes a Python local
-``v<node id>`` (constants are inlined as literals and never assigned);
-control flow is a ``while True:`` state machine over block ids whose
-``if/elif`` dispatch chain is ordered by profiled block frequency, so
-hot loop bodies re-dispatch in one or two integer comparisons. Phis
-become native tuple assignments on the incoming edges (Python's
-parallel assignment gives the parallel-copy semantics the machine
-backend needs a scratch register for). Compare and instance-of nodes
-whose single use is the same block's branch or guard are fused into the
-``if`` condition instead of materializing a 0/1 local.
+``v<node id>`` (constants are inlined as literals and never assigned).
+Control flow is structured, never a block id: the CFG is rebuilt as
+native statements by recursion over the dominator tree (Ramsey,
+"Beyond Relooper", ICFP 2022):
+
+- a natural loop becomes ``while True:``; its back edges are
+  ``continue`` (or nothing, at the end of the body);
+- a two-way branch becomes ``if``/``else`` whose arms fall through to
+  the join; an arm that always leaves (return, raise, ``break``,
+  ``continue``) drops the ``else``, so chains of early exits stay flat;
+- a block with two or more forward in-edges (a *merge*) is placed after
+  the region that branches to it, sibling merges in reverse postorder
+  with the latest outermost;
+- a loop's exits are hoisted to just after the outermost loop they
+  leave, so the code after a loop is not nested inside it: the merges
+  where exits meet, or else the one exit dominating the most code;
+  other exits stay in the loop and end by leaving it;
+- a forward jump that cannot fall through is a ``break`` out of the
+  innermost Python loop when that lands on its target, else the region
+  gets a ``while True: ... break`` wrapper; a jump that has to leave
+  two or more Python loops sets an exit flag that is tested once after
+  each loop it crosses (set only when that exit is taken).
+
+Irreducible graphs (a retreating edge whose target does not dominate
+its source) have no such structure and bail out. Phis become native
+tuple assignments on the incoming edges (Python's parallel assignment
+gives the parallel-copy semantics the machine backend needs a scratch
+register for). Compare and instance-of nodes whose single use is the
+same block's branch or guard are fused into the ``if`` condition
+instead of materializing a 0/1 local.
 
 Parity rules (mirroring :class:`~repro.backend.machine.MachineExecutor`
 instruction by instruction):
@@ -53,7 +74,9 @@ Anything the generator cannot prove it translates faithfully raises
 (slower, never wrong). Reasons: ``unsupported-node`` (an IR node
 outside the supported vocabulary), ``graph-too-large`` (node count over
 :data:`MAX_NODES`), ``frame-state-mismatch`` (malformed deopt state),
-``compile-failed`` (the generated source failed to ``compile()``).
+``irreducible-cfg`` (a loop with two entries), ``compile-failed`` (the
+source nests too deeply to build or ``compile()`` rejects it, e.g. past
+CPython's 20 statically nested loops).
 """
 
 from repro.backend.costmodel import CostModel
@@ -66,6 +89,7 @@ from repro.errors import (
 )
 from repro.ir import nodes as n
 from repro.ir import stamps as st
+from repro.ir.dominators import compute_dominators, compute_loops, dominates
 from repro.runtime import int64
 from repro.runtime.int64 import int_div, int_rem, wrap64
 from repro.runtime.intrinsics import intrinsic_function
@@ -131,6 +155,121 @@ def generate(graph, cost_model=None):
     return _PyCodegen(graph, cost_model or CostModel()).run()
 
 
+# -- structured statements ---------------------------------------------------
+#
+# The structurer builds these from the dominator tree, a planning pass
+# routes every jump that cannot fall through, and the renderer prints
+# them. A location is ``("code", block)`` (where a merge's region ends
+# and its code starts) or ``("cont", header)`` (the next iteration).
+
+
+class _Code:
+    """A block's cycle charge and instructions, and its terminator when
+    that is a return or a deopt (``leaves``). Edges are statements of
+    their own; the phi moves on an edge into a block placed inline are
+    a plain source line (a ``str``)."""
+
+    __slots__ = ("block", "leaves")
+
+    def __init__(self, block, leaves):
+        self.block = block
+        self.leaves = leaves
+
+
+class _Jump:
+    """An edge to a loop header (``back``) or to a merge's region end.
+
+    Planning sets ``elided`` (the jump falls through to its target),
+    ``stack`` (the constructs around it, outermost first), ``final``
+    (``"continue"`` when it ends by continuing a loop rather than by
+    leaving one) and ``flag`` (the exit flag, when it has to leave more
+    than one Python loop).
+    """
+
+    __slots__ = ("target", "back", "moves", "elided", "stack", "final",
+                 "flag")
+
+    def __init__(self, target, back, moves):
+        self.target = target
+        self.back = back
+        self.moves = moves
+        self.elided = False
+        self.stack = ()
+        self.final = None
+        self.flag = None
+
+    def location(self):
+        return ("cont" if self.back else "code", self.target)
+
+
+class _If:
+    __slots__ = ("block", "then", "orelse")
+
+    def __init__(self, block, then, orelse):
+        self.block = block
+        self.then = then
+        self.orelse = orelse
+
+
+class _Loop:
+    """``while True:`` for a loop header; ``landing`` is where a
+    ``break`` out of it continues, ``checks`` the exit-flag tests
+    after it."""
+
+    __slots__ = ("header", "body", "landing", "checks")
+
+    def __init__(self, header, body):
+        self.header = header
+        self.body = body
+        self.landing = None
+        self.checks = []
+
+
+class _Region:
+    """Code whose end is *target*'s code (Ramsey's ``block``). Printed
+    inline unless some jump to the end needs a ``while True: ...
+    break`` ``wrapper``."""
+
+    __slots__ = ("target", "body", "depth", "wrapper", "checks")
+
+    def __init__(self, target, body):
+        self.target = target
+        self.body = body
+        self.depth = 0
+        self.wrapper = False
+        self.checks = []
+
+
+def _python_loop(stmt):
+    return type(stmt) is _Loop or stmt.wrapper
+
+
+def _landing(stmt):
+    return stmt.landing if type(stmt) is _Loop else ("code", stmt.target)
+
+
+def _empty(stmts):
+    """True when *stmts* prints nothing: one jump that falls through
+    without phi moves."""
+    return (
+        len(stmts) == 1 and type(stmts[0]) is _Jump
+        and stmts[0].elided and stmts[0].moves is None
+    )
+
+
+def _leaves(stmts):
+    """True when control never falls off the end of *stmts*."""
+    last = stmts[-1]
+    t = type(last)
+    if t is _Code:
+        return last.leaves
+    if t is _Jump:
+        return not last.elided
+    if t is _If:
+        return _leaves(last.then) and _leaves(last.orelse)
+    return False
+
+
 class _PyCodegen:
     def __init__(self, graph, cost_model):
         self.graph = graph
@@ -140,6 +279,11 @@ class _PyCodegen:
         self.reasons = []
         self.globals = {}
         self._next_global = 0
+        self._fused = {}
+        self._regions = {}
+        self._loops = {}
+        self._jumps = []
+        self._flags = {}
 
     # -- source assembly ----------------------------------------------------
 
@@ -170,7 +314,43 @@ class _PyCodegen:
                 "%d nodes > %d" % (graph.node_count(), MAX_NODES),
             )
         order = graph.reverse_postorder()
-        entry = order[0]
+        try:
+            self._emit_function(order)
+        except RecursionError as error:
+            # A graph nested too deeply to structure on this stack.
+            raise PyCodegenBailout("compile-failed", repr(error))
+        self.globals.update(
+            _mf=materialize_frames,
+            _DS=DeoptSignal,
+            _METHOD=graph.method,
+            _TABLE=tuple(self.deopt_table),
+            _REASONS=tuple(self.reasons),
+            _NPT=NullPointerTrap,
+            _BT=BoundsTrap,
+            _CT=CastTrap,
+            _VE=VMError,
+            _OR=ObjRef,
+            _AR=ArrayRef,
+            _idiv=int_div,
+            _irem=int_rem,
+            _wrap=wrap64,
+        )
+        source = "\n".join(self.lines) + "\n"
+        name = getattr(graph, "name", None) or graph.method.qualified_name
+        try:
+            code = compile(source, "<pycodegen:%s>" % name, "exec")
+        except (SyntaxError, ValueError, RecursionError, MemoryError) as error:
+            raise PyCodegenBailout("compile-failed", repr(error))
+        exec(code, self.globals)
+        return self.globals["_factory"], source
+
+    def _emit_function(self, order):
+        """The module source: the deopt helper, the factory and the
+        structured ``_run`` closure."""
+        graph = self.graph
+        body = self._structure(order)
+        self._plan(body, [], None)
+        self._route_jumps()
         lines = self.lines
         lines.append("def _deopt(index, values):")
         lines.append("    frames = _mf(_TABLE[index], values)")
@@ -200,60 +380,303 @@ class _PyCodegen:
             for phi in block.phis:
                 if any(source is None for source in phi.inputs):
                     self._line(2, "v%d = None" % phi.id)
+        for flag in self._flags.values():
+            self._line(2, "%s = False" % flag)
         self._line(2, "_cy = %d" % self.cost.METHOD_ENTRY)
-
-        # The entry block runs exactly once when it has no predecessors
-        # (the common case); emit it inline before the dispatch loop so
-        # straight-line methods never touch the state machine at all.
-        inline_entry = not entry.preds
-        labeled = [b for b in order if not (inline_entry and b is entry)]
-        if inline_entry:
-            self._emit_block(entry, 2)
-        else:
-            self._line(2, "_b = %d" % entry.id)
-        if labeled:
-            # Hot blocks dispatch first: the chain is ordered by the
-            # profiled block frequency, ties broken by layout order.
-            ranked = sorted(
-                enumerate(labeled),
-                key=lambda item: (-getattr(item[1], "frequency", 1.0),
-                                  item[0]),
-            )
-            self._line(2, "while True:")
-            for rank, (_, block) in enumerate(ranked):
-                keyword = "if" if rank == 0 else "elif"
-                self._line(3, "%s _b == %d:" % (keyword, block.id))
-                self._emit_block(block, 4)
-            self._line(3, "else:")
-            self._line(4, "raise _VE('bad block id %d' % _b)")
+        self._render(body, 2)
         lines.append("    return _run")
 
-        self.globals.update(
-            _mf=materialize_frames,
-            _DS=DeoptSignal,
-            _METHOD=graph.method,
-            _TABLE=tuple(self.deopt_table),
-            _REASONS=tuple(self.reasons),
-            _NPT=NullPointerTrap,
-            _BT=BoundsTrap,
-            _CT=CastTrap,
-            _VE=VMError,
-            _OR=ObjRef,
-            _AR=ArrayRef,
-            _idiv=int_div,
-            _irem=int_rem,
-            _wrap=wrap64,
-        )
-        source = "\n".join(lines) + "\n"
-        name = getattr(graph, "name", None) or graph.method.qualified_name
-        try:
-            code = compile(source, "<pycodegen:%s>" % name, "exec")
-        except (SyntaxError, ValueError, RecursionError, MemoryError) as error:
-            raise PyCodegenBailout("compile-failed", repr(error))
-        exec(code, self.globals)
-        return self.globals["_factory"], source
+    # -- structuring ----------------------------------------------------------
 
-    # -- blocks -------------------------------------------------------------
+    def _structure(self, order):
+        """The graph as structured statements (see the module docstring)."""
+        graph = self.graph
+        idom = compute_dominators(graph, order)
+        rpo = {block: index for index, block in enumerate(order)}
+        forward = dict.fromkeys(order, 0)
+        cyclic = False
+        for block in order:
+            for succ in block.successors():
+                if rpo[succ] > rpo[block]:
+                    forward[succ] += 1
+                elif dominates(idom, succ, block):
+                    cyclic = True
+                else:
+                    raise PyCodegenBailout(
+                        "irreducible-cfg",
+                        "B%d -> B%d enters a cycle B%d does not dominate"
+                        % (block.id, succ.id, succ.id),
+                    )
+        loops = compute_loops(graph, idom, order) if cyclic else ()
+        self._headers = {loop.header for loop in loops}
+        self._after_loop = self._hoist(order, idom, rpo, forward, loops)
+        hoisted = {b for blocks in self._after_loop.values() for b in blocks}
+        self._followers = {}
+        self._inline = set()
+        for block in order[1:]:
+            if block in hoisted:
+                continue
+            if forward[block] >= 2:
+                self._followers.setdefault(idom[block], []).append(block)
+            else:
+                self._inline.add(block)
+        self._rpo = rpo
+        body = []
+        self._tree(order[0], body)
+        return body
+
+    @staticmethod
+    def _hoist(order, idom, rpo, forward, loops):
+        """``{header: blocks}``: the exit blocks placed right after each
+        loop, in reverse postorder.
+
+        An exit block (one outside a loop its dominator is in) is a
+        candidate for the outermost such loop. Merges are hoisted: that
+        is where the loop's exits meet. With no merge, the exit
+        dominating the most code is (latest in reverse postorder on
+        ties); the others stay inline in the loop and end by leaving it.
+        """
+        if not loops:
+            return {}
+        innermost = {}
+        for loop in loops:  # innermost first
+            for block in loop.blocks:
+                innermost.setdefault(block, loop)
+        children = {}
+        for block in order[1:]:
+            children.setdefault(idom[block], []).append(block)
+        size = {}
+        for block in reversed(order):
+            size[block] = 1 + sum(size[c] for c in children.get(block, ()))
+        merges, single = {}, {}
+        for block in order[1:]:
+            loop, left = innermost.get(idom[block]), None
+            while loop is not None and block not in loop.blocks:
+                left, loop = loop, loop.parent
+            if left is None:
+                continue
+            if forward[block] >= 2:
+                merges.setdefault(left.header, []).append(block)
+                continue
+            best = single.get(left.header)
+            if best is None or (size[block], rpo[block]) > (
+                size[best], rpo[best]
+            ):
+                single[left.header] = block
+        for header, block in single.items():
+            merges.setdefault(header, [block])
+        return merges
+
+    def _tree(self, block, out):
+        """Append *block*, the merges placed after it and the blocks it
+        branches to inline. The outermost follower continues the loop
+        here rather than recursing, so a long run of sequential merges
+        costs no stack."""
+        while True:
+            stmts = []
+            self._body(block, stmts)
+            layers = list(self._followers.get(block, ()))
+            if block in self._headers:
+                layers.append(None)  # the loop closes over its followers
+                layers.extend(self._after_loop.get(block, ()))
+            for index, target in enumerate(layers):
+                if target is None:
+                    loop = _Loop(block, stmts)
+                    self._loops[block] = loop
+                    stmts = [loop]
+                    continue
+                region = _Region(target, stmts)
+                self._regions[target] = region
+                if index == len(layers) - 1:
+                    out.append(region)
+                    block = target
+                    break
+                stmts = [region]
+                self._tree(target, stmts)
+            else:
+                out.extend(stmts)
+                return
+
+    def _body(self, block, out):
+        self._fused[block] = self._fused_conditions(block)
+        term = block.terminator
+        t = type(term)
+        if term is None:
+            raise PyCodegenBailout(
+                "unsupported-node", "block B%d has no terminator" % block.id
+            )
+        if t not in (n.GotoNode, n.IfNode, n.ReturnNode, n.DeoptNode):
+            raise PyCodegenBailout("unsupported-node", t.__name__)
+        out.append(_Code(block, t is n.ReturnNode or t is n.DeoptNode))
+        if t is n.GotoNode:
+            self._branch(block, term.target, out)
+        elif t is n.IfNode:
+            then, orelse = [], []
+            self._branch(block, term.true_block, then)
+            self._branch(block, term.false_block, orelse)
+            out.append(_If(block, then, orelse))
+
+    def _branch(self, pred, succ, out):
+        moves = self._edge_moves(pred, succ)
+        if self._rpo[succ] <= self._rpo[pred]:
+            out.append(_Jump(succ, True, moves))
+        elif succ in self._inline:
+            if moves is not None:
+                out.append(moves)
+            self._tree(succ, out)
+        else:
+            out.append(_Jump(succ, False, moves))
+
+    # -- routing -------------------------------------------------------------
+
+    def _plan(self, stmts, stack, fall):
+        """Mark the jumps that fall through to their target; record the
+        enclosing constructs of every other one, and where each loop's
+        ``break`` lands."""
+        last = len(stmts) - 1
+        for index, stmt in enumerate(stmts):
+            here = fall if index == last else None
+            t = type(stmt)
+            if t is _Jump:
+                if stmt.location() == here:
+                    stmt.elided = True
+                else:
+                    stmt.stack = tuple(stack)
+                    self._jumps.append(stmt)
+            elif t is _If:
+                self._plan(stmt.then, stack, here)
+                self._plan(stmt.orelse, stack, here)
+            elif t is _Loop:
+                stmt.landing = here
+                stack.append(stmt)
+                self._plan(stmt.body, stack, ("cont", stmt.header))
+                stack.pop()
+            elif t is _Region:
+                stmt.depth = len(stack)
+                stack.append(stmt)
+                self._plan(stmt.body, stack, ("code", stmt.target))
+                stack.pop()
+
+    def _route(self, jump):
+        """``(exits, final)``: the Python loops *jump* leaves, innermost
+        first, and ``"continue"`` when a continue follows; ``None`` when
+        its target region needs a wrapper first."""
+        construct = (self._loops if jump.back else self._regions)[jump.target]
+        location = jump.location()
+        exits = []
+        for stmt in reversed(jump.stack):
+            if stmt is construct:
+                if jump.back:
+                    return exits, "continue"
+                if stmt.wrapper:
+                    exits.append(stmt)
+                    return exits, None
+                return None
+            if _python_loop(stmt):
+                exits.append(stmt)
+                if _landing(stmt) == location:
+                    return exits, None
+        raise PyCodegenBailout(
+            "compile-failed", "no construct encloses the jump to B%d"
+            % jump.target.id
+        )
+
+    def _route_jumps(self):
+        # A region needs a wrapper when some jump to its end neither
+        # falls through nor lands there by leaving Python loops. Inner
+        # regions decide first: their wrappers are loops outer jumps
+        # have to leave.
+        pending = {}
+        for jump in self._jumps:
+            if not jump.back:
+                pending.setdefault(self._regions[jump.target], []).append(
+                    jump
+                )
+        for region in sorted(pending, key=lambda r: -r.depth):
+            if any(self._route(jump) is None for jump in pending[region]):
+                region.wrapper = True
+        for jump in self._jumps:
+            exits, final = self._route(jump)
+            jump.final = final
+            if len(exits) + (final is not None) < 2:
+                continue
+            # Leave exits[0] with a break, then test the flag after
+            # each loop left: break on, until the last test resets it.
+            key = (jump.location(), tuple(map(id, exits)), final)
+            flag = self._flags.get(key)
+            if flag is None:
+                flag = self._flags[key] = "_x%d" % len(self._flags)
+                tests = [(loop, "break") for loop in exits[:-1]]
+                if final is not None:
+                    tests.append((exits[-1], final))
+                for position, (loop, action) in enumerate(tests):
+                    loop.checks.append(
+                        (flag, action, position == len(tests) - 1)
+                    )
+            jump.flag = flag
+
+    # -- rendering -------------------------------------------------------------
+
+    def _render(self, stmts, depth):
+        line = self._line
+        for stmt in stmts:
+            t = type(stmt)
+            if t is _Code:
+                self._emit_block(stmt.block, depth)
+            elif t is str:
+                line(depth, stmt)
+            elif t is _Jump:
+                if stmt.moves is not None:
+                    line(depth, stmt.moves)
+                if stmt.elided:
+                    continue
+                if stmt.flag is not None:
+                    line(depth, "%s = True" % stmt.flag)
+                    line(depth, "break")
+                else:
+                    line(depth, "continue" if stmt.final else "break")
+            elif t is _If:
+                self._render_if(stmt, depth)
+            elif t is _Loop or stmt.wrapper:
+                line(depth, "while True:")
+                self._render(stmt.body, depth + 1)
+                if t is _Region:
+                    line(depth + 1, "break")
+                for flag, action, reset in stmt.checks:
+                    line(depth, "if %s:" % flag)
+                    if reset:
+                        line(depth + 1, "%s = False" % flag)
+                    line(depth + 1, action)
+            else:
+                self._render(stmt.body, depth)
+
+    def _render_arm(self, stmts, depth):
+        mark = len(self.lines)
+        self._render(stmts, depth)
+        if len(self.lines) == mark:
+            self._line(depth, "pass")
+
+    def _render_if(self, stmt, depth):
+        then, orelse = stmt.then, stmt.orelse
+        if _empty(then) and _empty(orelse):
+            return  # the condition is pure
+        line = self._line
+        fused = self._fused[stmt.block]
+        cond = stmt.block.terminator.inputs[0]
+        if _empty(then) or (_leaves(orelse) and not _leaves(then)):
+            # Test the negation so the arm that leaves (or the only
+            # arm) comes first and the other one needs no else.
+            line(depth, "if %s:" % self._cond_expr(cond, fused, True))
+            self._render_arm(orelse, depth + 1)
+            self._render(then, depth)
+            return
+        line(depth, "if %s:" % self._cond_expr(cond, fused, False))
+        self._render_arm(then, depth + 1)
+        if _empty(orelse) or _leaves(then):
+            self._render(orelse, depth)
+            return
+        line(depth, "else:")
+        self._render_arm(orelse, depth + 1)
 
     def _emit_block(self, block, depth):
         # Identical block price to the COST pseudo-instruction lowering
@@ -263,12 +686,23 @@ class _PyCodegen:
             cost += self.cost.node_cost(block.terminator)
         if cost:
             self._line(depth, "_cy += %d" % cost)
-        fused = self._fused_conditions(block)
+        fused = self._fused[block]
         for node in block.instrs:
             if node in fused:
                 continue
             self._emit_node(node, depth, fused)
-        self._emit_terminator(block, depth, fused)
+        term = block.terminator
+        if type(term) is n.ReturnNode:
+            value = term.value()
+            self._line(depth, "_sink(_cy)")
+            self._line(depth, "return %s"
+                       % (self._val(value) if value is not None else "None"))
+        elif type(term) is n.DeoptNode:
+            index, values = self._deopt_entry(
+                term.frames, term.state_values, term.reason
+            )
+            self._line(depth, "_sink(_cy)")
+            self._line(depth, "_deopt(%d, %s)" % (index, values))
 
     def _fused_conditions(self, block):
         """Compare/instance-of nodes foldable into their single branch
@@ -543,47 +977,14 @@ class _PyCodegen:
             ", ".join(values), tail
         )
 
-    # -- terminators --------------------------------------------------------
+    # -- edges ----------------------------------------------------------------
 
-    def _emit_terminator(self, block, depth, fused):
-        term = block.terminator
-        line = self._line
-        t = type(term)
-        if t is n.ReturnNode:
-            value = term.value()
-            line(depth, "_sink(_cy)")
-            line(depth, "return %s"
-                 % (self._val(value) if value is not None else "None"))
-        elif t is n.GotoNode:
-            self._emit_edge(block, term.target, depth)
-            line(depth, "_b = %d" % term.target.id)
-        elif t is n.IfNode:
-            line(depth, "if %s:"
-                 % self._cond_expr(term.inputs[0], fused, negate=False))
-            self._emit_edge(block, term.true_block, depth + 1)
-            line(depth + 1, "_b = %d" % term.true_block.id)
-            line(depth, "else:")
-            self._emit_edge(block, term.false_block, depth + 1)
-            line(depth + 1, "_b = %d" % term.false_block.id)
-        elif t is n.DeoptNode:
-            index, values = self._deopt_entry(
-                term.frames, term.state_values, term.reason
-            )
-            line(depth, "_sink(_cy)")
-            line(depth, "_deopt(%d, %s)" % (index, values))
-        elif term is None:
-            raise PyCodegenBailout(
-                "unsupported-node", "block B%d has no terminator" % block.id
-            )
-        else:
-            raise PyCodegenBailout("unsupported-node", type(term).__name__)
-
-    def _emit_edge(self, pred, succ, depth):
+    def _edge_moves(self, pred, succ):
         """Phi inputs for the edge *pred*→*succ* as one native parallel
         assignment (tuple unpacking evaluates every source first, which
-        is exactly the parallel-copy semantics)."""
+        is exactly the parallel-copy semantics), or ``None``."""
         if not succ.phis:
-            return
+            return None
         index = succ.pred_index(pred)
         dsts, srcs = [], []
         for phi in succ.phis:
@@ -593,5 +994,5 @@ class _PyCodegen:
             dsts.append("v%d" % phi.id)
             srcs.append(self._val(source))
         if not dsts:
-            return
-        self._line(depth, "%s = %s" % (", ".join(dsts), ", ".join(srcs)))
+            return None
+        return "%s = %s" % (", ".join(dsts), ", ".join(srcs))

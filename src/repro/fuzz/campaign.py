@@ -214,13 +214,14 @@ def _process_divergence(case, divergence, names, iterations, vm_seed, shrink, ob
             "culprit: %s" % report.culprit,
         ],
     )
-    # The corpus must reproduce from its textual form alone.
+    # The corpus must reproduce from its textual form alone, as the
+    # same kind of divergence.
     try:
         reloaded, reloaded_entry = load_corpus_text(asm)
-        reverified = (
-            check_program(reloaded, reloaded_entry, names, iterations, vm_seed)
-            is not None
+        found = check_program(
+            reloaded, reloaded_entry, names, iterations, vm_seed
         )
+        reverified = found is not None and found.kind == divergence.kind
     except Exception:
         reverified = False
     return Finding(

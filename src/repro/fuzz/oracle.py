@@ -13,6 +13,12 @@ iterations.  All executors observe:
 - the cumulative **printed output** after all iterations (the ``print``
   intrinsic appends to ``vm.output`` in every tier).
 
+A configuration that runs compiled code on the py tier must also match
+its cycle oracle: the same configuration on ``backend="machine"``, per
+iteration in outcome (trap message included), ``total_cycles``,
+``compiled_cycles`` and ``icache_cycles``, and in the final
+``deopt_count``. A mismatch is a ``cycles`` divergence.
+
 A trap aborts only its own iteration; the oracle keeps running the
 remaining iterations against the same VM state.  This matters twice
 over: always-trapping programs still exercise the compiled tiers (the
@@ -161,13 +167,21 @@ def oracle_config_names():
 
 
 class ExecutionRecord:
-    """What one executor observed over a whole run."""
+    """What one executor observed over a whole run.
 
-    __slots__ = ("outcomes", "output")
+    Engine runs also keep ``cycles`` — per iteration, the outcome with
+    its trap message and the ``(total, compiled, icache)`` cycles
+    (``total`` is ``None`` when the iteration trapped) — and the final
+    ``deopts``; equality ignores both.
+    """
 
-    def __init__(self, outcomes, output):
+    __slots__ = ("outcomes", "output", "cycles", "deopts")
+
+    def __init__(self, outcomes, output, cycles=(), deopts=0):
         self.outcomes = list(outcomes)
         self.output = list(output)
+        self.cycles = list(cycles)
+        self.deopts = deopts
 
     def __eq__(self, other):
         return (
@@ -182,22 +196,31 @@ class Divergence:
 
     def __init__(self, config, kind, iteration, expected, actual):
         self.config = config
-        self.kind = kind  # "outcome" | "output"
-        self.iteration = iteration  # int for outcomes, None for output
+        # "outcome" | "output" | "cycles" (py tier against its machine
+        # run: *expected* is the machine side)
+        self.kind = kind
+        # int per iteration; None for output and a final deopt count
+        self.iteration = iteration
         self.expected = expected
         self.actual = actual
 
     def describe(self):
-        where = (
-            "iteration %d" % self.iteration
-            if self.iteration is not None
-            else "printed output"
+        if self.iteration is not None:
+            where = "iteration %d" % self.iteration
+        elif self.kind == "cycles":
+            where = "deopt count"
+        else:
+            where = "printed output"
+        sides = ("machine", "py") if self.kind == "cycles" else (
+            "interpreter", "engine"
         )
-        return "config=%s %s (%s): interpreter=%r, engine=%r" % (
+        return "config=%s %s (%s): %s=%r, %s=%r" % (
             self.config,
             self.kind,
             where,
+            sides[0],
             self.expected,
+            sides[1],
             self.actual,
         )
 
@@ -216,14 +239,20 @@ class Divergence:
 
 def _observe(call):
     """Run one iteration thunk; normalize its outcome."""
+    return _observe_with_message(call)[0]
+
+
+def _observe_with_message(call):
+    """``(outcome, message)``: the normalized outcome and the trap or
+    crash message (``None`` for a value)."""
     try:
-        return ("value", call())
+        return ("value", call()), None
     except TrapError as trap:
-        return ("trap", trap.kind)
+        return ("trap", trap.kind), str(trap)
     except VMError as crash:  # a tier blew up: still comparable
-        return ("crash", type(crash).__name__)
+        return ("crash", type(crash).__name__), str(crash)
     except RecursionError:
-        return ("crash", "RecursionError")
+        return ("crash", "RecursionError"), None
 
 
 def run_interpreter(program, entry, iterations=DEFAULT_ITERATIONS, vm_seed=0x5EED):
@@ -240,24 +269,63 @@ def run_interpreter(program, entry, iterations=DEFAULT_ITERATIONS, vm_seed=0x5EE
     return ExecutionRecord(outcomes, vm.output)
 
 
-def run_config(program, entry, name, iterations=DEFAULT_ITERATIONS, vm_seed=0x5EED):
-    """Execute under oracle configuration *name* with a fresh engine."""
+def _measure(engine, class_name, method_name):
+    """One engine iteration: ``(outcome, cycles)``, where *cycles* is
+    the outcome (with the trap message when it trapped) followed by the
+    iteration's total, compiled and icache cycles; a trapped iteration
+    has no total."""
+    compiled, icache = engine.compiled_cycles, engine.icache_cycles
+    results = []
+
+    def call():
+        results.append(engine.run_iteration(class_name, method_name))
+        return results[0].value
+
+    outcome, message = _observe_with_message(call)
+    if results:
+        result = results[0]
+        return outcome, (outcome, result.total_cycles,
+                         result.compiled_cycles, result.icache_cycles)
+    return outcome, (outcome + (message,), None,
+                     engine.compiled_cycles - compiled,
+                     engine.icache_cycles - icache)
+
+
+def run_config(program, entry, name, iterations=DEFAULT_ITERATIONS,
+               vm_seed=0x5EED, backend=None):
+    """Execute under oracle configuration *name* with a fresh engine;
+    *backend*, when given, replaces the configuration's own."""
     class_name, method_name = entry
     config, inliner = ORACLE_CONFIGS[name]()
+    if backend is not None:
+        config.backend = backend
     engine = Engine(program, config, inliner, seed=vm_seed)
     try:
-        outcomes = []
+        outcomes, cycles = [], []
         for _ in range(iterations):
-            outcomes.append(_observe(
-                lambda: engine.run_iteration(class_name, method_name).value
-            ))
+            outcome, measured = _measure(engine, class_name, method_name)
+            cycles.append(measured)
+            outcomes.append(outcome)
             # Under async compilation, settle the queue at the iteration
             # edge so later iterations deterministically reach compiled
             # code — same coverage as sync, same required behavior.
             engine.drain_compiles()
-        return ExecutionRecord(outcomes, engine.vm.output)
+        return ExecutionRecord(
+            outcomes, engine.vm.output, cycles, engine.deopt_count
+        )
     finally:
         engine.shutdown()
+
+
+def compare_cycles(config, machine, py):
+    """First ``cycles`` :class:`Divergence` between a py-tier record and
+    the machine record of the same configuration, or ``None``."""
+    for index, (expected, actual) in enumerate(zip(machine.cycles, py.cycles)):
+        if expected != actual:
+            return Divergence(config, "cycles", index, expected, actual)
+    if machine.deopts != py.deopts:
+        return Divergence(config, "cycles", None, machine.deopts, py.deopts)
+    return None
 
 
 def compare_records(config, reference, record):
@@ -281,16 +349,23 @@ def check_program(
     iterations=DEFAULT_ITERATIONS,
     vm_seed=0x5EED,
 ):
-    """Run *program* under the interpreter and every configuration.
+    """Run *program* under the interpreter and every configuration,
+    and every py-tier configuration once more on the machine backend.
 
     Returns the first :class:`Divergence`, or ``None`` when all
-    configurations agree with the interpreter.
+    configurations agree with the interpreter and every py tier with
+    its machine run.
     """
     names = config_names if config_names is not None else oracle_config_names()
     reference = run_interpreter(program, entry, iterations, vm_seed)
     for name in names:
         record = run_config(program, entry, name, iterations, vm_seed)
         divergence = compare_records(name, reference, record)
+        if divergence is None and ORACLE_CONFIGS[name]()[0].backend == "py":
+            machine = run_config(
+                program, entry, name, iterations, vm_seed, backend="machine"
+            )
+            divergence = compare_cycles(name, machine, record)
         if divergence is not None:
             return divergence
     return None

@@ -104,7 +104,11 @@ class _Builder:
         )
         self.osr_bci = osr_bci
         self.osr_stack_depth = osr_stack_depth
-        self.osr_entry_block = None
+        #: The synthetic entry block, when the first bytecode block
+        #: cannot be the graph's entry: an OSR header, or a method whose
+        #: first instruction is a branch target. It jumps to that block,
+        #: carrying the parameters in at pred index 0.
+        self.synthetic_entry = None
         self.graph = Graph(method)
         #: Per-site type-check speculation decisions, for provenance
         #: (read by the compiler via getattr — graph copies drop it).
@@ -239,21 +243,26 @@ class _Builder:
                     )
 
     def _create_ir_blocks(self):
-        if self.osr_bci is not None:
-            # The synthetic OSR entry block is created first so it is
+        first = self.infos[self._entry_pc()]
+        if self.osr_bci is not None or first.preds:
+            # The synthetic entry block is created first so it is
             # ``graph.entry``: compiled OSR code starts by jumping to
-            # the loop header with the transferred frame as parameters.
-            self.osr_entry_block = self.graph.new_block()
+            # the loop header with the transferred frame as parameters,
+            # and a method that starts with a loop header enters it
+            # the same way, with its own parameters.
+            self.synthetic_entry = self.graph.new_block()
         for info in self.order:
             info.block = self.graph.new_block()
         for info in self.order:
             info.block.preds = [p.block for p in info.preds]
-        if self.osr_bci is not None:
-            header = self.infos[self.osr_bci]
-            header.block.preds = [self.osr_entry_block] + header.block.preds
-            self.osr_entry_block.set_terminator(
-                self.graph.register(n.GotoNode(header.block))
+        if self.synthetic_entry is not None:
+            first.block.preds = [self.synthetic_entry] + first.block.preds
+            self.synthetic_entry.set_terminator(
+                self.graph.register(n.GotoNode(first.block))
             )
+
+    def _entry_pc(self):
+        return 0 if self.osr_bci is None else self.osr_bci
 
     def _create_params(self):
         method = self.method
@@ -280,17 +289,19 @@ class _Builder:
     def _entry_state(self, info, edge_states):
         """Entry (locals, stack) for a block; phis at joins."""
         num_locals = self.method.max_locals
-        if self.osr_bci is not None and info.start == self.osr_bci:
-            # OSR loop header: merge the transferred interpreter frame
-            # (the graph parameters, arriving over the synthetic entry
-            # edge at pred index 0) with the in-loop predecessors.
+        if self.synthetic_entry is not None and info.start == self._entry_pc():
+            # Loop header at the entry: merge the incoming frame (the
+            # graph parameters — for OSR one per local and stack slot —
+            # arriving over the synthetic entry edge at pred index 0)
+            # with the in-loop predecessors.
             block = info.block
             params = self.graph.params
             locals_ = []
             for slot in range(num_locals):
+                incoming = params[slot] if slot < len(params) else None
                 phi = self.graph.register(
                     n.PhiNode(
-                        [params[slot]] + [None] * len(info.preds),
+                        [incoming] + [None] * len(info.preds),
                         st.BOTTOM_STAMP,
                     )
                 )
@@ -655,12 +666,13 @@ class _Builder:
             block = info.block
             if not block.phis:
                 continue
-            # At the OSR header, pred index 0 is the synthetic entry
-            # edge whose phi inputs (the parameters) were wired at
-            # creation; bytecode predecessors start at index 1.
+            # At a header entered from the synthetic entry, pred index 0
+            # is that edge, whose phi inputs (the parameters) were wired
+            # at creation; bytecode predecessors start at index 1.
             offset = (
                 1
-                if self.osr_bci is not None and info.start == self.osr_bci
+                if self.synthetic_entry is not None
+                and info.start == self._entry_pc()
                 else 0
             )
             for pred_index, pred in enumerate(info.preds):

@@ -5,6 +5,7 @@ import importlib
 import pytest
 
 import repro.fuzz.reduce as reduce_module
+from repro.backend import pycodegen
 
 # ``repro.opts`` re-exports a ``canonicalize`` *function*, which shadows
 # the submodule under ``import repro.opts.canonicalize as ...``.
@@ -83,6 +84,30 @@ def _seeded_folder_bug(monkeypatch):
     monkeypatch.setattr(canon, "_fold_binop", broken)
 
 
+def _seeded_cycle_drift(monkeypatch):
+    """Make the py tier drop one cycle in every merge block."""
+    emit = pycodegen._PyCodegen._emit_block
+
+    def drifting(codegen, block, depth):
+        emit(codegen, block, depth)
+        if len(block.preds) >= 2:
+            codegen._line(depth, "_cy -= 1")
+
+    monkeypatch.setattr(pycodegen._PyCodegen, "_emit_block", drifting)
+
+
+def _counting_loop_program():
+    def build(b):
+        i = b.alloc_local()
+        b.const(0).store(i)
+        top, done = b.new_label(), b.new_label()
+        b.place(top).load(i).const(7).ge().if_true(done)
+        b.load(i).const(1).add().store(i).goto(top)
+        b.place(done).load(i).retv()
+
+    return single_method_program(build, params=())
+
+
 def _shl64_program():
     # 1 << 64 is 1 under masked semantics; a broken folder turns the
     # whole expression into a constant 0 (2**64 wraps).
@@ -111,6 +136,26 @@ class TestOracle:
             check_program(program, entry, oracle_config_names(), iterations=3)
             is None
         )
+
+
+    def test_detects_py_tier_cycle_drift(self, monkeypatch):
+        # Every value stays right; only the same configuration re-run
+        # on the machine backend sees the missing cycles.
+        _seeded_cycle_drift(monkeypatch)
+        divergence = check_program(
+            _counting_loop_program(), ("T", "f"), ["jit-py"], iterations=4
+        )
+        assert divergence is not None
+        assert divergence.kind == "cycles"
+        assert divergence.expected[0] == divergence.actual[0]
+        assert divergence.expected[1:] != divergence.actual[1:]
+        assert "machine=" in divergence.describe()
+
+    def test_py_tier_cycles_agree(self):
+        assert check_program(
+            _counting_loop_program(), ("T", "f"),
+            ["jit-py", "jit-py-speculate"], iterations=4,
+        ) is None
 
 
 class TestBisect:
@@ -227,6 +272,22 @@ class TestCampaign:
         events = obs.events.of_name("fuzz.case")
         assert len(events) == 4
         assert all(e["attrs"]["status"] == "agree" for e in events)
+
+    def test_cycle_divergence_keeps_its_kind(self, tmp_path, monkeypatch):
+        # Shrinking, re-verification from the reassembled text and the
+        # corpus file name all keep the kind; bisection compares
+        # against the interpreter, so it names no pass.
+        _seeded_cycle_drift(monkeypatch)
+        result = run_campaign(
+            master_seed=3, runs=3, config_names=["jit-py"],
+            corpus_dir=str(tmp_path), iterations=3,
+        )
+        assert result.findings
+        for finding in result.findings:
+            assert finding.divergence.kind == "cycles"
+            assert finding.reverified
+            assert finding.culprit == "config:jit-py"
+            assert finding.corpus_path.endswith("_jit_py_cycles.asm")
 
     def test_time_budget_stops_early(self):
         result = run_campaign(master_seed=2, runs=10_000, time_budget=0.0)

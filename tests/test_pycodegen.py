@@ -7,30 +7,46 @@ trap kinds, deopt counts, and OSR entries. Host wall-clock is the only
 thing allowed to differ.
 """
 
+import os
+import re
+
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as hst
 
 from repro.backend import pycodegen
+from repro.backend.lowering import lower_graph
+from repro.backend.machine import MachineExecutor
 from repro.backend.pycodegen import PyCodegenBailout, _MASK, _SIGN
 from repro.baselines import tuned_inliner
-from repro.bench import get_benchmark
+from repro.bench import all_benchmarks, get_benchmark
+from repro.bytecode import Op
 from repro.errors import TrapError
+from repro.fuzz.serialize import load_corpus_file
+from repro.ir import compute_loops
+from repro.ir import nodes as n
+from repro.ir import stamps as stm
+from repro.jit import compiler
 from repro.jit.config import JitConfig
 from repro.jit.engine import Engine
 from repro.lang import compile_source
 from repro.obs import Observability
+from repro.runtime import VMState
 from repro.runtime.int64 import wrap64
+from tests.cfgs import IRREDUCIBLE, SELF_LOOP, UNREACHABLE, build_cfg, cfg_specs
 from tests.helpers import (
     SHAPES_RESULT,
+    fresh_program,
     shapes_program,
     single_method_program,
 )
 from tests.test_deopt import flip_program
 
 
-def _engine(program, backend, **jit):
+def _engine(program, backend, obs=None, **jit):
     jit.setdefault("hot_threshold", 3)
     config = JitConfig(backend=backend, **jit)
-    return Engine(program, config, tuned_inliner(0.1))
+    return Engine(program, config, tuned_inliner(0.1), obs=obs)
 
 
 def _observe(call):
@@ -40,11 +56,14 @@ def _observe(call):
         return ("trap", trap.kind)
 
 
-def _run_both(program, entry, arg_fn, iterations, **jit):
-    """One run per backend; returns the two (outcomes, cycles, engine)."""
+def _run_both(program, entry, arg_fn, iterations, obs=None, **jit):
+    """One run per backend; returns the two (outcomes, cycles, engine).
+    *obs* observes the py run."""
     results = []
     for backend in ("machine", "py"):
-        engine = _engine(program, backend, **jit)
+        engine = _engine(
+            program, backend, obs if backend == "py" else None, **jit
+        )
         outcomes, cycles = [], []
         for i in range(iterations):
             args = arg_fn(i)
@@ -303,3 +322,471 @@ def test_stats_report_shows_bailouts(monkeypatch):
     assert "machine!" in rendered
     assert "py-backend bailouts" in rendered
     assert "graph-too-large" in rendered
+
+
+# ---------------------------------------------------------------------------
+# Irreducible control flow
+# ---------------------------------------------------------------------------
+
+IRREDUCIBLE_ASM = os.path.join(
+    os.path.dirname(__file__), "corpus", "irreducible_two_entry_loop.asm"
+)
+
+
+def test_irreducible_loop_bails_out_to_machine_code():
+    # Main.walk's cycle is entered at two blocks; the py tier refuses
+    # it and machine code runs it, bit-identical to the machine backend.
+    program, entry = load_corpus_file(IRREDUCIBLE_ASM)
+    obs = Observability()
+    machine, py = _run_both(
+        program, entry, lambda i: [], 8, obs=obs, hot_threshold=2,
+    )
+    assert machine[0] == py[0]
+    assert machine[1] == py[1]
+    assert list(machine[2].vm.output) == list(py[2].vm.output)
+    assert machine[2].deopt_count == py[2].deopt_count
+    assert len(set(machine[0])) == 2  # both entries were taken
+    assert py[2].compilation_count > 0
+    assert py[2].py_exec_count == 0
+    registry = obs.metrics.snapshot()
+    assert registry["backend.py.bailouts"]["value"] >= 1
+    assert registry["backend.py.bailouts.irreducible-cfg"]["value"] == (
+        registry["backend.py.bailouts"]["value"]
+    )
+
+
+# ---------------------------------------------------------------------------
+# The structurer on hypothesis CFGs (tests/cfgs.py)
+# ---------------------------------------------------------------------------
+
+#: Blocks one run may enter; the block that spends the last unit traps.
+FUEL = 40
+
+
+def fueled_cfg(spec):
+    """``build_cfg(spec)`` with a fuel charge at the top of every block.
+
+    The fuel lives in an int array passed as a third argument; each
+    block decrements it and divides by what is left, so the block that
+    spends the last unit traps on both tiers and every run ends, cyclic
+    specs included.
+    """
+    graph = build_cfg(spec)
+    fuel = graph.add_param(stm.ref_stamp("int[]"))
+    for block in graph.blocks:
+        zero = graph.register(n.ConstIntNode(0))
+        one = graph.register(n.ConstIntNode(1))
+        left = graph.register(n.ArrayLoadNode(fuel, zero, stm.int_stamp()))
+        spent = graph.register(n.BinOpNode(Op.SUB, left, one))
+        store = graph.register(n.ArrayStoreNode(fuel, zero, spent))
+        check = graph.register(n.BinOpNode(Op.DIV, one, spent))
+        for index, node in enumerate((zero, one, left, spent, store, check)):
+            block.insert(index, node)
+    return graph
+
+
+class _Flushed(list):
+    """A cycle sink that keeps every flush."""
+
+    def add_compiled_cycles(self, cycles):
+        self.append(cycles)
+
+
+def run_cfg(spec, tier, args):
+    """Run a fueled copy of *spec* on one tier; returns the outcome, the
+    cycles flushed to the sink and the fuel left."""
+    graph = fueled_cfg(spec)
+    vm = VMState(fresh_program())
+    fuel = vm.allocate_array("int", 1)
+    fuel.data[0] = FUEL
+    flushed = _Flushed()
+
+    def dispatch(method, call_args):
+        raise AssertionError("generated CFGs make no calls")
+
+    if tier == "machine":
+        code = lower_graph(graph)
+        executor = MachineExecutor(vm, dispatch, flushed)
+
+        def call():
+            return executor.execute(code, list(args) + [fuel])
+    else:
+        factory, _ = pycodegen.generate(graph)
+        run = factory(vm, dispatch, flushed.add_compiled_cycles)
+
+        def call():
+            return run(list(args) + [fuel])
+    try:
+        outcome = ("value", call())
+    except TrapError as trap:
+        outcome = ("trap", trap.kind, str(trap))
+    return outcome, flushed, fuel.data[0]
+
+
+def reducible(graph):
+    """Hecht–Ullman T1/T2 reduction, independent of the dominator code:
+    drop self-loops and fold every block with one predecessor into it;
+    the reachable graph is reducible iff it collapses to its entry."""
+    entry = graph.entry
+    succs = {entry: set()}
+    work = [entry]
+    while work:
+        block = work.pop()
+        for succ in block.successors():
+            succs[block].add(succ)
+            if succ not in succs:
+                succs[succ] = set()
+                work.append(succ)
+    preds = {block: set() for block in succs}
+    for block, targets in succs.items():
+        for succ in targets:
+            preds[succ].add(block)
+    changed = True
+    while changed:
+        changed = False
+        for block in list(succs):
+            preds[block].discard(block)
+            succs[block].discard(block)
+            if block is entry or len(preds[block]) != 1:
+                continue
+            (into,) = preds[block]
+            succs[into].discard(block)
+            for succ in succs.pop(block):
+                preds[succ].discard(block)
+                preds[succ].add(into)
+                succs[into].add(succ)
+            del preds[block]
+            changed = True
+    return len(succs) == 1
+
+
+#: The entry block is a loop header (builder-made graphs get a
+#: synthetic entry block instead).
+ENTRY_LOOP = [([0, 1], [(Op.ADD, 0, 1)], 0, []), ([], [], 0, [])]
+
+_ARGS = hst.tuples(hst.integers(-3, 3), hst.integers(-3, 3))
+
+
+@settings(
+    max_examples=300, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(cfg_specs(), _ARGS)
+@example(SELF_LOOP, (1, 2))
+@example(UNREACHABLE, (0, 0))
+@example(IRREDUCIBLE, (-1, 2))
+@example(ENTRY_LOOP, (-1, 0))
+def test_structured_cfgs_match_machine_code(spec, args):
+    irreducible = not reducible(build_cfg(spec))
+    try:
+        pycodegen.generate(fueled_cfg(spec))
+    except PyCodegenBailout as bailout:
+        assert irreducible, bailout.detail
+        assert bailout.reason == "irreducible-cfg"
+        return
+    assert not irreducible
+    assert run_cfg(spec, "py", args) == run_cfg(spec, "machine", args)
+
+
+#: Hypothesis finds for the structurer's rarer constructs: a jump out
+#: of two loops (an exit flag), a region that needs a ``while True: ...
+#: break`` wrapper (and a flag to continue the loop around it), and a
+#: back edge that is not at the end of its loop body (``continue``).
+FLAG_SPEC = [
+    ([1, 1], [], 0, []),
+    ([3, 2], [(Op.AND, 0, 5)], 6, [1, 4]),
+    ([1, 0], [(Op.AND, 0, 3), (Op.MUL, 7, 2), (Op.XOR, 3, 3)], 0, []),
+    ([], [(Op.MUL, 5, 4), (Op.SUB, 2, 6)], 4, []),
+]
+WRAPPER_SPEC = [
+    ([3, 2], [(Op.DIV, 3, 7), (Op.MUL, 0, 2), (Op.SUB, 7, 1)], 0, []),
+    ([0, 1], [], 7, [4, 0]),
+    ([0, 1], [(Op.DIV, 5, 5), (Op.MUL, 5, 3)], 4, []),
+    ([1, 2], [(Op.SUB, 5, 7), (Op.DIV, 1, 3), (Op.MUL, 0, 3)], 0, []),
+]
+CONTINUE_SPEC = [
+    ([1, 2], [], 6, [4, 3]),
+    ([2, 0], [(Op.AND, 0, 0), (Op.AND, 6, 5), (Op.XOR, 7, 5)], 4, []),
+    ([0], [(Op.ADD, 4, 6), (Op.AND, 1, 2), (Op.MUL, 1, 6)], 4, []),
+]
+
+
+@pytest.mark.parametrize("spec, construct", [
+    (FLAG_SPEC, "flag"),
+    (WRAPPER_SPEC, "wrapper"),
+    (CONTINUE_SPEC, "continue"),
+])
+def test_structured_constructs(spec, construct):
+    _, source = pycodegen.generate(fueled_cfg(spec))
+    lines = [line.strip() for line in source.splitlines()]
+    loops = len(compute_loops(fueled_cfg(spec)))
+    found = {
+        "flag": any(re.fullmatch(r"_x\d+ = True", line) for line in lines),
+        "wrapper": lines.count("while True:") > loops,
+        "continue": "continue" in lines,
+    }
+    assert found[construct], source
+    for args in ((0, 0), (1, -1), (-2, 3), (3, 1)):
+        assert run_cfg(spec, "py", args) == run_cfg(spec, "machine", args)
+
+
+# ---------------------------------------------------------------------------
+# Loop and branch shapes, end to end against the machine backend
+# ---------------------------------------------------------------------------
+
+
+def nested_loops_source(depth):
+    """*depth* nested loops; the outer six run twice, the rest once."""
+    lines = ["object Main {", "  def run(n: int): int {",
+             "    var acc: int = n;"]
+    for level in range(depth):
+        trips = 2 if level < 6 else 1
+        lines.append("    var i%d: int = 0;" % level)
+        lines.append("    while (i%d < %d) {" % (level, trips))
+    lines.append("    acc = acc * 3 + %s;" % " + ".join(
+        "i%d" % level for level in range(depth)
+    ))
+    for level in reversed(range(depth)):
+        lines.append("    i%d = i%d + 1;" % (level, level))
+        lines.append("    }")
+    lines += ["    return acc;", "  }", "}"]
+    return "\n".join(lines)
+
+
+THREE_LOOP_SEARCH = """
+  %s def search(n: int): int {
+    var i: int = 0;
+    while (i < 4) {
+      var j: int = 0;
+      while (j < 4) {
+        var k: int = 0;
+        while (k < 4) {
+          if (i * 16 + j * 4 + k == n) { return i * 100 + j * 10 + k; }
+          k = k + 1;
+        }
+        j = j + 1;
+      }
+      i = i + 1;
+    }
+    return -1;
+  }
+"""
+
+SHAPE_SOURCES = {
+    # The return leaves all three loops of search (compiled on its
+    # own, and inlined into run).
+    "return-innermost": "object Main {%s}" % (
+        THREE_LOOP_SEARCH % "" + """
+  def run(n: int): int { return search(n * 7 % 70); }
+"""),
+    # Inlined into a loop, the same return is a jump out of three
+    # Python loops to the merge after them.
+    "return-innermost-inlined": "object Main {%s}" % (
+        THREE_LOOP_SEARCH % "@inline" + """
+  def run(n: int): int {
+    var s: int = 0;
+    var t: int = 0;
+    while (t < 3) { s = s + search((n + t) * 7 % 70); t = t + 1; }
+    return s;
+  }
+"""),
+    # An inlined callee's loop exits to two blocks: the early return
+    # and the loop's own exit, meeting at the call's result.
+    "two-target-exit": """
+object Main {
+  @inline def find(a: int[], x: int): int {
+    var i: int = 0;
+    while (i < a.length) {
+      if (a[i] == x) { return i; }
+      i = i + 1;
+    }
+    return -1;
+  }
+  def run(n: int): int {
+    var a: int[] = new int[8];
+    var i: int = 0;
+    while (i < 8) { a[i] = i * 3 % 8; i = i + 1; }
+    var s: int = 0;
+    var t: int = 0;
+    while (t < 5) { s = s * 2 + find(a, (n + t) % 10); t = t + 1; }
+    return s;
+  }
+}
+""",
+    "short-circuit-conditions": """
+object Main {
+  def run(n: int): int {
+    var a: int[] = new int[12];
+    var i: int = 0;
+    while (i < 12 && (i < n || i % 3 == 0)) {
+      a[i] = i + n;
+      i = i + 1;
+    }
+    var j: int = 0;
+    var s: int = 0;
+    while ((j < 12 && a[j] != 5) || (j < 6 && s < 100)) {
+      if (j % 2 == 0 || a[j] > 4 && s < 50) { s = s + a[j]; }
+      j = j + 1;
+    }
+    return s * 100 + i;
+  }
+}
+""",
+    # Every run ends in the inner loop's division once n is 2..6.
+    "trap-in-nested-loop": """
+object Main {
+  def run(n: int): int {
+    var acc: int = 0;
+    var i: int = 0;
+    while (i < 3) {
+      var j: int = 0;
+      while (j < 3) {
+        acc = acc + 100 / (n - i - j - 2);
+        j = j + 1;
+      }
+      i = i + 1;
+    }
+    return acc;
+  }
+}
+""",
+    # The receiver flips from Sq to Ci after warm-up: the speculative
+    # guard compiled into the inner loop is refuted.
+    "refuted-guard-in-nested-loop": """
+trait Shape { def area(): int; }
+class Sq implements Shape {
+  var s: int;
+  def init(s: int): void { this.s = s; }
+  def area(): int { return s * s; }
+}
+class Ci implements Shape {
+  var r: int;
+  def init(r: int): void { this.r = r; }
+  def area(): int { return 3 * r * r; }
+}
+object Main {
+  def run(n: int): int {
+    var shape: Shape = new Sq(2);
+    if (n >= 12) { shape = new Ci(1); }
+    var acc: int = 0;
+    var i: int = 0;
+    while (i < 3) {
+      var j: int = 0;
+      while (j < 3) { acc = acc + shape.area() * (i + j); j = j + 1; }
+      i = i + 1;
+    }
+    return acc;
+  }
+}
+""",
+}
+
+
+def entry_header_program():
+    """A method that starts with its loop header (bci 0 is the back
+    edge's target; minij never emits one). The builder enters it from
+    a synthetic entry block carrying the parameters, as for OSR."""
+    def build(b):
+        top = b.new_label()
+        b.place(top).load(0).const(3).sub().store(0)
+        b.load(0).const(0).gt().if_true(top)
+        b.load(0).retv()
+
+    return single_method_program(build)
+
+
+@pytest.mark.parametrize("depth", range(1, 13))
+def test_nested_loops(depth):
+    program = compile_source(nested_loops_source(depth))
+    machine, py = _run_both(program, ("Main", "run"), lambda i: [i], 6)
+    assert_identical(machine, py)
+
+
+@pytest.mark.parametrize("name", sorted(SHAPE_SOURCES))
+def test_loop_shapes(name):
+    program = compile_source(SHAPE_SOURCES[name])
+    machine, py = _run_both(
+        program, ("Main", "run"), lambda i: [i], 16, speculate=True,
+    )
+    assert_identical(machine, py)
+    kinds = {outcome[0] for outcome in py[0]}
+    if name == "trap-in-nested-loop":
+        assert kinds == {"value", "trap"}
+    else:
+        assert kinds == {"value"}
+    if name == "refuted-guard-in-nested-loop":
+        assert py[2].deopt_count >= 1
+
+
+def test_method_starting_with_loop_header():
+    program = entry_header_program()
+    machine, py = _run_both(program, ("T", "f"), lambda i: [i * 5 + 1], 8)
+    assert_identical(machine, py)
+    # The parameter reaches the loop: f(n) counts n down by threes.
+    assert machine[0] == [
+        ("value", (i * 5 + 1) - 3 * ((i * 5 + 1 + 2) // 3)) for i in range(8)
+    ]
+
+
+def test_osr_into_inner_loop():
+    # Dispatch never compiles run; OSR enters its inner loop.
+    program = compile_source(nested_loops_source(3).replace(
+        "< 2)", "< 40)"
+    ))
+    machine, py = _run_both(
+        program, ("Main", "run"), lambda i: [i], 3,
+        hot_threshold=10**9, osr=True, osr_threshold=30,
+    )
+    assert_identical(machine, py)
+    assert py[2].osr_entry_count >= 1
+
+
+def test_loop_nest_deeper_than_python_allows():
+    # CPython allows 20 statically nested loops: a 22-deep nest either
+    # compiles or bails out as compile-failed, never crashes.
+    program = compile_source(nested_loops_source(22))
+    obs = Observability()
+    machine, py = _run_both(
+        program, ("Main", "run"), lambda i: [i], 5, obs=obs,
+    )
+    assert machine[0] == py[0]
+    assert machine[1] == py[1]
+    registry = obs.metrics.snapshot()
+    bailouts = {
+        name for name in registry if name.startswith("backend.py.bailouts.")
+    }
+    assert bailouts <= {"backend.py.bailouts.compile-failed"}
+    assert bailouts or py[2].py_exec_count > 0
+
+
+# ---------------------------------------------------------------------------
+# The suite programs' generated source
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", [spec.name for spec in all_benchmarks()])
+def test_suite_source_is_structured(name, monkeypatch):
+    # Steady-state configuration, 30 iterations: every compile reaches
+    # the py tier, and no source keeps a block id.
+    sources = []
+    generate = compiler.generate_py
+
+    def recorded(graph, cost_model=None):
+        factory, source = generate(graph, cost_model)
+        sources.append(source)
+        return factory, source
+
+    monkeypatch.setattr(compiler, "generate_py", recorded)
+    engine = Engine(
+        compile_source(get_benchmark(name).source),
+        JitConfig(hot_threshold=25, interp_predecode=True, backend="py",
+                  speculate=False, typespec=False, osr=False),
+        tuned_inliner(0.1),
+    )
+    for _ in range(30):
+        engine.run_iteration("Main", "run")
+    assert sources
+    assert len(sources) == engine.compilation_count
+    for source in sources:
+        assert not re.search(r"\b_b\s*=", source)
+        assert "bad block id" not in source
