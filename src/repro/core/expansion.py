@@ -11,8 +11,8 @@ exactly the bookkeeping of Listing 3.
 
 from repro.core.calltree import NodeKind
 from repro.core.priorities import (
+    PriorityCache,
     local_benefit,
-    make_priority_cache,
     recursion_penalty,
 )
 from repro.core.thresholds import should_expand
@@ -48,15 +48,15 @@ class ExpansionPhase:
         # Subtree-aggregate memo; invalidated at every tree mutation
         # (see PriorityCache) so cached priorities stay bit-identical
         # to recomputed ones.
-        self._cache = make_priority_cache(params)
+        self._cache = PriorityCache(params)
 
     # ------------------------------------------------------------------
 
     def run(self, root, context, report):
         """Expand the tree for one round; returns number of expansions."""
-        # Fresh per round: honors runtime CACHE_ENABLED toggling and
-        # drops references to the previous compilation's tree.
-        self._cache = make_priority_cache(self.params)
+        # Fresh per round: drops references to the previous
+        # compilation's tree.
+        self._cache = PriorityCache(self.params)
         self._reset_declines(root)
         self._rebuild_queues(root, context)
         expansions = 0

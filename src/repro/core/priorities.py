@@ -19,16 +19,7 @@ priority, which leaves shallow recursion untouched and suppresses deep
 recursion exponentially.
 """
 
-import os
-
 from repro.core.calltree import NodeKind
-
-#: When "off", expansion uses the uncached module functions — the A/B
-#: baseline for the memoized :class:`PriorityCache` (results are
-#: bit-identical either way; only wall time differs).
-CACHE_ENABLED = (
-    os.environ.get("REPRO_PRIORITY_CACHE", "").strip().lower() != "off"
-)
 
 
 def local_benefit(node):
@@ -204,36 +195,3 @@ class PriorityCache:
         value = self.intrinsic_priority(node) - penalty
         memo[node] = value
         return value
-
-
-class NullPriorityCache:
-    """The uncached reference: every call recomputes via the module
-    functions (the pre-cache behavior, selectable with
-    ``REPRO_PRIORITY_CACHE=off``)."""
-
-    __slots__ = ("params",)
-
-    def __init__(self, params):
-        self.params = params
-
-    def invalidate(self):
-        pass
-
-    def ir_size(self, node):
-        return node.ir_size()
-
-    def s_irn(self, node):
-        return node.s_irn()
-
-    def intrinsic_priority(self, node):
-        return intrinsic_priority(node, self.params)
-
-    def priority(self, node):
-        return priority(node, self.params)
-
-
-def make_priority_cache(params):
-    """A fresh cache honoring the runtime ``CACHE_ENABLED`` toggle."""
-    if CACHE_ENABLED:
-        return PriorityCache(params)
-    return NullPriorityCache(params)

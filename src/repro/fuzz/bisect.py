@@ -141,7 +141,7 @@ def bisect_passes(
                 # Hard-pin speculation off so this stage blames the
                 # inliner itself, never the guard/deopt machinery.
                 config.speculate = False
-            elif not config.speculation_enabled():
+            elif not config.resolve("speculate"):
                 # Non-speculative config: this stage would duplicate
                 # the previous one; skip the redundant engine run.
                 stages.append((label, False))

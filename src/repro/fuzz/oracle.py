@@ -259,8 +259,8 @@ def run_interpreter(program, entry, iterations=DEFAULT_ITERATIONS, vm_seed=0x5EE
     """Reference execution: the pure interpreter, no compilation."""
     class_name, method_name = entry
     vm = VMState(program, seed=vm_seed)
-    # Pin the classic loop: the reference must stay the reference even
-    # when REPRO_INTERP=predecode is set in the environment.
+    # The classic loop is the reference. Interpreter reads no pin, so
+    # REPRO_INTERP cannot move it; the flag is spelled out anyway.
     interp = Interpreter(vm, predecode=False)
     outcomes = [
         _observe(lambda: interp.call_static(class_name, method_name, ()))

@@ -14,13 +14,11 @@ Two executors are available, selected per interpreter:
 
 - the **classic** tier: the ``if/elif`` chain in :meth:`Interpreter._run`,
   kept as the reference semantics;
-- the **pre-decoded** tier (``predecode=True`` or ``REPRO_INTERP=predecode``):
-  methods are compiled once into a dense table of pre-bound handler
-  closures (:mod:`repro.interp.predecode`) and driven by a three-line
-  dispatch loop. Bit-identical to classic by contract.
+- the **pre-decoded** tier (``predecode=True``): methods are compiled
+  once into a dense table of pre-bound handler closures
+  (:mod:`repro.interp.predecode`) and driven by a three-line dispatch
+  loop. Bit-identical to classic by contract.
 """
-
-import os
 
 from repro.bytecode.opcodes import Op
 from repro.bytecode import types as bt
@@ -57,24 +55,18 @@ class Interpreter:
         obs: optional :class:`~repro.obs.Observability`; when enabled,
             interpreted calls are counted (``interp.calls``).
         predecode: selects the executor. ``True`` uses the pre-decoded
-            handler-table tier, ``False`` the classic loop; ``None``
-            (default) consults the ``REPRO_INTERP`` environment
-            variable (``predecode`` enables the fast tier).
+            handler-table tier, ``False`` (default) the classic loop.
+            The engine passes its resolved ``interp_predecode`` pin.
     """
 
     def __init__(self, vm, profiles=None, dispatch=None, obs=None,
-                 predecode=None):
+                 predecode=False):
         from repro.interp.profiles import ProfileStore
 
         self.vm = vm
         self.program = vm.program
         self.profiles = profiles if profiles is not None else ProfileStore()
         self.dispatch = dispatch if dispatch is not None else self.execute
-        if predecode is None:
-            predecode = (
-                os.environ.get("REPRO_INTERP", "").strip().lower()
-                == "predecode"
-            )
         self.predecode = bool(predecode)
         self.ops_executed = 0
         self.max_depth = 0

@@ -12,19 +12,9 @@ operations the inliner is built from:
   and returns to a merge.
 """
 
-import os
-
 from repro.ir import nodes as n
 from repro.ir import stamps as st
 from repro.errors import IRError
-
-#: Executor toggle for :meth:`Graph.copy`. The slot-based fast path is
-#: the default; setting ``REPRO_GRAPH_COPY=reference`` re-enables the
-#: constructor-based reference implementation (kept for differential
-#: testing — the two must produce structurally identical clones).
-FAST_COPY = (
-    os.environ.get("REPRO_GRAPH_COPY", "").strip().lower() != "reference"
-)
 
 
 class Block:
@@ -235,25 +225,13 @@ class Graph:
     def copy(self):
         """Deep-copy this graph. Returns ``(copy, node_map)``.
 
-        Two implementations exist: the constructor-based reference copy
-        and a slot-based fast path that skips node constructors (and
-        with them stamp recomputation and incremental use-list upkeep).
-        Both produce structurally identical clones — same node ids,
-        block ids, stamps, frequencies and invoke metadata — which
-        ``tests/test_ir_graph_copy.py`` checks differentially. The
-        ``REPRO_GRAPH_COPY=reference`` environment knob pins the
-        reference implementation.
-        """
-        if FAST_COPY:
-            return self._copy_fast()
-        return self._copy_reference()
-
-    def _copy_fast(self):
-        """Slot-based deep copy: no constructors, no re-verification.
-
-        Mirrors the reference copy's numbering exactly: params first,
-        then per block phis → instrs → terminator, with block ids
-        renumbered sequentially.
+        Slot-based: node constructors (and with them stamp
+        recomputation and incremental use-list upkeep) are skipped.
+        Numbering is params first, then per block phis → instrs →
+        terminator, with block ids renumbered sequentially — the same
+        clone, node for node, as rebuilding the graph through the
+        constructors, which ``tests/test_ir_graph_copy.py`` checks
+        against a constructor-based oracle.
         """
         clone = Graph(self.method, self.name)
         node_map = {}
@@ -280,7 +258,7 @@ class Graph:
         # blocks *after* the split continuation block, so a node may
         # reference an input whose block comes later in the list; such
         # nodes get their inputs wired in the second pass.
-        scalar_slots = _FAST_COPY_SLOTS
+        scalar_slots = _COPY_SLOTS
         deferred = []
         for block in self.blocks:
             new_block = block_map[block]
@@ -385,48 +363,6 @@ class Graph:
             new_block.preds = [block_map[p] for p in block.preds]
         clone._next_node_id = next_id
         clone._next_block_id = len(self.blocks)
-        return clone, node_map
-
-    def _copy_reference(self):
-        """The constructor-based reference copy implementation."""
-        clone = Graph(self.method, self.name)
-        node_map = {}
-        block_map = {}
-        for param in self.params:
-            new_param = clone.add_param(param.stamp)
-            node_map[param] = new_param
-        for block in self.blocks:
-            new_block = clone.new_block()
-            new_block.frequency = block.frequency
-            block_map[block] = new_block
-        # First pass: create nodes without inputs resolved.
-        for block in self.blocks:
-            new_block = block_map[block]
-            for phi in block.phis:
-                new_phi = clone.register(
-                    n.PhiNode([None] * len(phi.inputs), phi.stamp)
-                )
-                new_block.add_phi(new_phi)
-                node_map[phi] = new_phi
-            for node in block.instrs:
-                copied = _copy_node(node, node_map, clone)
-                new_block.append(copied)
-                node_map[node] = copied
-            if block.terminator is not None:
-                copied = _copy_terminator(
-                    block.terminator, node_map, block_map, clone
-                )
-                new_block.set_terminator(copied)
-                node_map[block.terminator] = copied
-        # Second pass: resolve phi inputs (may reference later nodes).
-        for block in self.blocks:
-            for phi in block.phis:
-                new_phi = node_map[phi]
-                for index, input_node in enumerate(phi.inputs):
-                    if input_node is not None:
-                        new_phi.set_input(index, node_map[input_node])
-            new_block = block_map[block]
-            new_block.preds = [block_map[p] for p in block.preds]
         return clone, node_map
 
     # ------------------------------------------------------------------
@@ -566,9 +502,9 @@ class Graph:
         )
 
 
-#: Per-class scalar slots the fast copy transfers verbatim (inputs,
+#: Per-class scalar slots :meth:`Graph.copy` transfers verbatim (inputs,
 #: stamp, uses and InvokeNode.receiver_types are handled separately).
-_FAST_COPY_SLOTS = {
+_COPY_SLOTS = {
     n.ConstIntNode: ("value",),
     n.ConstNullNode: (),
     n.BinOpNode: ("op",),
@@ -673,32 +609,4 @@ def _copy_node(node, node_map, clone):
     else:
         raise IRError("cannot copy node %r" % (node,))
     copied.stamp = node.stamp
-    return clone.register(copied)
-
-
-def _copy_terminator(node, node_map, block_map, clone):
-    t = type(node)
-    if t is n.IfNode:
-        copied = n.IfNode(
-            node_map[node.inputs[0]],
-            block_map[node.true_block],
-            block_map[node.false_block],
-            node.probability,
-        )
-    elif t is n.GotoNode:
-        copied = n.GotoNode(block_map[node.target])
-    elif t is n.ReturnNode:
-        value = node.value()
-        copied = n.ReturnNode(node_map[value] if value is not None else None)
-    elif t is n.DeoptNode:
-        copied = n.DeoptNode(
-            node.reason,
-            frames=node.frames,
-            state=[
-                node_map[x] if x is not None else None
-                for x in node.inputs
-            ],
-        )
-    else:
-        raise IRError("cannot copy terminator %r" % (node,))
     return clone.register(copied)

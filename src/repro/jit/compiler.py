@@ -18,6 +18,7 @@ pipeline, and the inliner's decision trace bridged in as
 
 from repro.backend.lowering import lower_graph
 from repro.backend.pycodegen import PyCodegenBailout, generate as generate_py
+from repro.core.trials import TrialMemo
 from repro.errors import CompileError
 from repro.ir.builder import build_graph
 from repro.ir.frequency import annotate_frequencies
@@ -34,9 +35,9 @@ class CompileContext:
         self.profiles = profiles
         self.pipeline = pipeline
         self.cost_model = cost_model
-        #: Optional :class:`~repro.core.trials.TrialMemo`; attached by
-        #: the JIT driver when ``JitConfig.enable_trial_memo`` is set
-        #: and reset at the start of every compilation.
+        #: Optional :class:`~repro.core.trials.TrialMemo`; the JIT
+        #: driver always attaches one and resets it at the start of
+        #: every compilation.
         self.trial_memo = None
         #: Optional :class:`~repro.deopt.SpeculationPolicy`; when set
         #: and enabled, graphs are built with frame-state capture and
@@ -118,7 +119,7 @@ class JitCompiler:
         self.inliner = inliner
         #: Resolved once per compiler so every compilation of this VM
         #: instance (sync or background pipeline) uses one backend.
-        self.backend = config.backend_resolved()
+        self.backend = config.resolve("backend")
         self.obs = obs if obs is not None else NULL_OBS
         self.pipeline = OptimizationPipeline(
             program, config.optimizer, obs=self.obs
@@ -129,22 +130,17 @@ class JitCompiler:
         from repro.deopt import SpeculationLog, SpeculationPolicy
 
         self.context.speculation = SpeculationPolicy(
-            enabled=config.speculation_enabled(),
+            enabled=config.resolve("speculate"),
             min_coverage=config.speculation_min_coverage,
             max_targets=config.speculation_max_targets,
             log=speculation_log
             if speculation_log is not None
             else SpeculationLog(),
-            typecheck=config.typespec_enabled(),
+            typecheck=config.resolve("typespec"),
         )
-        if config.enable_trial_memo:
-            from repro.core.trials import TrialMemo
-
-            self.context.trial_memo = TrialMemo(
-                context_sensitive=getattr(
-                    profiles, "context_sensitive", False
-                )
-            )
+        self.context.trial_memo = TrialMemo(
+            context_sensitive=getattr(profiles, "context_sensitive", False)
+        )
         self.records = []
         if self.obs.enabled and inliner is not None:
             # Bridge inlining decisions into the event stream: give a

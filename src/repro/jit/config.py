@@ -1,14 +1,48 @@
-"""VM-level configuration."""
+"""VM-level configuration and the environment pins it resolves."""
 
 import os
+from collections import namedtuple
 
 from repro.backend.costmodel import CostModel
 from repro.backend.icache import ICacheModel
 from repro.opts.pipeline import OptimizerConfig
 
+#: One environment pin: config *field*, its *env* variable, the
+#: *reference* value and the *alternative*, the *hard* spellings (select
+#: the reference whatever the field says) and the *soft* spellings
+#: (select the alternative when the field is ``None``). A *compiled*
+#: row resolves to its reference when ``compile_enabled=False``.
+Pin = namedtuple(
+    "Pin", "field env reference alternative hard soft compiled"
+)
+
+_OFF = ("off", "0", "false")
+_ON = ("on", "1", "true")
+
+#: Every ``REPRO_*`` pin, resolved by :meth:`JitConfig.resolve`.
+PINS = (
+    Pin("interp_predecode", "REPRO_INTERP", False, True,
+        ("classic",), ("predecode",), False),
+    Pin("speculate", "REPRO_SPECULATE", False, True, _OFF, _ON, False),
+    Pin("typespec", "REPRO_TYPESPEC", False, True, _OFF, _ON, False),
+    Pin("osr", "REPRO_OSR", False, True, _OFF, _ON, True),
+    Pin("backend", "REPRO_BACKEND", "machine", "py",
+        ("machine",), ("py",), False),
+    Pin("compile_mode", "REPRO_COMPILE", "sync", "async",
+        ("sync",), ("async",), True),
+)
+PIN_TABLE = {pin.field: pin for pin in PINS}
+
 
 class JitConfig:
     """Configuration for one VM instance.
+
+    The six fields named in :data:`PINS` are read through
+    :meth:`resolve`, never directly: ``None`` (their default) means
+    the reference value unless the row's environment variable carries
+    a soft spelling, and a hard spelling beats any value set here (so
+    differential harnesses can force the reference from the outside).
+    ``docs/README.md`` tabulates the pins.
 
     Attributes:
         hot_threshold: profile hotness (invocations + backedge/8) at
@@ -23,26 +57,16 @@ class JitConfig:
             and branch profiles alongside the aggregates (the §VI
             extension); the inliner then specializes call-tree nodes
             with caller-specific profiles.
-        interp_predecode: selects the interpreter executor. ``True``
-            uses the pre-decoded handler-table tier
-            (:mod:`repro.interp.predecode`), ``False`` the classic
-            reference loop, ``None`` defers to the ``REPRO_INTERP``
-            environment knob. Semantics are bit-identical either way;
-            only host wall-clock changes.
-        enable_trial_memo: memoize inlining-trial results per
-            compilation, keyed by (method, caller context, argument
-            stamp signature), so repeated identical specializations of
-            the same callee are cloned instead of re-built and
-            re-simplified. Deterministically result-identical; exposed
-            as a flag so differential configs can pin it off.
-        speculate: speculative devirtualization with deoptimization.
-            ``True`` lets the inliner replace well-predicted virtual
-            fallbacks with guard/deopt (:mod:`repro.deopt`); ``False``
-            keeps the conservative typeswitch; ``None`` (default)
-            defers to the ``REPRO_SPECULATE`` environment knob.
-            ``REPRO_SPECULATE=off`` is a hard pin that overrides even
-            an explicit ``True``, so differential harnesses can force
-            the non-speculative configuration from the outside.
+        interp_predecode: selects the interpreter executor (pin
+            ``REPRO_INTERP``). ``True`` uses the pre-decoded
+            handler-table tier (:mod:`repro.interp.predecode`),
+            ``False`` the classic reference loop. Semantics are
+            bit-identical either way; only host wall-clock changes.
+        speculate: speculative devirtualization with deoptimization
+            (pin ``REPRO_SPECULATE``). ``True`` lets the inliner replace
+            well-predicted virtual fallbacks with guard/deopt
+            (:mod:`repro.deopt`); ``False`` keeps the conservative
+            typeswitch.
         speculation_min_coverage: minimum receiver-profile coverage
             (summed target probabilities) to drop the fallback.
         speculation_max_targets: speculate only through mono/bimorphic
@@ -50,26 +74,20 @@ class JitConfig:
         speculation_deopt_limit: deopts tolerated per compiled root
             before the engine stops speculating in that method
             entirely (bounds deopt/recompile churn).
-        typespec: profile-guided type-check speculation. ``True`` lets
-            the graph builder replace a profile-monomorphic
-            ``INSTANCEOF``/``CHECKCAST`` with an exact-type guard plus
-            a Pi that pins the operand's type, so the canonicalizer
-            folds the check (and every dominated check downstream);
-            refuted guards deopt through the same frame-state path as
-            speculative devirtualization. Requires speculation to be
-            on (frame capture); ``False`` keeps every type check as a
-            runtime test; ``None`` (default) defers to the
-            ``REPRO_TYPESPEC`` environment knob. ``REPRO_TYPESPEC=off``
-            is a hard pin that overrides even an explicit ``True``,
-            mirroring ``REPRO_SPECULATE``.
-        osr: on-stack replacement at loop backedges. ``True`` lets the
-            interpreter transfer a running frame into compiled code
-            when a backedge counter crosses ``osr_threshold``;
-            ``False`` keeps frames in the interpreter until the next
-            dispatch; ``None`` (default) defers to the ``REPRO_OSR``
-            environment knob. ``REPRO_OSR=off`` is a hard pin that
-            overrides even an explicit ``True``, mirroring
-            ``REPRO_SPECULATE``.
+        typespec: profile-guided type-check speculation (pin
+            ``REPRO_TYPESPEC``). ``True`` lets the graph builder replace
+            a profile-monomorphic ``INSTANCEOF``/``CHECKCAST`` with an
+            exact-type guard plus a Pi that pins the operand's type, so
+            the canonicalizer folds the check (and every dominated
+            check downstream); refuted guards deopt through the same
+            frame-state path as speculative devirtualization. Requires
+            speculation to be on (frame capture); ``False`` keeps every
+            type check as a runtime test.
+        osr: on-stack replacement at loop backedges (pin ``REPRO_OSR``).
+            ``True`` lets the interpreter transfer a running frame into
+            compiled code when a backedge counter crosses
+            ``osr_threshold``; ``False`` keeps frames in the
+            interpreter until the next dispatch.
         osr_threshold: taken-backedge count at a single branch pc at
             which the interpreter requests an OSR compilation for that
             ``(method, backedge bci)`` pair. Independent of
@@ -78,33 +96,26 @@ class JitConfig:
         flight_dump: path the engine dumps the flight-recorder ring to
             (as JSONL) when a compilation fails or a trap escapes the
             dispatch — the dump-on-crash hook. ``None`` defers to the
-            ``REPRO_FLIGHT_DUMP`` environment knob; no-op when the
-            engine's observability has no live flight recorder.
-        compile_mode: how compilation requests are served. ``"sync"``
-            compiles on the dispatching thread (the classic engine —
-            compile cycles are charged to the running iteration, the
-            paper's single-threaded JIT model). ``"async"`` enqueues a
-            request on a background compile pipeline
-            (:mod:`repro.serve.scheduler`) and keeps interpreting until
-            the code installs — the paper's *online* setting made real.
-            ``None`` (default) defers to the ``REPRO_COMPILE``
-            environment knob, which defaults to sync.
-            ``REPRO_COMPILE=sync`` is a hard pin that overrides even an
-            explicit ``"async"``, so differential harnesses can force
-            the deterministic fallback from the outside.
-        backend: which executor runs compiled roots. ``"machine"`` is
-            the deterministic cycle-model register machine
-            (:mod:`repro.backend.machine`) — the differential oracle.
-            ``"py"`` additionally lowers each optimized graph to a live
-            Python closure (:mod:`repro.backend.pycodegen`) and runs
-            that instead; values, trap kinds, printed output, cycles
-            and deopt frames are bit-identical by construction, only
-            host wall-clock changes. ``None`` (default) defers to the
-            ``REPRO_BACKEND`` environment knob, which defaults to
-            machine. ``REPRO_BACKEND=machine`` is a hard pin that
-            overrides even an explicit ``backend="py"``, so
-            differential harnesses can force the oracle backend from
-            the outside — mirroring ``REPRO_SPECULATE=off``.
+            ``REPRO_FLIGHT_DUMP`` environment variable (a deployment
+            setting, not a pin); no-op when the engine's observability
+            has no live flight recorder.
+        compile_mode: how compilation requests are served (pin
+            ``REPRO_COMPILE``). ``"sync"`` compiles on the dispatching
+            thread (the classic engine — compile cycles are charged to
+            the running iteration, the paper's single-threaded JIT
+            model). ``"async"`` enqueues a request on a background
+            compile pipeline (:mod:`repro.serve.scheduler`) and keeps
+            interpreting until the code installs — the paper's
+            *online* setting made real.
+        backend: which executor runs compiled roots (pin
+            ``REPRO_BACKEND``). ``"machine"`` is the deterministic
+            cycle-model register machine (:mod:`repro.backend.machine`)
+            — the differential oracle. ``"py"`` additionally lowers
+            each optimized graph to a live Python closure
+            (:mod:`repro.backend.pycodegen`) and runs that instead;
+            values, trap kinds, printed output, cycles and deopt frames
+            are bit-identical by construction, only host wall-clock
+            changes.
         compile_workers: worker threads of the engine-private
             background pipeline (only used when the engine runs async
             *without* an externally attached compile service — a
@@ -126,7 +137,6 @@ class JitConfig:
         max_compiled_methods=2000,
         context_sensitive_profiles=False,
         interp_predecode=None,
-        enable_trial_memo=True,
         speculate=None,
         speculation_min_coverage=0.95,
         speculation_max_targets=2,
@@ -148,7 +158,6 @@ class JitConfig:
         self.max_compiled_methods = max_compiled_methods
         self.context_sensitive_profiles = context_sensitive_profiles
         self.interp_predecode = interp_predecode
-        self.enable_trial_memo = enable_trial_memo
         self.speculate = speculate
         self.speculation_min_coverage = speculation_min_coverage
         self.speculation_max_targets = speculation_max_targets
@@ -168,93 +177,30 @@ class JitConfig:
             return self.flight_dump
         return os.environ.get("REPRO_FLIGHT_DUMP", "").strip() or None
 
-    def speculation_enabled(self):
-        """Resolve the speculate knob against ``REPRO_SPECULATE``.
+    def resolve(self, field):
+        """The effective value of the pinned *field* (a :data:`PINS` row).
 
-        ``off`` pins speculation off regardless of the config; ``on``
-        (or ``1``/``true``) turns it on when the config leaves the
-        choice open (``speculate=None``).
+        A hard spelling in the row's variable gives the reference; a
+        compiled row in a pure interpreter gives the reference; a soft
+        spelling gives the alternative when the field is ``None``;
+        otherwise the field decides and ``None`` means the reference.
+        An empty variable counts as unset; any other spelling raises
+        :class:`ValueError`. Engines and compilers resolve once, at
+        construction.
         """
-        env = os.environ.get("REPRO_SPECULATE", "").strip().lower()
-        if env == "off":
-            return False
-        if self.speculate is None:
-            return env in ("on", "1", "true")
-        return bool(self.speculate)
-
-    def typespec_enabled(self):
-        """Resolve the type-check-speculation knob against ``REPRO_TYPESPEC``.
-
-        Same contract as :meth:`speculation_enabled`: ``off`` pins
-        type-check speculation off regardless of the config, ``on`` (or
-        ``1``/``true``) turns it on when the config leaves the choice
-        open (``typespec=None``). The builder additionally requires
-        speculation itself to be enabled — type-check guards need the
-        same frame-state capture.
-        """
-        env = os.environ.get("REPRO_TYPESPEC", "").strip().lower()
-        if env == "off":
-            return False
-        if self.typespec is None:
-            return env in ("on", "1", "true")
-        return bool(self.typespec)
-
-    def backend_resolved(self):
-        """Resolve the backend knob against ``REPRO_BACKEND``.
-
-        Returns ``"machine"`` or ``"py"``. ``REPRO_BACKEND=machine`` is
-        a hard pin back to the oracle backend that overrides even an
-        explicit ``backend="py"``; ``REPRO_BACKEND=py`` turns the
-        Python tier on when the config leaves the choice open
-        (``backend=None``).
-        """
-        env = os.environ.get("REPRO_BACKEND", "").strip().lower()
-        if env == "machine":
-            return "machine"
-        if self.backend is None:
-            return "py" if env == "py" else "machine"
-        return (
-            "py"
-            if str(self.backend).strip().lower() == "py"
-            else "machine"
-        )
-
-    def compile_mode_resolved(self):
-        """Resolve the compile mode against ``REPRO_COMPILE``.
-
-        Returns ``"sync"`` or ``"async"``. ``REPRO_COMPILE=sync`` is a
-        hard pin (the deterministic fallback) that overrides even an
-        explicit ``compile_mode="async"``; ``REPRO_COMPILE=async``
-        turns background compilation on when the config leaves the
-        choice open (``compile_mode=None``). Pure interpreters
-        (``compile_enabled=False``) are always sync — there is nothing
-        to enqueue.
-        """
-        if not self.compile_enabled:
-            return "sync"
-        env = os.environ.get("REPRO_COMPILE", "").strip().lower()
-        if env == "sync":
-            return "sync"
-        if self.compile_mode is None:
-            return "async" if env == "async" else "sync"
-        return (
-            "async"
-            if str(self.compile_mode).strip().lower() == "async"
-            else "sync"
-        )
-
-    def osr_enabled(self):
-        """Resolve the OSR knob against ``REPRO_OSR``.
-
-        Same contract as :meth:`speculation_enabled`: ``off`` pins OSR
-        off regardless of the config, ``on`` (or ``1``/``true``) turns
-        it on when the config leaves the choice open (``osr=None``).
-        """
-        if not self.compile_enabled:
-            return False
-        env = os.environ.get("REPRO_OSR", "").strip().lower()
-        if env == "off":
-            return False
-        if self.osr is None:
-            return env in ("on", "1", "true")
-        return bool(self.osr)
+        pin = PIN_TABLE[field]
+        raw = os.environ.get(pin.env, "")
+        spelling = raw.strip().lower()
+        if spelling and spelling not in pin.hard + pin.soft:
+            raise ValueError(
+                "%s=%r: expected one of %s"
+                % (pin.env, raw, ", ".join(pin.hard + pin.soft))
+            )
+        if spelling in pin.hard or (pin.compiled and not self.compile_enabled):
+            return pin.reference
+        value = getattr(self, field)
+        if value is None:
+            return pin.alternative if spelling else pin.reference
+        if isinstance(value, str):
+            value = value.strip().lower()
+        return pin.alternative if value == pin.alternative else pin.reference

@@ -116,7 +116,7 @@ class Engine:
         )
         self.interpreter = Interpreter(
             self.vm, profiles=self.profiles, dispatch=self._dispatch,
-            obs=self.obs, predecode=self.config.interp_predecode,
+            obs=self.obs, predecode=self.config.resolve("interp_predecode"),
         )
         #: Installed-code bookkeeping. Per-engine by default; a
         #: multi-tenant service passes a per-tenant *view* of a shared
@@ -136,7 +136,7 @@ class Engine:
         #: model, the differential oracle) or ``"py"`` (generated
         #: Python closures, :mod:`repro.backend.pycodegen`). Resolved
         #: once at construction — mirrors ``compile_mode`` below.
-        self.backend = self.config.backend_resolved()
+        self.backend = self.config.resolve("backend")
         self._py = self.backend == "py"
         #: Bound Python-tier entries, keyed by code-object identity.
         #: The factory closes over the generated module; binding it to
@@ -165,7 +165,7 @@ class Engine:
         self._dispatch_depth = 0
         # Background compilation (the online setting): resolved once at
         # construction so the dispatch fast path pays a single bool.
-        self.compile_mode = self.config.compile_mode_resolved()
+        self.compile_mode = self.config.resolve("compile_mode")
         self._async = self.compile_mode == "async"
         self.compile_service = compile_service
         self._owns_service = False
@@ -182,7 +182,7 @@ class Engine:
         # On-stack replacement: install the transfer hook on the
         # interpreter only when enabled, so the disabled configuration
         # pays exactly one None check per recorded backedge.
-        if self.config.osr_enabled():
+        if self.config.resolve("osr"):
             self.interpreter.osr_hook = self._osr_enter
             self.interpreter.osr_threshold = max(
                 1, int(self.config.osr_threshold)

@@ -105,7 +105,7 @@ class VMService:
         #: "sync" | "async", resolved once (REPRO_COMPILE=sync pins).
         self.mode = JitConfig(
             compile_mode=self.config.compile_mode
-        ).compile_mode_resolved()
+        ).resolve("compile_mode")
         self.scheduler = (
             BackgroundCompiler(
                 workers=self.config.compile_workers,

@@ -8,12 +8,10 @@ and how much the fast paths recover. It runs a pinned workload matrix:
 - **interpreter-bound**: pure interpretation (compilation disabled),
   classic dispatch loop vs the pre-decoded threaded-code tier
   (``Interpreter(..., predecode=True)``).
-- **compile-bound**: a low threshold and the tuned incremental inliner
-  so compilation dominates, reference ``Graph.copy`` + no trial memo
-  vs the slot-based fast copy + trial memo. Times the ``compile``
-  phase timer, not the whole process.
-- **mixed**: the default tiered configuration, everything-classic vs
-  everything-fast, timing whole iterations.
+- **py-backend**: the pre-decoded interpreter alone vs the tiered JIT
+  running compiled roots as generated Python closures.
+- **serve-mixed**: a multi-tenant fleet, synchronous vs background
+  compilation.
 
 Every variant pair is checked for semantic equivalence (iteration
 values, per-iteration cycle sequences, and interpreted op counts must
@@ -34,13 +32,10 @@ import statistics
 import sys
 import time
 
-import repro.core.priorities as priorities_mod
-import repro.ir.graph as graph_mod
 from repro.baselines import tuned_inliner
 from repro.bench.suite import get_benchmark
 from repro.jit.config import JitConfig
 from repro.jit.engine import Engine
-from repro.obs import Observability
 
 ENTRY = ("Main", "run")
 SEED = 0x5EED
@@ -52,13 +47,10 @@ SEED = 0x5EED
 
 
 class _RunResult:
-    __slots__ = (
-        "wall", "compile_seconds", "values", "cycles", "ops", "output",
-    )
+    __slots__ = ("wall", "values", "cycles", "ops", "output")
 
-    def __init__(self, wall, compile_seconds, values, cycles, ops, output):
+    def __init__(self, wall, values, cycles, ops, output):
         self.wall = wall
-        self.compile_seconds = compile_seconds
         self.values = values
         self.cycles = cycles
         self.ops = ops
@@ -79,7 +71,7 @@ class _RunResult:
 
 
 def _run_once(program, config_factory, inliner_factory, iterations,
-              fast_copy, time_compile, priority_cache=True, warmup=0):
+              warmup=0):
     """One fresh VM instance; returns a :class:`_RunResult`.
 
     *warmup* iterations run before the clock starts (steady-state
@@ -87,66 +79,50 @@ def _run_once(program, config_factory, inliner_factory, iterations,
     values and cycles still join the semantic comparison — both
     variants warm up identically, only the clock ignores them.
     """
-    saved = graph_mod.FAST_COPY
-    saved_cache = priorities_mod.CACHE_ENABLED
-    graph_mod.FAST_COPY = fast_copy
-    priorities_mod.CACHE_ENABLED = priority_cache
-    try:
-        obs = Observability() if time_compile else None
-        engine = Engine(
-            program,
-            config_factory(),
-            inliner=inliner_factory() if inliner_factory is not None else None,
-            seed=SEED,
-            obs=obs,
-        )
-        values = []
-        cycles = []
-        for _ in range(warmup):
-            result = engine.run_iteration(*ENTRY)
-            values.append(result.value)
-            cycles.append(result.total_cycles)
-        start = time.perf_counter()
-        for _ in range(iterations):
-            result = engine.run_iteration(*ENTRY)
-            values.append(result.value)
-            cycles.append(result.total_cycles)
-        wall = time.perf_counter() - start
-        compile_seconds = (
-            obs.timers.seconds("compile") if obs is not None else 0.0
-        )
-        return _RunResult(
-            wall, compile_seconds, values, cycles,
-            engine.interpreter.ops_executed,
-            list(engine.vm.output),
-        )
-    finally:
-        graph_mod.FAST_COPY = saved
-        priorities_mod.CACHE_ENABLED = saved_cache
+    engine = Engine(
+        program,
+        config_factory(),
+        inliner=inliner_factory() if inliner_factory is not None else None,
+        seed=SEED,
+    )
+    values = []
+    cycles = []
+    for _ in range(warmup):
+        result = engine.run_iteration(*ENTRY)
+        values.append(result.value)
+        cycles.append(result.total_cycles)
+    start = time.perf_counter()
+    for _ in range(iterations):
+        result = engine.run_iteration(*ENTRY)
+        values.append(result.value)
+        cycles.append(result.total_cycles)
+    wall = time.perf_counter() - start
+    return _RunResult(
+        wall, values, cycles,
+        engine.interpreter.ops_executed,
+        list(engine.vm.output),
+    )
 
 
 def _measure_pair(program, iterations, repeats, base, fast, progress):
     """Interleave *repeats* runs of each variant; returns a result dict.
 
-    ``base`` and ``fast`` are dicts with keys ``name``, ``config``,
-    ``inliner``, ``fast_copy`` (plus optional ``priority_cache``);
-    ``time_compile`` selects which clock the comparison uses.
-    ``observable_only`` on the base dict relaxes the equivalence check
-    to values + printed output, for pairs whose variants run different
-    tiers and therefore legitimately differ in cycles and op counts.
+    ``base`` and ``fast`` are dicts with keys ``name``, ``config`` and
+    ``inliner``. ``observable_only`` on the base dict relaxes the
+    equivalence check to values + printed output, for pairs whose
+    variants run different tiers and therefore legitimately differ in
+    cycles and op counts; ``warmup`` on it sets the untimed iterations
+    both variants run first.
     """
-    time_compile = base.get("time_compile", False)
     observable_only = base.get("observable_only", False)
     warmup = base.get("warmup", 0)
     base_runs, fast_runs = [], []
     semantics_identical = True
     for repeat in range(repeats):
         b = _run_once(program, base["config"], base["inliner"], iterations,
-                      base["fast_copy"], time_compile,
-                      base.get("priority_cache", True), warmup)
+                      warmup)
         f = _run_once(program, fast["config"], fast["inliner"], iterations,
-                      fast["fast_copy"], time_compile,
-                      fast.get("priority_cache", True), warmup)
+                      warmup)
         base_runs.append(b)
         fast_runs.append(f)
         if observable_only:
@@ -157,15 +133,12 @@ def _measure_pair(program, iterations, repeats, base, fast, progress):
         if progress:
             sys.stderr.write(".")
             sys.stderr.flush()
-    clock = (
-        (lambda r: r.compile_seconds) if time_compile else (lambda r: r.wall)
-    )
-    base_t = statistics.median(clock(r) for r in base_runs)
-    fast_t = statistics.median(clock(r) for r in fast_runs)
+    base_t = statistics.median(r.wall for r in base_runs)
+    fast_t = statistics.median(r.wall for r in fast_runs)
     return {
         "baseline": {"name": base["name"], "seconds": round(base_t, 6)},
         "fast": {"name": fast["name"], "seconds": round(fast_t, 6)},
-        "clock": "compile_phase" if time_compile else "wall",
+        "clock": "wall",
         "speedup": round(base_t / fast_t, 3) if fast_t > 0 else None,
         "reduction_percent": (
             round(100.0 * (1.0 - fast_t / base_t), 1) if base_t > 0 else None
@@ -193,7 +166,6 @@ def _interp_workload(benchmark, iterations, repeats, progress):
                 compile_enabled=False, interp_predecode=False
             ),
             "inliner": None,
-            "fast_copy": True,
         },
         fast={
             "name": "interp-predecode",
@@ -201,80 +173,10 @@ def _interp_workload(benchmark, iterations, repeats, progress):
                 compile_enabled=False, interp_predecode=True
             ),
             "inliner": None,
-            "fast_copy": True,
         },
         progress=progress,
     )
     pair.update(workload="interpreter-bound", benchmark=benchmark)
-    return pair
-
-
-def _compile_workload(benchmark, iterations, repeats, progress):
-    """Compilation-dominated: all classic compile paths (reference
-    graph copy, no trial memo, uncached priorities) vs all fast paths
-    (slot copy, trial memo, priority cache).
-
-    The clock is the ``compile`` phase timer, so interpreter and
-    executor time are excluded from the comparison.
-    """
-    program = get_benchmark(benchmark).load()
-
-    def config(memo):
-        return lambda: JitConfig(
-            hot_threshold=2,
-            interp_predecode=False,
-            enable_trial_memo=memo,
-        )
-
-    pair = _measure_pair(
-        program, iterations, repeats,
-        base={
-            "name": "compile-classic",
-            "config": config(False),
-            "inliner": lambda: tuned_inliner(0.1),
-            "fast_copy": False,
-            "priority_cache": False,
-            "time_compile": True,
-        },
-        fast={
-            "name": "compile-fast",
-            "config": config(True),
-            "inliner": lambda: tuned_inliner(0.1),
-            "fast_copy": True,
-            "priority_cache": True,
-            "time_compile": True,
-        },
-        progress=progress,
-    )
-    pair.update(workload="compile-bound", benchmark=benchmark)
-    return pair
-
-
-def _mixed_workload(benchmark, iterations, repeats, progress):
-    """The default tiered stack: everything classic vs everything fast."""
-    program = get_benchmark(benchmark).load()
-    pair = _measure_pair(
-        program, iterations, repeats,
-        base={
-            "name": "all-classic",
-            "config": lambda: JitConfig(
-                interp_predecode=False, enable_trial_memo=False
-            ),
-            "inliner": lambda: tuned_inliner(0.1),
-            "fast_copy": False,
-            "priority_cache": False,
-        },
-        fast={
-            "name": "all-fast",
-            "config": lambda: JitConfig(
-                interp_predecode=True, enable_trial_memo=True
-            ),
-            "inliner": lambda: tuned_inliner(0.1),
-            "fast_copy": True,
-        },
-        progress=progress,
-    )
-    pair.update(workload="mixed", benchmark=benchmark)
     return pair
 
 
@@ -300,7 +202,6 @@ def _pybackend_workload(benchmark, iterations, repeats, progress):
                 compile_enabled=False, interp_predecode=True
             ),
             "inliner": None,
-            "fast_copy": True,
             "observable_only": True,
             "warmup": 2,
         },
@@ -310,7 +211,6 @@ def _pybackend_workload(benchmark, iterations, repeats, progress):
                 hot_threshold=10, interp_predecode=True, backend="py",
             ),
             "inliner": lambda: tuned_inliner(0.1),
-            "fast_copy": True,
         },
         progress=progress,
     )
@@ -394,18 +294,13 @@ def _serve_workload(benchmark, iterations, repeats, progress):
 
 
 # Pinned matrix: (builder, benchmark, full-(iterations, repeats),
-# quick-(iterations, repeats) or None to skip in quick mode).
-# Benchmarks chosen so each workload is actually bound by the phase it
-# claims to measure; scaladoc's expansion-heavy compiles are the
-# priority-cache showcase but too slow for the CI smoke.
+# quick-(iterations, repeats)). Benchmarks chosen so each workload is
+# actually bound by the phase it claims to measure.
 MATRIX = [
     (_interp_workload, "gauss-mix", (2, 5), (1, 1)),
     (_interp_workload, "stmbench7", (2, 5), (1, 1)),
     (_pybackend_workload, "gauss-mix", (2, 5), (1, 1)),
     (_pybackend_workload, "stmbench7", (2, 5), (1, 1)),
-    (_compile_workload, "kiama", (6, 7), (6, 1)),
-    (_compile_workload, "scaladoc", (6, 3), None),
-    (_mixed_workload, "jython", (4, 5), (2, 1)),
     (_serve_workload, "mixed-fleet", (8, 3), (4, 1)),
 ]
 
@@ -414,8 +309,6 @@ def run_matrix(quick=False, progress=False):
     """Run the pinned workload matrix; returns a list of result dicts."""
     results = []
     for builder, benchmark, full, quick_params in MATRIX:
-        if quick and quick_params is None:
-            continue
         iterations, repeats = quick_params if quick else full
         if progress:
             sys.stderr.write(

@@ -8,8 +8,8 @@ compared, because absolute wall times vary wildly across hosts while
 the classic-vs-fast speedup on the same host is far more stable.
 
 Workloads are matched by ``(workload, benchmark, clock)``. A workload
-present only in the reference (e.g. ``scaladoc``, which ``--quick``
-skips) is reported as skipped unless ``--require-all`` is given. A
+present only in the reference (a row the candidate run dropped) is
+reported as skipped unless ``--require-all`` is given. A
 workload present only in the *candidate* has no reference ratio to
 regress against but is still gated on its semantics check and the
 absolute ``--min-speedup`` floor — new fast paths don't get a free

@@ -1,10 +1,46 @@
 """Shared fixtures and program builders for the test suite."""
 
+import json
+import os
+import subprocess
+import sys
+
 from repro.bytecode import MethodBuilder, Program, verify_program
 from repro.bytecode.klass import FieldDef
 from repro.bytecode.method import Method
 from repro.interp import Interpreter
 from repro.runtime import VMState, install_builtins
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def pin_combos(pins):
+    """Environments for a pin matrix over *pins* (rows of
+    :data:`repro.jit.config.PINS`): nothing pinned, each row
+    hard-pinned alone, and every row hard-pinned at once — the corner
+    uses each row's last hard spelling, so the alternates run too."""
+    return (
+        [{}]
+        + [{pin.env: pin.hard[0]} for pin in pins]
+        + [{pin.env: pin.hard[-1] for pin in pins}]
+    )
+
+
+def run_pinned(child, pins):
+    """Run the *child* script in a fresh interpreter whose only
+    ``REPRO_*`` variables are *pins*; returns its JSON output."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env.update(pins)
+    env["PYTHONPATH"] = os.path.join(ROOT, "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", child],
+        env=env,
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, "pins %r failed:\n%s" % (pins, proc.stderr)
+    return json.loads(proc.stdout)
 
 
 def fresh_program():

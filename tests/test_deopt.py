@@ -269,7 +269,7 @@ def test_bounded_recompilation_no_deopt_loops():
 
 def test_env_off_pins_speculation(monkeypatch):
     monkeypatch.setenv("REPRO_SPECULATE", "off")
-    assert JitConfig(speculate=True).speculation_enabled() is False
+    assert JitConfig(speculate=True).resolve("speculate") is False
     program = flip_program()
     engine = speculative_engine(program)
     for _ in range(10):
@@ -280,10 +280,10 @@ def test_env_off_pins_speculation(monkeypatch):
 
 def test_env_on_enables_default_config(monkeypatch):
     monkeypatch.setenv("REPRO_SPECULATE", "on")
-    assert JitConfig().speculation_enabled() is True
+    assert JitConfig().resolve("speculate") is True
     monkeypatch.delenv("REPRO_SPECULATE")
-    assert JitConfig().speculation_enabled() is False
-    assert JitConfig(speculate=True).speculation_enabled() is True
+    assert JitConfig().resolve("speculate") is False
+    assert JitConfig(speculate=True).resolve("speculate") is True
 
 
 # ---------------------------------------------------------------------------

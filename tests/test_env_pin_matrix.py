@@ -1,59 +1,28 @@
 """Composability of the environment pins.
 
-``REPRO_SPECULATE=off``, ``REPRO_PRIORITY_CACHE=off``,
-``REPRO_GRAPH_COPY=reference``, ``REPRO_OSR=off``,
-``REPRO_BACKEND=machine`` and ``REPRO_TYPESPEC=off`` each pin one
-engineering fast path back to its reference behaviour; every exercised
+Each row of :data:`repro.jit.config.PINS` has a hard spelling that pins
+one fast path or feature back to its reference (``REPRO_SPECULATE=off``,
+``REPRO_OSR=off``, ``REPRO_BACKEND=machine``, ``REPRO_TYPESPEC=off``,
+``REPRO_INTERP=classic``, ``REPRO_COMPILE=sync``, …). Every exercised
 combination must be bit-identical on a pinned workload (same values,
-same program output). The priority-cache and graph-copy pins are read
-at module import time, so every combination runs in a fresh subprocess.
+same program output), and the cycle model may move only with the pins
+that change compiled code. Pins are resolved at engine construction, so
+each combination runs in a fresh subprocess.
 
-The first four pins run as the full sixteen-combination cross-product.
-The backend and typespec pins are *sampled* on top (the py tier is
-bit-identical by construction, cycles included; the typespec pin's
-observable contract is exactly the speculation pin's), keeping the
-subprocess count bounded instead of quadrupling to 64.
+The combinations come from the table (``tests.helpers.pin_combos``):
+nothing pinned, each row alone, and all rows at once, so a row added
+to the table joins the matrix without editing this file. The workload
+engines request the alternative of every row they can (pre-decoded
+interpreter, speculation, type-check speculation, OSR, the py backend),
+so each hard pin changes a real path; compilation stays synchronous,
+because background installs would make cycles timing-dependent (see
+``test_serve_async_matrix.py``).
 """
 
-import itertools
-import json
-import os
-import subprocess
-import sys
+from repro.jit.config import PIN_TABLE, PINS
+from tests.helpers import pin_combos, run_pinned
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-#: (env var, pinned value) — bit i of a combination sets PINS[i].
-PINS = [
-    ("REPRO_SPECULATE", "off"),
-    ("REPRO_PRIORITY_CACHE", "off"),
-    ("REPRO_GRAPH_COPY", "reference"),
-    ("REPRO_OSR", "off"),
-    ("REPRO_BACKEND", "machine"),
-    ("REPRO_TYPESPEC", "off"),
-]
-
-#: Sampled combinations with the backend pinned back to the machine
-#: executor: the all-off / all-on corners plus each cycle-relevant pin
-#: alone, so a backend/pin interaction in any cycle group would show.
-BACKEND_PINNED_COMBOS = [
-    (False, False, False, False, True, False),
-    (True, False, False, False, True, False),
-    (False, False, False, True, True, False),
-    (True, True, True, True, True, False),
-]
-
-#: Sampled combinations with type-check speculation pinned off: alone,
-#: stacked on the speculation pin (which already disables it — the
-#: double-off corner must not diverge), and the everything-pinned
-#: corner.
-TYPESPEC_PINNED_COMBOS = [
-    (False, False, False, False, False, True),
-    (True, False, False, False, False, True),
-    (True, True, True, True, True, True),
-]
-
-# The pinned workload, two parts:
+# The pinned workload, three parts:
 #
 # 1. The receiver-flip driver from the deopt tests: ten monomorphic
 #    warmup iterations compile (and, unless pinned off, speculate in)
@@ -74,7 +43,7 @@ CHILD = r"""
 import json
 
 from repro.baselines import tuned_inliner
-from repro.jit.config import JitConfig
+from repro.jit.config import PINS, JitConfig
 from repro.jit.engine import Engine
 from tests.test_deopt import flip_program
 from tests.helpers import shapes_program
@@ -82,7 +51,8 @@ from tests.helpers import shapes_program
 program = flip_program()
 engine = Engine(
     program,
-    JitConfig(hot_threshold=4, speculate=True, backend="py"),
+    JitConfig(hot_threshold=4, speculate=True, backend="py",
+              interp_predecode=True),
     tuned_inliner(1.0),
 )
 values, cycles = [], []
@@ -95,7 +65,7 @@ for i in range(16):
 osr_engine = Engine(
     shapes_program(),
     JitConfig(hot_threshold=10**9, osr=True, osr_threshold=30,
-              backend="py"),
+              backend="py", interp_predecode=True),
     tuned_inliner(1.0),
 )
 osr_values, osr_cycles = [], []
@@ -109,7 +79,7 @@ from tests.test_typespec import classify_program
 ts_engine = Engine(
     classify_program(),
     JitConfig(hot_threshold=4, speculate=True, typespec=True,
-              backend="py"),
+              backend="py", interp_predecode=True),
     tuned_inliner(1.0),
 )
 ts_values, ts_cycles = [], []
@@ -134,55 +104,47 @@ print(json.dumps({
     "ts_deopts": ts_engine.deopt_count,
     "py_execs": engine.py_exec_count + osr_engine.py_exec_count
     + ts_engine.py_exec_count,
+    "predecode": [e.interpreter.predecode
+                  for e in (engine, osr_engine, ts_engine)],
+    "resolved": {pin.field: engine.config.resolve(pin.field)
+                 for pin in PINS},
 }))
 """
 
 
-def _run_combo(bits):
-    env = dict(os.environ)
-    for (name, value), bit in zip(PINS, bits):
-        env.pop(name, None)
-        if bit:
-            env[name] = value
-    env["PYTHONPATH"] = os.path.join(ROOT, "src")
-    proc = subprocess.run(
-        [sys.executable, "-c", CHILD],
-        env=env,
-        cwd=ROOT,
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, "combo %r failed:\n%s" % (bits, proc.stderr)
-    return json.loads(proc.stdout)
+def _pinned(combo, field):
+    return PIN_TABLE[field].env in combo
 
 
 def test_env_pin_matrix_bit_identical():
-    combos = [
-        bits + (False, False)
-        for bits in itertools.product((False, True), repeat=len(PINS) - 2)
-    ] + BACKEND_PINNED_COMBOS + TYPESPEC_PINNED_COMBOS
-    results = {bits: _run_combo(bits) for bits in combos}
-    baseline = results[(False,) * len(PINS)]
+    combos = pin_combos(PINS)
+    results = [run_pinned(CHILD, combo) for combo in combos]
+    runs = list(zip(combos, results))
+    baseline = results[0]
 
-    # Observables are bit-identical across all exercised combinations.
-    for bits, result in results.items():
-        assert result["values"] == baseline["values"], bits
-        assert result["output"] == baseline["output"], bits
-        assert result["osr_values"] == baseline["osr_values"], bits
-        assert result["osr_output"] == baseline["osr_output"], bits
-        assert result["ts_values"] == baseline["ts_values"], bits
-        assert result["ts_output"] == baseline["ts_output"], bits
+    # Observables are bit-identical across all exercised combinations,
+    # and every pinned row resolved to its reference.
+    for combo, result in runs:
+        assert result["values"] == baseline["values"], combo
+        assert result["output"] == baseline["output"], combo
+        assert result["osr_values"] == baseline["osr_values"], combo
+        assert result["osr_output"] == baseline["osr_output"], combo
+        assert result["ts_values"] == baseline["ts_values"], combo
+        assert result["ts_output"] == baseline["ts_output"], combo
+        for pin in PINS:
+            if pin.env in combo:
+                assert result["resolved"][pin.field] == pin.reference, combo
 
     # The cycle model may legitimately differ between speculative and
-    # pinned-off runs (different compiled code), but the cache, copy
-    # and backend pins are pure engineering knobs: within each
-    # speculation setting the flip-driver cycles of every combination
-    # (backend-pinned ones included) agree exactly.
+    # pinned-off runs (different compiled code), but the interpreter,
+    # backend and compile-mode pins are pure engineering knobs: within
+    # each speculation setting the flip-driver cycles of every
+    # combination agree exactly.
     for spec_off in (False, True):
         group = [
             result["cycles"]
-            for bits, result in results.items()
-            if bits[0] == spec_off
+            for combo, result in runs
+            if _pinned(combo, "speculate") == spec_off
         ]
         assert all(cycles == group[0] for cycles in group), spec_off
 
@@ -192,8 +154,8 @@ def test_env_pin_matrix_bit_identical():
     for osr_off in (False, True):
         group = [
             result["osr_cycles"]
-            for bits, result in results.items()
-            if bits[3] == osr_off
+            for combo, result in runs
+            if _pinned(combo, "osr") == osr_off
         ]
         assert all(cycles == group[0] for cycles in group), osr_off
 
@@ -204,26 +166,29 @@ def test_env_pin_matrix_bit_identical():
     for ts_off in (False, True):
         group = [
             result["ts_cycles"]
-            for bits, result in results.items()
-            if (bits[0] or bits[5]) == ts_off
+            for combo, result in runs
+            if (_pinned(combo, "speculate") or _pinned(combo, "typespec"))
+            == ts_off
         ]
         assert all(cycles == group[0] for cycles in group), ts_off
 
-    # Sanity: the pinned bits changed real behaviour — unpinned runs
+    # Sanity: the pinned rows changed real behaviour — unpinned runs
     # took a deopt on the receiver flip, transferred the hot loop into
     # compiled code mid-method, refuted the classify guard on the first
-    # Circle, and served compiled calls from the Python tier (the
-    # engines request backend="py"); pinned runs never did.
+    # Circle, served compiled calls from the Python tier and
+    # interpreted on the pre-decoded tier; pinned runs never did.
     assert baseline["deopts"] == 1
     assert baseline["osr_entries"] >= 1
     assert baseline["ts_deopts"] >= 1
     assert baseline["py_execs"] > 0
-    assert results[(True,) + (False,) * 5]["deopts"] == 0
-    assert results[(False, False, False, True, False, False)][
-        "osr_entries"
-    ] == 0
-    for bits in BACKEND_PINNED_COMBOS:
-        assert results[bits]["py_execs"] == 0, bits
-    for bits in results:
-        if bits[0] or bits[5]:
-            assert results[bits]["ts_deopts"] == 0, bits
+    for combo, result in runs:
+        if _pinned(combo, "speculate"):
+            assert result["deopts"] == 0, combo
+        if _pinned(combo, "osr"):
+            assert result["osr_entries"] == 0, combo
+        if _pinned(combo, "speculate") or _pinned(combo, "typespec"):
+            assert result["ts_deopts"] == 0, combo
+        if _pinned(combo, "backend"):
+            assert result["py_execs"] == 0, combo
+        tier = not _pinned(combo, "interp_predecode")
+        assert result["predecode"] == [tier] * 3, combo

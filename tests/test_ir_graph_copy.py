@@ -1,24 +1,103 @@
 """Differential and invariant tests for ``Graph.copy``.
 
-Two copy implementations coexist: the constructor-based reference copy
-and the slot-based fast path (the default). Their contract is
-structural identity — same node ids, classes, inputs, stamps, use
-lists, block ids, frequencies, predecessor order and invoke metadata —
-checked here by fingerprinting both clones of the same graph. The
-remaining tests pin the invariants any copy must keep: node_map
-totality, metadata preservation, and full independence of the clone
-from its source.
+``Graph.copy`` is slot-based: it skips node constructors. Its oracle
+is the constructor-based copy it replaced, kept below as
+:func:`_copy_reference`. Their contract is structural identity — same
+node ids, classes, inputs, stamps, use lists, block ids, frequencies,
+predecessor order and invoke metadata — checked here by fingerprinting
+both clones of the same graph (and end to end, with the other compile
+oracles, in ``tests/test_compile_oracles.py``). The remaining tests pin
+the invariants any copy must keep: node_map totality, metadata
+preservation, and full independence of the clone from its source.
 """
 
 import pytest
 
+from repro.errors import IRError
 from repro.interp import Interpreter
 from repro.interp.profiles import ProfileStore
 from repro.ir import build_graph
 from repro.ir import nodes as n
 from repro.ir.frequency import annotate_frequencies
+from repro.ir.graph import Graph, _copy_node
 from repro.runtime import VMState
 from tests.helpers import shapes_program
+
+
+# ----------------------------------------------------------------------
+# The oracle: the constructor-based copy (install as ``Graph.copy``)
+# ----------------------------------------------------------------------
+
+
+def _copy_reference(self):
+    """The constructor-based reference copy implementation."""
+    clone = Graph(self.method, self.name)
+    node_map = {}
+    block_map = {}
+    for param in self.params:
+        new_param = clone.add_param(param.stamp)
+        node_map[param] = new_param
+    for block in self.blocks:
+        new_block = clone.new_block()
+        new_block.frequency = block.frequency
+        block_map[block] = new_block
+    # First pass: create nodes without inputs resolved.
+    for block in self.blocks:
+        new_block = block_map[block]
+        for phi in block.phis:
+            new_phi = clone.register(
+                n.PhiNode([None] * len(phi.inputs), phi.stamp)
+            )
+            new_block.add_phi(new_phi)
+            node_map[phi] = new_phi
+        for node in block.instrs:
+            copied = _copy_node(node, node_map, clone)
+            new_block.append(copied)
+            node_map[node] = copied
+        if block.terminator is not None:
+            copied = _copy_terminator(
+                block.terminator, node_map, block_map, clone
+            )
+            new_block.set_terminator(copied)
+            node_map[block.terminator] = copied
+    # Second pass: resolve phi inputs (may reference later nodes).
+    for block in self.blocks:
+        for phi in block.phis:
+            new_phi = node_map[phi]
+            for index, input_node in enumerate(phi.inputs):
+                if input_node is not None:
+                    new_phi.set_input(index, node_map[input_node])
+        new_block = block_map[block]
+        new_block.preds = [block_map[p] for p in block.preds]
+    return clone, node_map
+
+
+def _copy_terminator(node, node_map, block_map, clone):
+    t = type(node)
+    if t is n.IfNode:
+        copied = n.IfNode(
+            node_map[node.inputs[0]],
+            block_map[node.true_block],
+            block_map[node.false_block],
+            node.probability,
+        )
+    elif t is n.GotoNode:
+        copied = n.GotoNode(block_map[node.target])
+    elif t is n.ReturnNode:
+        value = node.value()
+        copied = n.ReturnNode(node_map[value] if value is not None else None)
+    elif t is n.DeoptNode:
+        copied = n.DeoptNode(
+            node.reason,
+            frames=node.frames,
+            state=[
+                node_map[x] if x is not None else None
+                for x in node.inputs
+            ],
+        )
+    else:
+        raise IRError("cannot copy terminator %r" % (node,))
+    return clone.register(copied)
 
 
 def _profiled_graph(method_name="run", class_name="Main"):
@@ -84,7 +163,7 @@ def _fingerprint(graph):
 
 
 # ----------------------------------------------------------------------
-# Fast copy == reference copy
+# Graph.copy == reference copy
 # ----------------------------------------------------------------------
 
 
@@ -102,8 +181,8 @@ def _graph_for(name):
 @pytest.mark.parametrize("name", GRAPHS)
 def test_fast_copy_matches_reference(name):
     graph = _graph_for(name)
-    fast, fast_map = graph._copy_fast()
-    reference, ref_map = graph._copy_reference()
+    fast, fast_map = graph.copy()
+    reference, ref_map = _copy_reference(graph)
     assert _fingerprint(fast) == _fingerprint(reference)
     # And both match the numbering contract against the source.
     assert set(fast_map) == set(ref_map)
@@ -137,19 +216,19 @@ def test_fast_copy_matches_reference_after_inline_and_optimize():
     # Inlined-then-optimized graphs have imported blocks, phis from
     # merges, and split blocks — the shape every real copy sees.
     graph = _inlined_graph(optimize=True)
-    fast, _ = graph._copy_fast()
-    reference, _ = graph._copy_reference()
+    fast, _ = graph.copy()
+    reference, _ = _copy_reference(graph)
     assert _fingerprint(fast) == _fingerprint(reference)
 
 
 def test_fast_copy_handles_raw_post_inline_block_order():
     # Straight after inline_call the continuation block precedes the
     # imported callee blocks in the block list, so some inputs appear
-    # *after* their users in iteration order. The fast copy must wire
+    # *after* their users in iteration order. Graph.copy must wire
     # them via its deferred pass (the reference copy cannot copy this
     # shape; the system only copies after the pipeline normalizes it).
     graph = _inlined_graph(optimize=False)
-    clone, node_map = graph._copy_fast()
+    clone, node_map = graph.copy()
     originals = list(graph.all_nodes())
     assert set(node_map) == set(originals)
     for original in originals:
@@ -238,18 +317,3 @@ def test_copy_ids_do_not_alias_source():
     new_block = clone.new_block()
     assert new_block.id == len(graph.blocks)
     assert all(new_block.id != b.id for b in clone.blocks[:-1])
-
-
-def test_env_knob_pins_reference(monkeypatch):
-    import importlib
-
-    import repro.ir.graph as graph_mod
-
-    monkeypatch.setenv("REPRO_GRAPH_COPY", "reference")
-    importlib.reload(graph_mod)
-    try:
-        assert graph_mod.FAST_COPY is False
-    finally:
-        monkeypatch.delenv("REPRO_GRAPH_COPY")
-        importlib.reload(graph_mod)
-        assert graph_mod.FAST_COPY is True

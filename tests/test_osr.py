@@ -372,22 +372,23 @@ class TestOsrObservability:
 
 class TestOsrConfig:
     def test_defaults_to_off(self):
-        assert not JitConfig().osr_enabled()
+        assert not JitConfig().resolve("osr")
 
     def test_explicit_on(self):
-        assert JitConfig(osr=True).osr_enabled()
+        assert JitConfig(osr=True).resolve("osr")
 
     def test_env_off_pins_explicit_true(self, monkeypatch):
         monkeypatch.setenv("REPRO_OSR", "off")
-        assert not JitConfig(osr=True).osr_enabled()
+        assert not JitConfig(osr=True).resolve("osr")
 
     def test_env_on_resolves_deferred(self, monkeypatch):
         monkeypatch.setenv("REPRO_OSR", "on")
-        assert JitConfig().osr_enabled()
-        assert not JitConfig(osr=False).osr_enabled()
+        assert JitConfig().resolve("osr")
+        assert not JitConfig(osr=False).resolve("osr")
 
     def test_interpreter_only_vm_never_osrs(self):
-        assert not JitConfig(compile_enabled=False, osr=True).osr_enabled()
+        config = JitConfig(compile_enabled=False, osr=True)
+        assert not config.resolve("osr")
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """The wall-clock perf harness and Measurement.wall_seconds."""
 
 import json
+import pathlib
 
 from repro.bench.measurement import Measurement, measure_benchmark
 from repro.tools import perf
 from tests.helpers import shapes_program
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_measurement_has_wall_seconds():
@@ -34,7 +37,6 @@ def test_measure_pair_checks_semantics():
             compile_enabled=False, interp_predecode=False
         ),
         "inliner": None,
-        "fast_copy": True,
     }
     fast = dict(variant, name="predecode",
                 config=lambda: JitConfig(
@@ -57,9 +59,13 @@ def test_cli_quick_writes_json(tmp_path):
     assert payload["quick"] is True
     workloads = payload["workloads"]
     kinds = {w["workload"] for w in workloads}
-    assert kinds == {
-        "interpreter-bound", "py-backend", "compile-bound", "mixed",
-        "serve-mixed",
+    assert kinds == {"interpreter-bound", "py-backend", "serve-mixed"}
+    # CI gates with perfdiff --require-all: the quick matrix must cover
+    # every row of the committed reference.
+    reference = json.loads((ROOT / "BENCH_wall.json").read_text())
+    rows = {(w["workload"], w["benchmark"]) for w in workloads}
+    assert rows == {
+        (w["workload"], w["benchmark"]) for w in reference["workloads"]
     }
     for w in workloads:
         assert w["semantics_identical"] is True

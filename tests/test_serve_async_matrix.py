@@ -1,69 +1,32 @@
 """Composability of background compilation with the other env pins.
 
-``REPRO_COMPILE=async`` moves compilation onto a background queue that
-the workload drains at iteration edges; values, trap kinds, and printed
-output must stay bit-identical to synchronous compilation under every
-combination of the speculation, OSR, and interpreter-tier pins — the
-async pipeline may only change *when* compiled code becomes available,
-never what it computes. Cycles are deliberately not compared across the
-compile-mode bit: async charges compile cycles to the engine's
-``background_compile_cycles`` ledger instead of the triggering
-iteration, so per-iteration cycle counts legitimately differ.
+``REPRO_COMPILE=async`` (the compile-mode row's soft spelling; the
+workload engines leave ``compile_mode`` unset) moves compilation onto a
+background queue that the workload drains at iteration edges; values,
+trap kinds, and printed output must stay bit-identical to synchronous
+compilation under the other rows of :data:`repro.jit.config.PINS` —
+the async pipeline may only change *when* compiled code becomes
+available, never what it computes. Cycles are deliberately not
+compared across the compile-mode bit: async charges compile cycles to
+the engine's ``background_compile_cycles`` ledger instead of the
+triggering iteration, so per-iteration cycle counts legitimately
+differ.
 
-The compile-mode pin is read at engine construction, so every
-combination runs in a fresh subprocess (same harness as
-``test_env_pin_matrix``).
-
-The workload engines request ``backend="py"`` (the Python-codegen top
-tier), and a sampled set of combinations re-runs with
-``REPRO_BACKEND=machine`` pinned on top — the backend is bit-identical
-by construction, so four representative combinations suffice instead
-of doubling the cross-product to 32. ``REPRO_TYPESPEC=off`` is sampled
-the same way: its observable contract is the speculation pin's, so
-three representative combinations cover it instead of another
-doubling.
+Both compile modes run under the combinations of
+``tests.helpers.pin_combos`` over the other rows (nothing pinned, each
+row hard-pinned alone, all of them at once), so a row added to the
+table joins the matrix without editing this file. Pins are resolved at
+engine construction, so every combination runs in a fresh subprocess
+(same harness as ``test_env_pin_matrix``).
 """
 
-import itertools
-import json
-import os
-import subprocess
-import sys
+from repro.jit.config import PIN_TABLE, PINS
+from tests.helpers import pin_combos, run_pinned
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+COMPILE = PIN_TABLE["compile_mode"]
+ASYNC = {COMPILE.env: COMPILE.soft[0]}
 
-#: (env var, pinned value) — bit i of a combination sets PINS[i].
-PINS = [
-    ("REPRO_COMPILE", "async"),
-    ("REPRO_SPECULATE", "off"),
-    ("REPRO_OSR", "off"),
-    ("REPRO_INTERP", "predecode"),
-    ("REPRO_BACKEND", "machine"),
-    ("REPRO_TYPESPEC", "off"),
-]
-
-#: Sampled combinations with the backend pinned back to the machine
-#: executor: both compile modes, alone and with everything else pinned,
-#: so a backend/pipeline interaction would show in either mode.
-BACKEND_PINNED_COMBOS = [
-    (False, False, False, False, True, False),
-    (True, False, False, False, True, False),
-    (True, True, True, True, True, True),
-    (False, True, True, True, True, True),
-]
-
-#: Sampled combinations with type-check speculation pinned off: alone
-#: in both compile modes (a refuted type guard in async mode must
-#: cancel pending requests exactly like a receiver guard), and stacked
-#: on the speculation pin, which already disables it — the double-off
-#: corner must not diverge.
-TYPESPEC_PINNED_COMBOS = [
-    (False, False, False, False, False, True),
-    (True, False, False, False, False, True),
-    (False, True, False, False, False, True),
-]
-
-# The pinned workload, three parts, each stressing a different
+# The pinned workload, four parts, each stressing a different
 # interaction with the background pipeline:
 #
 # 1. The receiver-flip driver: speculation plus a guaranteed deopt at
@@ -88,7 +51,7 @@ import json
 
 from repro.baselines import tuned_inliner
 from repro.errors import TrapError
-from repro.jit.config import JitConfig
+from repro.jit.config import PINS, JitConfig
 from repro.jit.engine import Engine
 from tests.test_deopt import flip_program
 from tests.helpers import shapes_program, single_method_program
@@ -105,7 +68,8 @@ def observe(engine, cls, name, args):
 
 flip = Engine(
     flip_program(),
-    JitConfig(hot_threshold=4, speculate=True, backend="py"),
+    JitConfig(hot_threshold=4, speculate=True, backend="py",
+              interp_predecode=True),
     tuned_inliner(1.0),
 )
 flip_outcomes = [
@@ -116,7 +80,7 @@ flip_outcomes = [
 osr = Engine(
     shapes_program(),
     JitConfig(hot_threshold=10**9, osr=True, osr_threshold=30,
-              backend="py"),
+              backend="py", interp_predecode=True),
     tuned_inliner(1.0),
 )
 osr_outcomes = [observe(osr, "Main", "run", []) for _ in range(2)]
@@ -125,7 +89,7 @@ trap = Engine(
     single_method_program(
         lambda b: b.const(100).load(0).div().retv()
     ),
-    JitConfig(hot_threshold=3, backend="py"),
+    JitConfig(hot_threshold=3, backend="py", interp_predecode=True),
     tuned_inliner(1.0),
 )
 trap_outcomes = [observe(trap, "T", "f", [2 - i % 4]) for i in range(12)]
@@ -135,7 +99,7 @@ from tests.test_typespec import classify_program
 ts = Engine(
     classify_program(),
     JitConfig(hot_threshold=4, speculate=True, typespec=True,
-              backend="py"),
+              backend="py", interp_predecode=True),
     tuned_inliner(1.0),
 )
 ts_outcomes = [
@@ -156,6 +120,8 @@ result = {
     "async_installs": sum(e.async_installs for e in engines),
     "compilations": sum(e.compilation_count for e in engines),
     "py_execs": sum(e.py_exec_count for e in engines),
+    "predecode": [e.interpreter.predecode for e in engines],
+    "resolved": {pin.field: flip.config.resolve(pin.field) for pin in PINS},
 }
 for e in engines:
     e.shutdown()
@@ -163,48 +129,37 @@ print(json.dumps(result))
 """
 
 
-def _run_combo(bits):
-    env = dict(os.environ)
-    for (name, value), bit in zip(PINS, bits):
-        env.pop(name, None)
-        if bit:
-            env[name] = value
-    env["PYTHONPATH"] = os.path.join(ROOT, "src")
-    proc = subprocess.run(
-        [sys.executable, "-c", CHILD],
-        env=env,
-        cwd=ROOT,
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, "combo %r failed:\n%s" % (bits, proc.stderr)
-    return json.loads(proc.stdout)
+def _pinned(combo, field):
+    return PIN_TABLE[field].env in combo
 
 
 def test_async_pin_matrix_bit_identical():
-    combos = [
-        bits + (False, False)
-        for bits in itertools.product((False, True), repeat=len(PINS) - 2)
-    ] + BACKEND_PINNED_COMBOS + TYPESPEC_PINNED_COMBOS
-    results = {bits: _run_combo(bits) for bits in combos}
-    baseline = results[(False,) * len(PINS)]
+    others = pin_combos([pin for pin in PINS if pin is not COMPILE])
+    combos = others + [dict(combo, **ASYNC) for combo in others]
+    results = [run_pinned(CHILD, combo) for combo in combos]
+    runs = list(zip(combos, results))
+    baseline = results[0]
 
     # Outcomes (values and trap kinds) and printed output are
-    # bit-identical across all exercised combinations.
-    for bits, result in results.items():
-        assert result["flip"] == baseline["flip"], bits
-        assert result["osr"] == baseline["osr"], bits
-        assert result["trap"] == baseline["trap"], bits
-        assert result["ts"] == baseline["ts"], bits
-        assert result["output"] == baseline["output"], bits
+    # bit-identical across all exercised combinations, and every
+    # hard-pinned row resolved to its reference.
+    for combo, result in runs:
+        assert result["flip"] == baseline["flip"], combo
+        assert result["osr"] == baseline["osr"], combo
+        assert result["trap"] == baseline["trap"], combo
+        assert result["ts"] == baseline["ts"], combo
+        assert result["output"] == baseline["output"], combo
+        for pin in PINS:
+            if combo.get(pin.env) in pin.hard:
+                assert result["resolved"][pin.field] == pin.reference, combo
 
     # The deopt protocol is compile-mode independent: within each
     # speculation setting, every combination observed the same deopts.
     for spec_off in (False, True):
         group = [
             result["deopts"]
-            for bits, result in results.items()
-            if bits[1] == spec_off
+            for combo, result in runs
+            if _pinned(combo, "speculate") == spec_off
         ]
         assert all(count == group[0] for count in group), spec_off
 
@@ -217,29 +172,31 @@ def test_async_pin_matrix_bit_identical():
     # Sanity: the async bit exercised the background pipeline — every
     # async combination installed code off the queue; no sync
     # combination did.
-    for bits, result in results.items():
-        assert result["compilations"] > 0, bits
-        if bits[0]:
-            assert result["async_installs"] > 0, bits
+    for combo, result in runs:
+        assert result["compilations"] > 0, combo
+        if _pinned(combo, "compile_mode"):
+            assert result["resolved"]["compile_mode"] == "async", combo
+            assert result["async_installs"] > 0, combo
         else:
-            assert result["async_installs"] == 0, bits
+            assert result["async_installs"] == 0, combo
 
-    # Sanity: the pinned bits changed real behaviour — including the
-    # backend pin: unpinned combinations served compiled calls from the
-    # Python tier (the engines request backend="py"), pinned ones never
-    # touched it.
+    # Sanity: the pinned rows changed real behaviour — unpinned
+    # combinations deopted, entered OSR code, refuted the type guard,
+    # served compiled calls from the Python tier and interpreted on the
+    # pre-decoded tier; pinned ones never did. The type guard never
+    # exists when either the speculation or the typespec pin is set.
     assert baseline["deopts"] == 1
     assert baseline["osr_entries"] >= 1
     assert baseline["ts_deopts"] >= 1
     assert baseline["py_execs"] > 0
-    assert results[(False, True, False, False, False, False)]["deopts"] == 0
-    assert results[(False, False, True, False, False, False)][
-        "osr_entries"
-    ] == 0
-    for bits in BACKEND_PINNED_COMBOS:
-        assert results[bits]["py_execs"] == 0, bits
-    # The type guard never exists when either the speculation or the
-    # typespec pin is set, so those combinations never deopt on it.
-    for bits in results:
-        if bits[1] or bits[5]:
-            assert results[bits]["ts_deopts"] == 0, bits
+    for combo, result in runs:
+        if _pinned(combo, "speculate"):
+            assert result["deopts"] == 0, combo
+        if _pinned(combo, "osr"):
+            assert result["osr_entries"] == 0, combo
+        if _pinned(combo, "speculate") or _pinned(combo, "typespec"):
+            assert result["ts_deopts"] == 0, combo
+        if _pinned(combo, "backend"):
+            assert result["py_execs"] == 0, combo
+        tier = not _pinned(combo, "interp_predecode")
+        assert result["predecode"] == [tier] * 4, combo

@@ -1,15 +1,18 @@
 """The inlining-trial memo: result-identical, wall-clock only.
 
-``JitConfig.enable_trial_memo`` caches expansion/retrial results within
-one compilation, keyed by (method, caller context, argument-stamp
-signature). Profiles are frozen for the duration of a synchronous
-compilation, so equal keys must produce bit-identical graphs — which
-makes the memo's one observable guarantee testable: the engine's cycle
-model, values and compilation outcomes never change when it is on.
+The JIT driver attaches a :class:`~repro.core.trials.TrialMemo` to every
+compiler; it caches expansion/retrial results within one compilation,
+keyed by (method, caller context, argument-stamp signature). Profiles
+are frozen for the duration of a synchronous compilation, so equal keys
+must produce bit-identical graphs — which makes the memo's one
+observable guarantee testable: the engine's cycle model, values and
+compilation outcomes never change when it is detached
+(``engine.compiler.context.trial_memo = None``, the oracle).
 """
 
 from repro.baselines import tuned_inliner
 from repro.core.trials import TrialMemo
+from repro.jit.compiler import CompileContext
 from repro.jit.config import JitConfig
 from repro.jit.engine import Engine
 from tests.helpers import shapes_program
@@ -18,10 +21,12 @@ from tests.helpers import shapes_program
 def _run(program, memo_on, iterations=8, hot_threshold=5):
     engine = Engine(
         program,
-        JitConfig(hot_threshold=hot_threshold, enable_trial_memo=memo_on),
+        JitConfig(hot_threshold=hot_threshold),
         inliner=tuned_inliner(0.1),
         seed=0x5EED,
     )
+    if not memo_on:
+        engine.compiler.context.trial_memo = None
     curve = []
     value = None
     for _ in range(iterations):
@@ -44,11 +49,14 @@ def test_cycle_model_identical_memo_on_off():
 
 
 def test_memo_attached_only_when_enabled():
+    # The JIT driver always attaches one; a context built directly
+    # (tools/trace.py, the examples, unit tests) has none, and the
+    # trial machinery then builds every callee live.
     program = shapes_program()
     _, _, engine_on = _run(program, memo_on=True, iterations=1)
     assert isinstance(engine_on.compiler.context.trial_memo, TrialMemo)
-    _, _, engine_off = _run(program, memo_on=False, iterations=1)
-    assert engine_off.compiler.context.trial_memo is None
+    context = CompileContext(program, engine_on.profiles, None, None)
+    assert context.trial_memo is None
 
 
 def test_memo_hits_on_repetitive_workload():
@@ -66,6 +74,45 @@ def test_memo_hits_on_repetitive_workload():
     )
     memo = engine.compiler.context.trial_memo
     assert memo.hits > 0
+    assert value_on == value_off
+    assert curve_on == curve_off
+
+
+#: One callee reached from five sites of one root, with three distinct
+#: constant first arguments: specialization folds each site's constant,
+#: so only the argument stamps tell the sites' trial results apart.
+STAMPED_SITES = """
+object Main {
+  def scale(k: int, x: int): int {
+    if (k == 1) { return x + 1; }
+    if (k == 2) { return x * 2; }
+    return x - k;
+  }
+  def run(): int {
+    var acc: int = 0;
+    var i: int = 0;
+    while (i < 20) {
+      acc = acc + Main.scale(1, i) + Main.scale(2, i) + Main.scale(1, i)
+          + Main.scale(3, i) + Main.scale(1, i);
+      i = i + 1;
+    }
+    return acc;
+  }
+}
+"""
+
+
+def test_memo_keys_on_argument_stamps():
+    from repro.lang import compile_source
+
+    program = compile_source(STAMPED_SITES)
+    value_off, curve_off, _ = _run(
+        program, memo_on=False, iterations=4, hot_threshold=2
+    )
+    value_on, curve_on, engine = _run(
+        program, memo_on=True, iterations=4, hot_threshold=2
+    )
+    assert engine.compiler.context.trial_memo.hits > 0
     assert value_on == value_off
     assert curve_on == curve_off
 
@@ -91,7 +138,7 @@ def test_memo_metrics_exported():
     obs = Observability()
     engine = Engine(
         program,
-        JitConfig(hot_threshold=5, enable_trial_memo=True),
+        JitConfig(hot_threshold=5),
         inliner=tuned_inliner(0.1),
         seed=0x5EED,
         obs=obs,

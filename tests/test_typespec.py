@@ -153,12 +153,12 @@ class TestEnvPin:
 
     def test_on_enables_when_config_unset(self, monkeypatch):
         monkeypatch.setenv("REPRO_TYPESPEC", "on")
-        assert JitConfig(typespec=None).typespec_enabled()
+        assert JitConfig(typespec=None).resolve("typespec")
         monkeypatch.setenv("REPRO_TYPESPEC", "off")
-        assert not JitConfig(typespec=True).typespec_enabled()
+        assert not JitConfig(typespec=True).resolve("typespec")
         monkeypatch.delenv("REPRO_TYPESPEC")
-        assert not JitConfig(typespec=None).typespec_enabled()
-        assert JitConfig(typespec=True).typespec_enabled()
+        assert not JitConfig(typespec=None).resolve("typespec")
+        assert JitConfig(typespec=True).resolve("typespec")
 
 
 class TestExplain:
