@@ -36,7 +36,7 @@ from repro.errors import (
     VMError,
 )
 from repro.runtime import int64
-from repro.runtime.int64 import int_div, int_rem, wrap64
+from repro.runtime.int64 import div64, rem64
 from repro.runtime.values import ArrayRef, ObjRef, NULL
 from repro.runtime.intrinsics import intrinsic_function
 
@@ -113,11 +113,16 @@ class MachineCode:
             (:mod:`repro.backend.pycodegen`): ``py_factory(vm,
             dispatch, sink)`` returns the closure the engine runs
             instead of the machine executor when the ``py`` backend is
-            selected; ``py_source`` is the generated source (debugging
-            and tests). ``None`` when the machine backend is selected
-            or the generator bailed out. ``size`` stays the machine
-            instruction count either way, so code-cache accounting,
-            quotas and the icache model are backend-independent.
+            selected, with its static fields, type tests and virtual
+            call names linked against *vm*; ``py_source`` is the
+            generated source (debugging and tests). ``None`` when the
+            machine backend is selected or the generator bailed out.
+            An engine calls the factory once, when its cache installs
+            the code, and drops the closure when the code leaves the
+            cache (``Engine._code_changed``). ``size`` stays the
+            machine instruction count either way, so code-cache
+            accounting, quotas and the icache model are
+            backend-independent.
     """
 
     __slots__ = (
@@ -252,7 +257,8 @@ def _deoptimize(code, index, reason, regs):
 # One maker per body opcode: ``make(*instr[1:])`` returns the handler
 # ``h(regs, vm)``. ADD/SUB/MUL/NEG/SHL inline wrap64 as
 # ``(x + _SIGN & _MASK) - _SIGN`` (the same formula pycodegen emits);
-# the constants come from the single int64 definition.
+# the constants come from the single int64 definition. DIV/REM call
+# its div64/rem64, as every other executor does.
 
 _SIGN = int64._SIGN
 _MASK = int64._WRAP - 1
@@ -309,14 +315,14 @@ def _mul(d, a, b):
 
 def _div(d, a, b):
     def h(regs, vm):
-        regs[d] = wrap64(int_div(regs[a], regs[b]))
+        regs[d] = div64(regs[a], regs[b])
 
     return h
 
 
 def _rem(d, a, b):
     def h(regs, vm):
-        regs[d] = wrap64(int_rem(regs[a], regs[b]))
+        regs[d] = rem64(regs[a], regs[b])
 
     return h
 

@@ -49,8 +49,15 @@ Parity rules (mirroring :class:`~repro.backend.machine.MachineExecutor`
 instruction by instruction):
 
 - int64: add/sub/mul/neg/shl inline the two's-complement wrap formula
-  using the constants of :mod:`repro.runtime.int64`; div/rem call
-  :func:`~repro.runtime.int64.int_div` / ``int_rem`` and wrap.
+  using the constants of :mod:`repro.runtime.int64`; div/rem call its
+  :func:`~repro.runtime.int64.div64` / ``rem64``, as every executor
+  does.
+- linking: the factory resolves each static field, type-test type and
+  virtual method name once per binding (:meth:`VMState.static_slot
+  <repro.runtime.vmstate.VMState.static_slot>`, :meth:`Program.subtype_row
+  <repro.bytecode.program.Program.subtype_row>`, ``dispatch_row``), so a
+  site is one subscript; a name that does not resolve raises the
+  machine tier's :class:`~repro.errors.LinkError` at the access itself.
 - cycles: ``_cy`` starts at ``METHOD_ENTRY``, each block adds the same
   block cost lowering puts in its ``COST`` pseudo-instruction, and the
   accumulator flushes to the engine sink exactly where the machine
@@ -91,7 +98,7 @@ from repro.ir import nodes as n
 from repro.ir import stamps as st
 from repro.ir.dominators import compute_dominators, compute_loops, dominates
 from repro.runtime import int64
-from repro.runtime.int64 import int_div, int_rem, wrap64
+from repro.runtime.int64 import div64, rem64
 from repro.runtime.intrinsics import intrinsic_function
 from repro.runtime.values import ArrayRef, ObjRef
 
@@ -284,6 +291,8 @@ class _PyCodegen:
         self._loops = {}
         self._jumps = []
         self._flags = {}
+        self._linked = {}  # (call, operands...) -> bound expression
+        self._link_lines = []
 
     # -- source assembly ----------------------------------------------------
 
@@ -295,6 +304,32 @@ class _PyCodegen:
         self._next_global += 1
         self.globals[name] = value
         return name
+
+    def _link(self, call, *operands):
+        """The factory local holding ``vm.<call>(*operands)``: evaluated
+        once per binding, shared by every site with the same operands."""
+        key = (call,) + operands
+        name = self._linked.get(key)
+        if name is None:
+            name = self._linked[key] = "_l%d" % len(self._linked)
+            self._link_lines.append("%s = vm.%s(%s)" % (
+                name, call, ", ".join(map(repr, operands))
+            ))
+        return name
+
+    def _static(self, node):
+        """``table[key]`` for *node*'s static field: the two halves of
+        its :meth:`~repro.runtime.vmstate.VMState.static_slot`."""
+        key = ("static_slot", node.class_name, node.field_name)
+        access = self._linked.get(key)
+        if access is None:
+            index = len(self._linked)
+            access = self._linked[key] = "_s%d[_k%d]" % (index, index)
+            self._link_lines.append(
+                "_s%d, _k%d = vm.static_slot(%r, %r)"
+                % (index, index, node.class_name, node.field_name)
+            )
+        return access
 
     def _val(self, node):
         t = type(node)
@@ -331,9 +366,8 @@ class _PyCodegen:
             _VE=VMError,
             _OR=ObjRef,
             _AR=ArrayRef,
-            _idiv=int_div,
-            _irem=int_rem,
-            _wrap=wrap64,
+            _div=div64,
+            _rem=rem64,
         )
         source = "\n".join(self.lines) + "\n"
         name = getattr(graph, "name", None) or graph.method.qualified_name
@@ -364,12 +398,9 @@ class _PyCodegen:
             "_sink = sink",
             "_alloc = vm.allocate",
             "_allocarr = vm.allocate_array",
-            "_getstatic = vm.get_static",
-            "_putstatic = vm.put_static",
-            "_issub = vm.program.is_subtype",
-            "_resolve = vm.program.resolve_method",
         ):
             lines.append("    " + binding)
+        links_at = len(lines)
         lines.append("    def _run(args):")
         for index, param in enumerate(graph.params):
             self._line(2, "v%d = args[%d]" % (param.id, index))
@@ -385,6 +416,7 @@ class _PyCodegen:
         self._line(2, "_cy = %d" % self.cost.METHOD_ENTRY)
         self._render(body, 2)
         lines.append("    return _run")
+        lines[links_at:links_at] = ["    " + x for x in self._link_lines]
 
     # -- structuring ----------------------------------------------------------
 
@@ -750,9 +782,10 @@ class _PyCodegen:
                 value, value, node.type_name,
             )
         return (
-            "%s is not None and _issub(%s.class_name "
-            "if isinstance(%s, _OR) else %s.type_name, %r)"
-            % (value, value, value, value, node.type_name)
+            "%s is not None and %s[%s.class_name "
+            "if isinstance(%s, _OR) else %s.type_name]"
+            % (value, self._link("program.subtype_row", node.type_name),
+               value, value, value)
         )
 
     # -- nodes --------------------------------------------------------------
@@ -772,9 +805,9 @@ class _PyCodegen:
                 line(depth, "%s = (%s %s %s + %d & %d) - %d"
                      % (dst, a, sign, b, _SIGN, _MASK, _SIGN))
             elif op == "DIV":
-                line(depth, "%s = _wrap(_idiv(%s, %s))" % (dst, a, b))
+                line(depth, "%s = _div(%s, %s)" % (dst, a, b))
             elif op == "REM":
-                line(depth, "%s = _wrap(_irem(%s, %s))" % (dst, a, b))
+                line(depth, "%s = _rem(%s, %s)" % (dst, a, b))
             elif op in ("AND", "OR", "XOR"):
                 sign = {"AND": "&", "OR": "|", "XOR": "^"}[op]
                 line(depth, "%s = %s %s %s" % (dst, a, sign, b))
@@ -850,12 +883,10 @@ class _PyCodegen:
             line(depth, "%s.fields[%r] = %s"
                  % (obj, node.field_name, self._val(node.inputs[1])))
         elif t is n.LoadStaticNode:
-            line(depth, "%s = _getstatic(%r, %r)"
-                 % (dst, node.class_name, node.field_name))
+            line(depth, "%s = %s" % (dst, self._static(node)))
         elif t is n.StoreStaticNode:
-            line(depth, "_putstatic(%r, %r, %s)"
-                 % (node.class_name, node.field_name,
-                    self._val(node.inputs[0])))
+            line(depth, "%s = %s"
+                 % (self._static(node), self._val(node.inputs[0])))
         elif t is n.InstanceOfNode:
             line(depth, "%s = 1 if %s else 0"
                  % (dst, self._instanceof_expr(node)))
@@ -866,7 +897,8 @@ class _PyCodegen:
             line(depth + 1,
                  "_u = _t.class_name if isinstance(_t, _OR)"
                  " else _t.type_name")
-            line(depth + 1, "if not _issub(_u, %r):" % node.type_name)
+            line(depth + 1, "if not %s[_u]:"
+                 % self._link("program.subtype_row", node.type_name))
             line(depth + 2,
                  "raise _CT('%%s -> %%s' %% (_u, %r))" % node.type_name)
             line(depth, "%s = _t" % dst)
@@ -920,8 +952,10 @@ class _PyCodegen:
             line(depth, "if isinstance(%s, _AR):" % receiver)
             line(depth + 1, "raise _VE('virtual call on array receiver')")
             # Resolution precedes the flush, exactly like M_VCALL.
-            line(depth, "_t = _resolve(%s.class_name, %r)"
-                 % (receiver, node.method_name))
+            line(depth, "_t = %s[%s.class_name]" % (
+                self._link("program.dispatch_row", node.method_name),
+                receiver,
+            ))
             line(depth, "_sink(_cy)")
             line(depth, "_cy = 0")
             line(depth, "%s_call(_t, [%s])" % (dst, ", ".join(args)))

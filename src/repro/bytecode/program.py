@@ -11,15 +11,51 @@ from repro.bytecode.klass import ClassDef
 from repro.errors import BytecodeError, LinkError
 
 
+class _Row(dict):
+    """``{name: fill(name, key)}`` for one *key*, filled on a miss; a
+    fill that raises (:class:`LinkError`) stores nothing."""
+
+    __slots__ = ("fill", "key")
+
+    def __init__(self, fill, key):
+        self.fill = fill
+        self.key = key
+
+    def __missing__(self, name):
+        value = self[name] = self.fill(name, self.key)
+        return value
+
+
+class _Rows(dict):
+    """``{key: row}``, each :class:`_Row` made on first use."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, key):
+        row = self[key] = _Row(self.fill, key)
+        return row
+
+
 class Program:
-    """A closed collection of :class:`ClassDef` plus resolution caches."""
+    """A closed collection of :class:`ClassDef` plus resolution caches.
+
+    Subtype tests and virtual resolution read *rows*: one dict per
+    supertype (:meth:`subtype_row`) and one per method name
+    (:meth:`dispatch_row`), keyed by the tested or receiver class and
+    filled on a miss. Compiled code binds a row once and then pays one
+    subscript per test or call. :meth:`add_class` empties every row in
+    place, so a bound row stays valid.
+    """
 
     def __init__(self):
         self.classes = {}
         root = ClassDef("Object")
         self.classes["Object"] = root
-        self._subtype_cache = {}
-        self._resolve_cache = {}
+        self._subtype_rows = _Rows(self._subtype)  # sup -> {sub: bool}
+        self._dispatch_rows = _Rows(self._resolve)  # name -> {cls: Method}
         self._lookup_cache = {}
         #: Bumped whenever the class set changes; consumers holding
         #: pre-resolved methods (the pre-decoded interpreter tier) key
@@ -34,8 +70,9 @@ class Program:
         if klass.name in self.classes:
             raise BytecodeError("duplicate class %s" % klass.name)
         self.classes[klass.name] = klass
-        self._subtype_cache.clear()
-        self._resolve_cache.clear()
+        for rows in (self._subtype_rows, self._dispatch_rows):
+            for row in rows.values():
+                row.clear()
         self._lookup_cache.clear()
         self.generation += 1
         return klass
@@ -88,13 +125,19 @@ class Program:
         """
         if sub == sup or sup == "Object":
             return True
-        key = (sub, sup)
-        cached = self._subtype_cache.get(key)
-        if cached is not None:
-            return cached
-        result = self._compute_subtype(sub, sup)
-        self._subtype_cache[key] = result
-        return result
+        return self._subtype_rows[sup][sub]
+
+    def subtype_row(self, sup):
+        """The row answering ``is_subtype(sub, sup)`` as ``row[sub]``."""
+        return self._subtype_rows[sup]
+
+    def dispatch_row(self, method_name):
+        """The row answering ``resolve_method(cls, method_name)`` as
+        ``row[cls]``."""
+        return self._dispatch_rows[method_name]
+
+    def _subtype(self, sub, sup):
+        return sub == sup or sup == "Object" or self._compute_subtype(sub, sup)
 
     def _compute_subtype(self, sub, sup):
         if sub.endswith("[]"):
@@ -124,10 +167,9 @@ class Program:
         Returns the concrete :class:`Method`, which may be abstract when
         the receiver type is itself abstract or an interface.
         """
-        key = (class_name, method_name)
-        cached = self._resolve_cache.get(key)
-        if cached is not None:
-            return cached
+        return self._dispatch_rows[method_name][class_name]
+
+    def _resolve(self, class_name, method_name):
         found = None
         for klass in self.superclass_chain(class_name):
             method = klass.methods.get(method_name)
@@ -147,7 +189,6 @@ class Program:
             raise LinkError(
                 "method %s not found on %s" % (method_name, class_name)
             )
-        self._resolve_cache[key] = found
         return found
 
     def lookup_method(self, class_name, method_name):

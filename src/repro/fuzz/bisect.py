@@ -14,16 +14,21 @@ Two sweeps, both cheap (each stage is one engine run):
    with the inliner *on*, toggle each optimization pass off; if
    disabling one pass restores agreement, the bug is in that pass's
    interaction with inlined graphs, not in the inliner itself.
+
+Every stage runs in the failing configuration's environment
+(:func:`~repro.fuzz.oracle.oracle_engine`): under ``jit-py-evict`` each
+one gets the same small shared code cache, so a divergence that needs
+eviction can reproduce on the ladder.
 """
 
 from repro.fuzz.oracle import (
     DEFAULT_ITERATIONS,
     ORACLE_CONFIGS,
     compare_records,
+    oracle_engine,
     run_interpreter,
 )
 from repro.jit.config import JitConfig
-from repro.jit.engine import Engine
 from repro.opts.pipeline import OptimizerConfig
 
 _HOT = 2
@@ -101,11 +106,12 @@ class BisectReport:
         return "<BisectReport %s>" % self.describe()
 
 
-def _run_engine(program, entry, config, inliner, iterations, vm_seed):
+def _run_engine(program, entry, config_name, config, inliner, iterations,
+                vm_seed):
     from repro.fuzz.oracle import ExecutionRecord, _observe
 
     class_name, method_name = entry
-    engine = Engine(program, config, inliner, seed=vm_seed)
+    engine = oracle_engine(program, config_name, config, inliner, vm_seed)
     outcomes = [
         _observe(
             lambda: engine.run_iteration(class_name, method_name).value
@@ -147,7 +153,8 @@ def bisect_passes(
                 stages.append((label, False))
                 continue
         record = _run_engine(
-            program, entry, config, inliner, iterations, vm_seed
+            program, entry, config_name, config, inliner, iterations,
+            vm_seed,
         )
         divergence = compare_records(label, reference, record)
         stages.append((label, divergence is not None))
@@ -168,7 +175,8 @@ def bisect_passes(
             config.optimizer = _stage_config(**toggles).optimizer
             _, inliner = ORACLE_CONFIGS[config_name]()
             record = _run_engine(
-                program, entry, config, inliner, iterations, vm_seed
+                program, entry, config_name, config, inliner, iterations,
+                vm_seed,
             )
             if compare_records(pass_name, reference, record) is None:
                 culprit = "%s (inlined graphs)" % pass_name

@@ -30,6 +30,7 @@ diverging at the trap point — become observable.
 from repro.baselines import C2Inliner, GreedyInliner, tuned_inliner
 from repro.errors import TrapError, VMError
 from repro.interp import Interpreter
+from repro.jit.codecache import SharedCodeCache
 from repro.jit.config import JitConfig
 from repro.jit.engine import Engine
 from repro.opts.pipeline import OptimizerConfig
@@ -158,7 +159,23 @@ ORACLE_CONFIGS = {
         _cfg(backend="py", speculate=True, osr=True, osr_threshold=6),
         tuned_inliner(0.1),
     ),
+    # ... and over a one-tenant shared code cache too small to hold the
+    # program's compiled code (CACHE_BUDGETS), so installs evict each
+    # other and evicted methods recompile: every py binding must be
+    # dropped and re-bound with its cache entry.
+    "jit-py-evict": lambda: (
+        _cfg(backend="py", speculate=True, osr=True, osr_threshold=6),
+        tuned_inliner(0.1),
+    ),
 }
+
+#: Configurations that run over a one-tenant
+#: :class:`~repro.jit.codecache.SharedCodeCache` view, by global budget
+#: in code units; their ``cycles`` twin gets the same budget. 40 units
+#: hold one or two small generated methods, so a case that compiles
+#: more evicts and recompiles in a loop (larger methods are rejected
+#: and stay interpreted, on both backends alike).
+CACHE_BUDGETS = {"jit-py-evict": 40}
 
 
 def oracle_config_names():
@@ -291,6 +308,21 @@ def _measure(engine, class_name, method_name):
                      engine.icache_cycles - icache)
 
 
+def oracle_engine(program, name, config, inliner, vm_seed):
+    """A fresh engine running *config* and *inliner* in the environment
+    of oracle configuration *name*: over a one-tenant shared cache when
+    :data:`CACHE_BUDGETS` gives *name* a budget, else a private cache.
+    Every engine the oracle and the bisector build comes from here."""
+    budget = CACHE_BUDGETS.get(name)
+    return Engine(
+        program, config, inliner, seed=vm_seed,
+        code_cache=(
+            SharedCodeCache(budget=budget).view(0)
+            if budget is not None else None
+        ),
+    )
+
+
 def run_config(program, entry, name, iterations=DEFAULT_ITERATIONS,
                vm_seed=0x5EED, backend=None):
     """Execute under oracle configuration *name* with a fresh engine;
@@ -299,7 +331,7 @@ def run_config(program, entry, name, iterations=DEFAULT_ITERATIONS,
     config, inliner = ORACLE_CONFIGS[name]()
     if backend is not None:
         config.backend = backend
-    engine = Engine(program, config, inliner, seed=vm_seed)
+    engine = oracle_engine(program, name, config, inliner, vm_seed)
     try:
         outcomes, cycles = [], []
         for _ in range(iterations):

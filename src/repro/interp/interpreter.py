@@ -33,7 +33,7 @@ from repro.runtime.intrinsics import intrinsic_function
 # Guest integer semantics live in repro.runtime.int64 so that the
 # interpreter, the register machine and the canonicalizer share one
 # implementation; the re-export keeps the historical import path alive.
-from repro.runtime.int64 import int_div, int_rem, wrap64
+from repro.runtime.int64 import div64, rem64, wrap64
 from repro.errors import (
     BoundsTrap,
     CastTrap,
@@ -254,10 +254,10 @@ class Interpreter:
                 stack.append(wrap64(stack.pop() * b))
             elif op == Op.DIV:
                 b = stack.pop()
-                stack.append(wrap64(int_div(stack.pop(), b)))
+                stack.append(div64(stack.pop(), b))
             elif op == Op.REM:
                 b = stack.pop()
-                stack.append(wrap64(int_rem(stack.pop(), b)))
+                stack.append(rem64(stack.pop(), b))
             elif op == Op.NEG:
                 stack.append(wrap64(-stack.pop()))
             elif op == Op.AND:

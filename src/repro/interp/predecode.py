@@ -50,7 +50,7 @@ from repro.errors import (
     NullPointerTrap,
     VMError,
 )
-from repro.runtime.int64 import int_div, int_rem, wrap64
+from repro.runtime.int64 import div64, rem64, wrap64
 from repro.runtime.values import ArrayRef, NULL, ObjRef
 
 #: Sentinel "next pc" values returned by RET / RETV handlers.
@@ -166,17 +166,17 @@ def _decode_one(instr, pc, method, profile, program, vm, interp):
         return h
     if op == Op.DIV:
 
-        def h(stack, locals_, _w=wrap64, _div=int_div, _n=next_pc):
+        def h(stack, locals_, _div=div64, _n=next_pc):
             b = stack.pop()
-            stack[-1] = _w(_div(stack[-1], b))
+            stack[-1] = _div(stack[-1], b)
             return _n
 
         return h
     if op == Op.REM:
 
-        def h(stack, locals_, _w=wrap64, _rem=int_rem, _n=next_pc):
+        def h(stack, locals_, _rem=rem64, _n=next_pc):
             b = stack.pop()
-            stack[-1] = _w(_rem(stack[-1], b))
+            stack[-1] = _rem(stack[-1], b)
             return _n
 
         return h

@@ -18,6 +18,14 @@ Two implementations share the same surface:
   global memory budget. Engines see it through a per-tenant
   :class:`TenantCacheView`, which implements the :class:`CodeCache`
   surface so the engine code is identical either way.
+
+Both report every change to an engine's installed code through the hook
+the engine registers with ``watch(hook)``: ``hook(key, code)``, where
+*key* is the method, or ``(method, bci)`` for an OSR continuation, and
+*code* the code now installed there (``None`` once it is gone). A
+py-tier engine binds and drops its closures there, so a binding lives
+exactly as long as its entry. The hook runs inside the mutation (under
+the shared cache's lock), and only after the sizes are updated.
 """
 
 import threading
@@ -42,6 +50,7 @@ class CodeCache:
         #: (recompilations); ``install_count - reinstalls`` is the
         #: number of distinct first installs.
         self.reinstalls = 0
+        self._hook = None
         obs = obs if obs is not None else NULL_OBS
         self._obs = obs
         if obs.enabled:
@@ -59,6 +68,10 @@ class CodeCache:
             self._reinstalls = None
             self._evictions = None
             self._bytes = None
+
+    def watch(self, hook):
+        """Report installed-code changes to *hook* (module docstring)."""
+        self._hook = hook
 
     def get(self, method):
         code = self._code.get(method)
@@ -86,6 +99,8 @@ class CodeCache:
         if self._installs is not None:
             self._installs.inc()
             self._bytes.set(self.total_size)
+        if self._hook is not None:
+            self._hook(method, code)
 
     def evict(self, method):
         """Drop *method*'s installed code; returns True if it was present."""
@@ -96,6 +111,8 @@ class CodeCache:
         if self._evictions is not None:
             self._evictions.inc()
             self._bytes.set(self.total_size)
+        if self._hook is not None:
+            self._hook(method, None)
         return True
 
     # ------------------------------------------------------------------
@@ -126,6 +143,8 @@ class CodeCache:
         if self._installs is not None:
             self._installs.inc()
             self._bytes.set(self.total_size)
+        if self._hook is not None:
+            self._hook((method, bci), code)
 
     def evict_osr(self, method, bci):
         """Drop one OSR continuation; returns True if it was present."""
@@ -136,6 +155,8 @@ class CodeCache:
         if self._evictions is not None:
             self._evictions.inc()
             self._bytes.set(self.total_size)
+        if self._hook is not None:
+            self._hook((method, bci), None)
         return True
 
     def osr_count(self):
@@ -168,6 +189,13 @@ class _Entry:
     @property
     def is_osr(self):
         return self.osr_bci is not None
+
+    @property
+    def key(self):
+        """The engine-side key: the method, or ``(method, bci)``."""
+        return self.method if self.osr_bci is None else (
+            self.method, self.osr_bci
+        )
 
 
 class SharedCodeCache:
@@ -215,6 +243,7 @@ class SharedCodeCache:
         self._evictions = {}
         self._reinstalls_after_evict = {}
         self._evicted_methods = set()  # (tenant, method) pairs
+        self._hooks = {}  # tenant -> its engine's watch hook
         self.eviction_count = 0
         self.quota_rejections = 0
         obs = obs if obs is not None else NULL_OBS
@@ -255,15 +284,25 @@ class SharedCodeCache:
         number of bytes reclaimed."""
         with self._lock:
             reclaimed = 0
+            dropped = []
             for shard in self._shards:
                 for key in [k for k in shard if k[0] == tenant]:
                     entry = shard.pop(key)
                     reclaimed += entry.size
+                    dropped.append(entry)
             self.total_size -= reclaimed
             self._tenant_bytes.pop(tenant, None)
             if self._m_bytes is not None:
                 self._m_bytes.set(self.total_size)
+            hook = self._hooks.get(tenant)
+            if hook is not None:
+                for entry in dropped:
+                    hook(entry.key, None)
             return reclaimed
+
+    def watch(self, tenant, hook):
+        """Report *tenant*'s installed-code changes to *hook*."""
+        self._hooks[tenant] = hook
 
     # ------------------------------------------------------------------
     # Lookup / install / evict (tenant-scoped)
@@ -323,6 +362,9 @@ class SharedCodeCache:
         self._install_counts[tenant] = (
             self._install_counts.get(tenant, 0) + 1
         )
+        hook = self._hooks.get(tenant)
+        if hook is not None:
+            hook(entry.key, entry.code)
         if not entry.is_osr and (tenant, entry.method) in self._evicted_methods:
             self._evicted_methods.discard((tenant, entry.method))
             self._reinstalls_after_evict[tenant] = (
@@ -351,6 +393,9 @@ class SharedCodeCache:
         tenant = entry.tenant
         remaining = self._tenant_bytes.get(tenant, 0) - entry.size
         self._tenant_bytes[tenant] = remaining
+        hook = self._hooks.get(tenant)
+        if hook is not None:
+            hook(entry.key, None)
 
     def _remove(self, key):
         entry = self._shard_of(key).pop(key, None)
@@ -561,6 +606,9 @@ class TenantCacheView:
     @property
     def reinstalls_after_evict(self):
         return self._shared.reinstalls_after_evict(self.tenant)
+
+    def watch(self, hook):
+        self._shared.watch(self.tenant, hook)
 
     def get(self, method):
         return self._shared.get(self.tenant, method)

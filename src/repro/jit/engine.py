@@ -114,15 +114,49 @@ class Engine:
                 obs=self.obs,
             )
         )
-        self.interpreter = Interpreter(
-            self.vm, profiles=self.profiles, dispatch=self._dispatch,
-            obs=self.obs, predecode=self.config.resolve("interp_predecode"),
-        )
         #: Installed-code bookkeeping. Per-engine by default; a
         #: multi-tenant service passes a per-tenant *view* of a shared
         #: sharded cache instead (same surface, global accounting).
         self.code_cache = (
             code_cache if code_cache is not None else CodeCache(obs=self.obs)
+        )
+        #: Which tier runs compiled roots: ``"machine"`` (the cycle
+        #: model, the differential oracle) or ``"py"`` (generated
+        #: Python closures, :mod:`repro.backend.pycodegen`). Resolved
+        #: once at construction — mirrors ``compile_mode`` below.
+        self.backend = self.config.resolve("backend")
+        self._py = self.backend == "py"
+        #: Bound Python-tier entries, keyed like the cache: the method,
+        #: or ``(method, bci)`` for an OSR continuation, mapped to its
+        #: installed code's closure bound to this engine's VM state,
+        #: dispatch and cycle sink. The cache hook
+        #: (:meth:`_code_changed`) binds at install and drops at
+        #: replacement or eviction, so a binding lives exactly as long
+        #: as its cache entry.
+        self._py_entries = {}
+        #: Whether dispatch links (:meth:`_dispatch_linked`): calls
+        #: run a method's binding straight from ``_py_entries``. Only a
+        #: py engine with a private cache and observability off links:
+        #: a shared cache must tick LRU and count a hit per call, and
+        #: metrics must see each lookup, so those engines keep
+        #: :meth:`_dispatch`.
+        self._linked = (
+            self._py and isinstance(self.code_cache, CodeCache)
+            and not self.obs.enabled
+        )
+        #: ``icache.entry_penalty(total_size)`` on a linking engine,
+        #: kept current by the cache hook: it runs on every install and
+        #: evict, the only changes of ``total_size``.
+        self._penalty = 0
+        #: The dispatch entry every tier calls, chosen once here.
+        self._dispatcher = (
+            self._dispatch_linked if self._linked else self._dispatch
+        )
+        if self._py:
+            self.code_cache.watch(self._code_changed)
+        self.interpreter = Interpreter(
+            self.vm, profiles=self.profiles, dispatch=self._dispatcher,
+            obs=self.obs, predecode=self.config.resolve("interp_predecode"),
         )
         self.speculation_log = SpeculationLog()
         from repro.jit.compiler import JitCompiler
@@ -131,18 +165,7 @@ class Engine:
             program, self.profiles, self.config, inliner, obs=self.obs,
             speculation_log=self.speculation_log,
         )
-        self.executor = MachineExecutor(self.vm, self._dispatch, self)
-        #: Which tier runs compiled roots: ``"machine"`` (the cycle
-        #: model, the differential oracle) or ``"py"`` (generated
-        #: Python closures, :mod:`repro.backend.pycodegen`). Resolved
-        #: once at construction — mirrors ``compile_mode`` below.
-        self.backend = self.config.resolve("backend")
-        self._py = self.backend == "py"
-        #: Bound Python-tier entries, keyed by code-object identity.
-        #: The factory closes over the generated module; binding it to
-        #: this engine's VM state/dispatch/cycle sink happens once per
-        #: installed code object, on first execution.
-        self._py_entries = {}
+        self.executor = MachineExecutor(self.vm, self._dispatcher, self)
         #: Executions served by the Python tier (plain attribute so
         #: un-instrumented differential tests can assert the py tier
         #: actually ran).
@@ -205,31 +228,67 @@ class Engine:
     def add_compiled_cycles(self, cycles):
         self.compiled_cycles += cycles
 
-    def _execute(self, code, args):
-        """Run installed *code* on the selected backend.
+    def _execute(self, key, code, args):
+        """Run *code*, installed at cache key *key*, on the selected
+        backend.
 
-        The ``py`` tier runs the generated closure riding on the code
-        object when present (bound to this engine's VM state, dispatch
-        and cycle sink once, then cached per engine — code objects are
-        shared across tenants, bindings are not); roots whose generator
-        bailed out fall back to the machine executor, so a mixed cache
-        is fine. Both tiers raise the same traps and
+        The ``py`` tier runs the closure :meth:`_code_changed` bound
+        when the code was installed (bindings are per engine and live
+        as long as the cache entry); code without one (the generator
+        bailed out) runs on the machine executor, so a mixed cache is
+        fine. Both tiers raise the same traps and
         :class:`~repro.deopt.DeoptSignal`; callers don't care which ran.
         """
-        if self._py and code.py_factory is not None:
-            entry = self._py_entries.get(code)
-            if entry is None:
-                entry = code.py_factory(
-                    self.vm, self._dispatch, self.add_compiled_cycles
-                )
-                self._py_entries[code] = entry
-            self.py_exec_count += 1
-            return entry(args)
+        if self._py:
+            entry = self._py_entries.get(key)
+            if entry is not None:
+                self.py_exec_count += 1
+                return entry(args)
         return self.executor.execute(code, args)
+
+    def _code_changed(self, key, code):
+        """Cache hook of a py engine (``code_cache.watch``): *code* is
+        now installed at *key*, or nothing when ``None``.
+
+        Binds the code's closure in place of *key*'s old one; on a
+        linking engine also recomputes the entry penalty for the new
+        ``total_size``.
+        """
+        if code is not None and code.py_factory is not None:
+            self._py_entries[key] = code.py_factory(
+                self.vm, self._dispatcher, self.add_compiled_cycles
+            )
+        else:
+            self._py_entries.pop(key, None)
+        if self._linked:
+            self._penalty = self.config.icache.entry_penalty(
+                self.code_cache.total_size
+            )
 
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
+
+    def _dispatch_linked(self, method, args):
+        """:meth:`_dispatch` for a linking engine (see ``_linked``).
+
+        A linked method runs its bound closure directly: no cache
+        lookup, no :meth:`_execute`, and the entry penalty computed at
+        the last install or evict. Anything else takes
+        :meth:`_dispatch`. Cycles, counts and deopt handling are the
+        same either way.
+        """
+        entry = self._py_entries.get(method)
+        if entry is None:
+            return self._dispatch(method, args)
+        penalty = self._penalty
+        if penalty:
+            self.icache_cycles += penalty
+        self.py_exec_count += 1
+        try:
+            return entry(args)
+        except DeoptSignal as signal:
+            return self._handle_deopt(method, signal)
 
     def _dispatch(self, method, args):
         code = self.code_cache.get(method)
@@ -247,7 +306,7 @@ class Engine:
                 if self._icache_counter is not None:
                     self._icache_counter.inc(penalty)
             try:
-                return self._execute(code, args)
+                return self._execute(method, code, args)
             except DeoptSignal as signal:
                 # Caught at the deopting method's *own* dispatch
                 # boundary, so compiled callers further up the stack
@@ -289,22 +348,13 @@ class Engine:
             # A queued compilation of this method speculated on the
             # site this deopt just refuted: keep it out of the cache.
             self._cancel_pending(method)
+        # Evicting drops the py binding with the code (the cache
+        # hook), so the refuted code is not pinned in memory.
         with self._cache_lock:
             if osr_key is not None:
-                stale = (
-                    self.code_cache.get_osr(method, osr_key)
-                    if self._py
-                    else None
-                )
                 invalidated = self.code_cache.evict_osr(method, osr_key)
             else:
-                stale = self.code_cache.get(method) if self._py else None
                 invalidated = self.code_cache.evict(method)
-        if stale is not None:
-            # Drop the bound closure with the code: a recompile installs
-            # a fresh code object, and the refuted binding must not pin
-            # the old one in memory.
-            self._py_entries.pop(stale, None)
         if invalidated:
             self.invalidation_count += 1
             if self._flight.enabled:
@@ -744,7 +794,7 @@ class Engine:
             )
         args = list(locals_) + list(stack)
         try:
-            return self._execute(code, args)
+            return self._execute((method, bci), code, args)
         except DeoptSignal as signal:
             # Same safety net as whole-method code: invalidate (just
             # the OSR continuation) and fall back through the
@@ -861,7 +911,7 @@ class Engine:
         method = self.program.lookup_method(class_name, method_name)
         if self._flight.enabled:
             try:
-                return self._dispatch(method, list(args))
+                return self._dispatcher(method, list(args))
             except VMError as error:
                 # Dump-on-crash: a trap escaping the dispatch is the
                 # moment the recent compilation history matters most.
@@ -873,7 +923,7 @@ class Engine:
                 )
                 self._dump_flight_on_crash("trap")
                 raise
-        return self._dispatch(method, list(args))
+        return self._dispatcher(method, list(args))
 
     def run_iteration(self, class_name, method_name="run", args=()):
         """Run one benchmark iteration and return its cycle breakdown.

@@ -1,17 +1,24 @@
 """The single definition of guest integer semantics (JVM ``long``).
 
-Three independent executors evaluate guest arithmetic — the profiling
-interpreter, the lowered register machine and the canonicalizer's
-constant folder — and they must agree bit-for-bit on every input.  The
-only way to guarantee that *by construction* is to give them one shared
-implementation, which is this module: 64-bit two's-complement wrapping,
-truncating division, JVM remainder.
+Several independent executors evaluate guest arithmetic — the profiling
+interpreter (classic and pre-decoded), the lowered register machine,
+the generated Python tier and the canonicalizer's constant folder — and
+they must agree bit-for-bit on every input.  The only way to guarantee
+that *by construction* is to give them one shared implementation, which
+is this module: 64-bit two's-complement wrapping, truncating division,
+JVM remainder.
 
 Invariant: every guest integer value in the system is *wrapped*, i.e.
 ``wrap64(v) == v``.  Each executor re-establishes the invariant after
 every arithmetic step (the bitwise ops and comparisons preserve it on
 their own); ``tests/test_semantics_differential.py`` pins the edge
-cases across all three executors.
+cases across the interpreter, the machine and the folder.
+
+Every executor's DIV and REM call :func:`div64` / :func:`rem64`, which
+return the wrapped result in one call. :func:`int_div` /
+:func:`int_rem` give the exact, unwrapped result: the constant folder
+wraps it itself, and the tests use the pair as the oracle for the
+one-call forms.
 """
 
 from repro.errors import DivisionByZeroTrap
@@ -42,7 +49,8 @@ def int_div(a, b):
 
     The result is *not* wrapped: ``INT64_MIN / -1`` yields ``2**63``,
     which every caller must route through :func:`wrap64` (yielding
-    ``INT64_MIN``, exactly as the JVM's ``ldiv`` overflows).
+    ``INT64_MIN``, exactly as the JVM's ``ldiv`` overflows), as
+    :func:`div64` does.
     """
     if b == 0:
         raise DivisionByZeroTrap()
@@ -54,9 +62,32 @@ def int_rem(a, b):
     """Remainder with the sign of the dividend, as on the JVM.
 
     For wrapped operands the result is always representable
-    (``|rem| < |b|`` and ``a % -1 == 0``), but callers wrap anyway so
-    that all executors agree by construction.
+    (``|rem| < |b|`` and ``a % -1 == 0``); the constant folder wraps
+    it anyway, as it wraps every folded value.
     """
     if b == 0:
         raise DivisionByZeroTrap()
     return a - int_div(a, b) * b
+
+
+def div64(a, b):
+    """``wrap64(int_div(a, b))`` in one call, for wrapped operands.
+
+    Only ``INT64_MIN / -1`` leaves the range (as ``2**63``); every other
+    quotient of two guest integers is already wrapped.
+    """
+    if b == 0:
+        raise DivisionByZeroTrap()
+    q = abs(a) // abs(b)
+    if (a < 0) != (b < 0):
+        return -q
+    return q - _WRAP if q == _SIGN else q
+
+
+def rem64(a, b):
+    """``wrap64(int_rem(a, b))`` in one call, for wrapped operands: the
+    remainder of the magnitudes, with the dividend's sign."""
+    if b == 0:
+        raise DivisionByZeroTrap()
+    r = abs(a) % abs(b)
+    return -r if a < 0 else r

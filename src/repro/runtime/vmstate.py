@@ -29,6 +29,11 @@ class VMState:
     VM is built: classes may still be added, but no existing class
     changes its fields. Failures are never cached, so an unknown class
     or field raises the same :class:`LinkError` on every call.
+
+    Py-tier closures link each static site once, when they are bound
+    (:meth:`static_slot`): a resolved, initialized static becomes a
+    subscript of the statics dict itself, and any other site keeps
+    calling :meth:`get_static`/:meth:`put_static`.
     """
 
     def __init__(self, program, seed=0x5EED):
@@ -78,6 +83,27 @@ class VMState:
             key = self._link_static(class_name, field_name)
         self._statics[key] = value
 
+    def static_slot(self, class_name, field_name):
+        """``(table, key)`` such that ``table[key]`` reads the static
+        and ``table[key] = value`` writes it, as :meth:`get_static` and
+        :meth:`put_static` do.
+
+        A static that resolves and is initialized now stays so (statics
+        are never removed), so its slot is the statics dict and its
+        declaring key. Any other site gets an :class:`_UnlinkedStatic`,
+        which calls those methods on every access: it raises their
+        :class:`LinkError` there, never here, and caches no failure.
+        """
+        key = self._static_keys.get((class_name, field_name))
+        if key is None:
+            try:
+                key = self._link_static(class_name, field_name)
+            except LinkError:
+                key = None
+        if key is not None and key in self._statics:
+            return self._statics, key
+        return _UnlinkedStatic(self, class_name, field_name), None
+
     # ------------------------------------------------------------------
     # Allocation
     # ------------------------------------------------------------------
@@ -121,3 +147,21 @@ class VMState:
         for value in self.output:
             acc = (acc * 31 + (value & _MASK)) & _MASK
         return acc
+
+
+class _UnlinkedStatic:
+    """The slot of a static site that did not link at bind time: each
+    access resolves again through :class:`VMState`, key ignored."""
+
+    __slots__ = ("vm", "class_name", "field_name")
+
+    def __init__(self, vm, class_name, field_name):
+        self.vm = vm
+        self.class_name = class_name
+        self.field_name = field_name
+
+    def __getitem__(self, _key):
+        return self.vm.get_static(self.class_name, self.field_name)
+
+    def __setitem__(self, _key, value):
+        self.vm.put_static(self.class_name, self.field_name, value)

@@ -4,6 +4,7 @@ import importlib
 
 import pytest
 
+import repro.fuzz.oracle as oracle_module
 import repro.fuzz.reduce as reduce_module
 from repro.backend import pycodegen
 
@@ -21,10 +22,12 @@ from repro.fuzz import (
 )
 from repro.fuzz.bisect import bisect_passes
 from repro.fuzz.oracle import (
+    CACHE_BUDGETS,
     Divergence,
     oracle_config_names,
     run_interpreter,
 )
+from repro.jit.engine import Engine
 from repro.obs import Observability
 from repro.tools import fuzz as fuzz_cli
 from tests.helpers import single_method_program
@@ -157,6 +160,30 @@ class TestOracle:
             ["jit-py", "jit-py-speculate"], iterations=4,
         ) is None
 
+    def test_evict_config_rebinds_and_agrees(self, monkeypatch):
+        # Case 1042 compiles more than the 40-unit budget holds: its
+        # methods evict each other and recompile, on both backends.
+        engines = []
+
+        def recording_engine(*args, **kwargs):
+            engines.append(Engine(*args, **kwargs))
+            return engines[-1]
+
+        monkeypatch.setattr(oracle_module, "Engine", recording_engine)
+        program, entry = generate_case(1042).build()
+        assert check_program(program, entry, ["jit-py-evict"]) is None
+        py, machine = engines
+        assert machine.backend == "machine" and py.py_exec_count > 0
+        for engine in engines:
+            cache = engine.code_cache
+            assert cache._shared.budget == CACHE_BUDGETS["jit-py-evict"]
+            assert cache.reinstalls_after_evict > 10
+        live = {
+            entry.key for shard in py.code_cache._shared._shards
+            for entry in shard.values()
+        }
+        assert set(py._py_entries) <= live
+
 
 class TestBisect:
     def test_names_the_guilty_stage(self, monkeypatch):
@@ -167,6 +194,25 @@ class TestBisect:
         # The lowering-only stage ran clean before the culprit diverged.
         assert report.stages[0] == ("lowering/machine", False)
         assert report.stages[1] == ("canonicalize/gvn/dce", True)
+
+    def test_every_stage_runs_under_the_cache_budget(self, monkeypatch):
+        # A jit-py-evict divergence may need eviction to show, so each
+        # ladder stage gets the configuration's small shared cache.
+        engines = []
+
+        def recording_engine(*args, **kwargs):
+            engines.append(Engine(*args, **kwargs))
+            return engines[-1]
+
+        monkeypatch.setattr(oracle_module, "Engine", recording_engine)
+        program, entry = generate_case(1042).build()
+        report = bisect_passes(program, entry, "jit-py-evict")
+        assert report.culprit == "config:jit-py-evict"
+        assert len(engines) == len(report.stages) == 7
+        for engine in engines:
+            cache = engine.code_cache
+            assert cache._shared.budget == CACHE_BUDGETS["jit-py-evict"]
+        assert engines[-1].code_cache.reinstalls_after_evict > 10
 
 
 class _FakeCase:

@@ -16,7 +16,7 @@ from repro.errors import (
     DivisionByZeroTrap,
     NullPointerTrap,
 )
-from repro.interp.interpreter import int_div, int_rem, wrap64
+from repro.runtime.int64 import int_div, int_rem, wrap64
 from tests.helpers import (
     SHAPES_RESULT,
     fresh_program,

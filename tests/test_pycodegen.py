@@ -8,6 +8,7 @@ thing allowed to differ.
 """
 
 import os
+import random
 import re
 
 import pytest
@@ -21,7 +22,7 @@ from repro.backend.pycodegen import PyCodegenBailout, _MASK, _SIGN
 from repro.baselines import tuned_inliner
 from repro.bench import all_benchmarks, get_benchmark
 from repro.bytecode import Op
-from repro.errors import TrapError
+from repro.errors import DivisionByZeroTrap, TrapError
 from repro.fuzz.serialize import load_corpus_file
 from repro.ir import compute_loops
 from repro.ir import nodes as n
@@ -32,7 +33,15 @@ from repro.jit.engine import Engine
 from repro.lang import compile_source
 from repro.obs import Observability
 from repro.runtime import VMState
-from repro.runtime.int64 import wrap64
+from repro.runtime.int64 import (
+    INT64_MAX,
+    INT64_MIN,
+    div64,
+    int_div,
+    int_rem,
+    rem64,
+    wrap64,
+)
 from tests.cfgs import IRREDUCIBLE, SELF_LOOP, UNREACHABLE, build_cfg, cfg_specs
 from tests.helpers import (
     SHAPES_RESULT,
@@ -253,6 +262,26 @@ def test_inline_wrap_formula_matches_wrap64(value):
     # The codegen inlines the two's-complement wrap instead of calling
     # wrap64(); the formula must agree on every edge case.
     assert (value + _SIGN & _MASK) - _SIGN == wrap64(value)
+
+
+def test_one_call_div_rem_match_the_wrapped_pair():
+    # Every executor's DIV/REM calls div64/rem64, the one-call form of
+    # wrap64(int_div(...)) / wrap64(int_rem(...)); they must agree on
+    # every pair of guest integers, edge cases first.
+    edges = [0, 1, -1, 2, -2, 3, -3, 7, -7, 2**32, -(2**32),
+             INT64_MAX, INT64_MAX - 1, INT64_MIN, INT64_MIN + 1]
+    rng = random.Random(18)
+    values = edges + [rng.randint(INT64_MIN, INT64_MAX) for _ in range(60)]
+    for a in values:
+        for b in values:
+            if b == 0:
+                with pytest.raises(DivisionByZeroTrap):
+                    div64(a, b)
+                with pytest.raises(DivisionByZeroTrap):
+                    rem64(a, b)
+                continue
+            assert div64(a, b) == wrap64(int_div(a, b)), (a, b)
+            assert rem64(a, b) == wrap64(int_rem(a, b)), (a, b)
 
 
 def test_generate_bails_on_oversized_graph(monkeypatch):

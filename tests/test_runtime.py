@@ -191,20 +191,27 @@ def _check_link_parity(program):
             fields = vm.allocate(class_name).fields
             assert list(fields.items()) == list(expected.items()), class_name
         for field_name in _visible_field_names(program, class_name):
+            expected = _outcome(_walk_get_static, walk, class_name, field_name)
             for _ in range(2):
                 assert _outcome(vm.get_static, class_name, field_name) == (
-                    _outcome(_walk_get_static, walk, class_name, field_name)
+                    expected
                 ), (class_name, field_name)
+            # The py tier's slot for the same site reads the same.
+            table, slot = vm.static_slot(class_name, field_name)
+            assert _outcome(table.__getitem__, slot) == expected
             marker = object()
             try:
                 key = _walk_static_key(program, class_name, field_name)
             except LinkError:
                 with pytest.raises(LinkError):
                     vm.put_static(class_name, field_name, marker)
+                with pytest.raises(LinkError):
+                    table[slot] = marker
                 continue
             vm.put_static(class_name, field_name, marker)
             walk._statics[key] = marker
             assert vm._statics == walk._statics, (class_name, field_name)
+            assert table[slot] is marker
 
 
 @pytest.mark.parametrize(
@@ -294,6 +301,34 @@ class TestLinkTables:
             vm.allocate("Late")
         program.define_class("Late").add_field(FieldDef("v", "int"))
         assert vm.allocate("Late").fields == {"v": 0}
+
+    def test_static_slot_links_once_and_caches_no_failure(self):
+        program = fresh_program()
+        program.define_class("G").add_field(
+            FieldDef("c", "int", is_static=True)
+        )
+        program.define_class("H", superclass="G")
+        vm = VMState(program)
+        # A resolved, initialized static is a subscript of the statics
+        # dict on its declaring key.
+        assert vm.static_slot("H", "c") == (vm._statics, ("G", "c"))
+        table, key = vm.static_slot("Late", "x")
+        assert table is not vm._statics
+        for _ in range(2):
+            with pytest.raises(LinkError, match="unknown class 'Late'"):
+                table[key]
+            with pytest.raises(LinkError, match="unknown class 'Late'"):
+                table[key] = 5
+        assert ("Late", "x") not in vm._static_keys
+        # Defined late, its static is never initialized: reads fail as
+        # get_static's do until a write creates it.
+        program.define_class("Late").add_field(
+            FieldDef("x", "int", is_static=True)
+        )
+        with pytest.raises(LinkError, match="static field Late.x not"):
+            table[key]
+        table[key] = 5
+        assert table[key] == 5 == vm.get_static("Late", "x")
 
     def test_getstatic_of_instance_field_not_initialized(self):
         program = fresh_program()

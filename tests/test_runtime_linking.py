@@ -1,0 +1,478 @@
+"""Runtime linking of the py tier.
+
+Each generated closure resolves its static fields, type-test types and
+virtual method names once, when the engine binds it, and a py engine
+with a private code cache dispatches a compiled->compiled call straight
+to the callee's binding, skipping the cache lookup. These tests pin the
+mechanism (the steady state makes no resolution call), its failure
+edges (an unresolvable name raises the machine tier's ``LinkError`` at
+the access and caches nothing), its invalidation (bindings live
+exactly as long as their cache entries) and its invisibility (values,
+cycles and metrics equal the machine backend's).
+"""
+
+import pickle
+import sys
+
+import pytest
+
+from repro.backend.icache import ICacheModel
+from repro.baselines import tuned_inliner
+from repro.bench import get_benchmark
+from repro.bytecode import MethodBuilder, Program
+from repro.bytecode.klass import FieldDef
+from repro.errors import LinkError
+from repro.jit.codecache import CodeCache, SharedCodeCache
+from repro.jit.config import JitConfig
+from repro.jit.engine import Engine
+from repro.obs import Observability
+from repro.runtime import VMState
+from repro.serve import ServiceConfig, TenantSpec, VMService
+from tests.helpers import fresh_program, shapes_program
+from tests.test_deopt import flip_program, speculative_engine
+
+
+@pytest.fixture(autouse=True)
+def _unpinned(monkeypatch):
+    for name in ("REPRO_BACKEND", "REPRO_SPECULATE", "REPRO_COMPILE"):
+        monkeypatch.delenv(name, raising=False)
+
+
+def _steady_config(backend="py"):
+    return JitConfig(
+        hot_threshold=25, interp_predecode=True, backend=backend,
+        compile_mode="sync", speculate=False, typespec=False, osr=False,
+    )
+
+
+def _outcome(fn, *args):
+    try:
+        return ("value", fn(*args))
+    except LinkError as error:
+        return ("LinkError", str(error))
+
+
+def _installed(engine):
+    """*engine*'s cache as ``{key: code}``: methods, and ``(method,
+    bci)`` for OSR continuations."""
+    cache = engine.code_cache
+    if isinstance(cache, CodeCache):
+        return {**cache._code, **cache._osr_code}
+    return {
+        entry.key: entry.code
+        for shard in cache._shared._shards
+        for entry in shard.values()
+        if entry.tenant == cache.tenant
+    }
+
+
+def _assert_bindings_match_cache(engine):
+    """One binding per installed code with a closure, and each is that
+    code's closure (it shares the generated module's globals)."""
+    installed = {
+        key: code for key, code in _installed(engine).items()
+        if code.py_factory is not None
+    }
+    assert set(engine._py_entries) == set(installed)
+    for key, entry in engine._py_entries.items():
+        assert entry.__globals__ is installed[key].py_factory.__globals__
+
+
+# ----------------------------------------------------------------------
+# The mechanism: no resolution call in the steady state
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["xalan", "scaladoc"])
+def test_steady_window_makes_no_resolution_calls(monkeypatch, name):
+    """After warm-up, generated code makes no ``get_static``,
+    ``is_subtype`` or ``resolve_method`` call, and no linked call goes
+    through ``CodeCache.get``."""
+    generated = {"get_static": 0, "is_subtype": 0, "resolve_method": 0}
+    lookups = []
+    window = [False]
+
+    def count_generated(owner, attr):
+        original = getattr(owner, attr)
+
+        def counted(*args):
+            if sys._getframe(1).f_code.co_filename.startswith("<pycodegen:"):
+                generated[attr] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, attr, counted)
+
+    count_generated(VMState, "get_static")
+    count_generated(Program, "is_subtype")
+    count_generated(Program, "resolve_method")
+    cache_get = CodeCache.get
+
+    def counted_get(self, method):
+        if window[0]:
+            lookups.append(method)
+        return cache_get(self, method)
+
+    monkeypatch.setattr(CodeCache, "get", counted_get)
+    engine = Engine(
+        get_benchmark(name).load(), _steady_config(), tuned_inliner(0.1)
+    )
+    for _ in range(30):
+        engine.run_iteration("Main")
+    # The window runs generated code only, and that code has sites of
+    # every kind this test counts.
+    source = "".join(
+        engine.code_cache.get(method).py_source or ""
+        for method in engine.code_cache.installed_methods()
+    )
+    for kind in ("static_slot", "subtype_row", "dispatch_row"):
+        assert kind in source
+    ops, execs = engine.interpreter.ops_executed, engine.py_exec_count
+    for key in generated:
+        generated[key] = 0
+    window[0] = True
+    for _ in range(10):
+        engine.run_iteration("Main")
+    window[0] = False
+    assert engine.interpreter.ops_executed == ops
+    assert engine.py_exec_count - execs > 100
+    assert generated == {"get_static": 0, "is_subtype": 0, "resolve_method": 0}
+    assert lookups == []
+
+
+def test_choice_of_dispatch_path():
+    program = shapes_program()
+    linked = Engine(program, JitConfig(backend="py"))
+    assert linked._dispatcher == linked._dispatch_linked
+    assert linked.interpreter.dispatch == linked._dispatch_linked
+    # The machine backend, a shared cache and observability keep the
+    # generic path (and the machine backend binds nothing).
+    machine = Engine(program, JitConfig(backend="machine"))
+    shared = Engine(
+        program, JitConfig(backend="py"),
+        code_cache=SharedCodeCache().view(0),
+    )
+    observed = Engine(program, JitConfig(backend="py"), obs=Observability())
+    for engine in (machine, shared, observed):
+        assert not engine._linked
+        assert engine._dispatcher == engine._dispatch
+        assert engine.executor.dispatch == engine._dispatch
+    assert machine.code_cache._hook is None
+
+
+# ----------------------------------------------------------------------
+# Failure edges: LinkError where the machine tier raises it, uncached
+# ----------------------------------------------------------------------
+
+
+def _late_static_program():
+    """``Main.store(v)`` prints *v*, then stores it into ``Late.x``,
+    whose class does not exist yet."""
+    program = fresh_program()
+    main = program.define_class("Main", is_abstract=True)
+    b = MethodBuilder("store", ["int"], "int", is_static=True)
+    b.load(0).invokestatic("Builtins", "print")
+    b.load(0).putstatic("Late", "x")
+    b.load(0).const(1).add().retv()
+    main.add_method(b.build())
+    return program
+
+
+def _late_receiver_program():
+    """``Main.go(k)`` calls ``m`` on an A (k=0), an A2 (k=1), a B, which
+    has no ``m`` (k=2), or a C, whose class does not exist yet (k=3)."""
+    program = fresh_program()
+    a = program.define_class("A")
+    b = MethodBuilder("m", [], "int")
+    b.const(1).retv()
+    a.add_method(b.build())
+    a2 = program.define_class("A2", superclass="A")
+    b = MethodBuilder("m", [], "int")
+    b.const(2).retv()
+    a2.add_method(b.build())
+    program.define_class("B")
+    main = program.define_class("Main", is_abstract=True)
+    b = MethodBuilder("call", ["A"], "int", is_static=True)
+    b.load(0).invokevirtual("A", "m").retv()
+    main.add_method(b.build())
+    b = MethodBuilder("go", ["int"], "int", is_static=True)
+    labels = [b.new_label() for _ in range(3)]
+    for k, label in enumerate(labels):
+        b.load(0).const(k).eq().if_true(label)
+    b.new("C").invokestatic("Main", "call").retv()
+    for k, class_name in enumerate(("A", "A2", "B")):
+        b.place(labels[k])
+        b.new(class_name).invokestatic("Main", "call").retv()
+    main.add_method(b.build())
+    return program
+
+
+def _twin_engines(build):
+    """The same program on both backends, no inlining, compiling at the
+    second call: ``(program, engine)`` pairs, machine first."""
+    pairs = []
+    for backend in ("machine", "py"):
+        program = build()
+        config = JitConfig(backend=backend, hot_threshold=2, speculate=False)
+        pairs.append((program, Engine(program, config)))
+    return pairs
+
+
+def _step(engine, class_name, method_name, args):
+    before = engine.compiled_cycles, engine.icache_cycles
+    outcome = _outcome(engine.call, class_name, method_name, args)
+    return outcome, (
+        engine.compiled_cycles - before[0], engine.icache_cycles - before[1]
+    )
+
+
+def test_unresolved_static_raises_at_the_access_uncached():
+    (_, machine), (program, py) = _twin_engines(_late_static_program)
+    for value in range(5):
+        expected = _step(machine, "Main", "store", [value])
+        assert expected[0] == ("LinkError", "unknown class 'Late'")
+        assert _step(py, "Main", "store", [value]) == expected
+    # The py tier ran the store: the print before it is in the output.
+    assert py.py_exec_count >= 3
+    assert py.vm.output == machine.vm.output == list(range(5))
+    store = program.lookup_method("Main", "store")
+    assert "static_slot('Late', 'x')" in py.code_cache.get(store).py_source
+    assert ("Late", "x") not in py.vm._static_keys
+    # Defined late, the class links on the next access: nothing cached
+    # the failure.
+    for prog, _ in ((machine.program, machine), (program, py)):
+        prog.define_class("Late").add_field(
+            FieldDef("x", "int", is_static=True)
+        )
+    for value in (7, 8):
+        expected = _step(machine, "Main", "store", [value])
+        assert expected[0] == ("value", value + 1)
+        assert _step(py, "Main", "store", [value]) == expected
+    assert py.vm._statics[("Late", "x")] == 8
+
+
+def test_unresolved_virtual_target_raises_uncached():
+    (_, machine), (program, py) = _twin_engines(_late_receiver_program)
+    for k in (0, 1) * 3:
+        expected = _step(machine, "Main", "go", [k])
+        assert expected[0] == ("value", k + 1)
+        assert _step(py, "Main", "go", [k]) == expected
+    call = program.lookup_method("Main", "call")
+    assert "dispatch_row('m')" in py.code_cache.get(call).py_source
+    row = program.dispatch_row("m")
+    for _ in range(2):
+        expected = _step(machine, "Main", "go", [2])
+        assert expected[0] == ("LinkError", "method m not found on B")
+        assert _step(py, "Main", "go", [2]) == expected
+        assert "B" not in row
+    expected = _step(machine, "Main", "go", [3])
+    assert expected[0] == ("LinkError", "unknown class 'C'")
+    assert _step(py, "Main", "go", [3]) == expected
+    # A late subclass of A: the bound row was emptied in place by
+    # add_class and resolves C.m to A.m.
+    for engine in (machine, py):
+        engine.program.define_class("C", superclass="A")
+    assert len(row) == 0
+    for k in (3, 0, 1, 3):
+        expected = _step(machine, "Main", "go", [k])
+        assert expected[0] == ("value", 2 if k == 1 else 1)
+        assert _step(py, "Main", "go", [k]) == expected
+    assert row["C"] is program.lookup_method("A", "m")
+    assert py.py_exec_count > 0
+
+
+# ----------------------------------------------------------------------
+# Program rows
+# ----------------------------------------------------------------------
+
+
+def test_rows_answer_like_the_walk_after_late_add_class():
+    program = shapes_program()
+    sub = program.subtype_row("Shape")
+    dispatch = program.dispatch_row("area")
+    assert sub["Square"] is True and sub["Main"] is False
+    assert dispatch["Circle"] is program.klass("Circle").methods["area"]
+    with pytest.raises(LinkError, match="unknown class 'Late'"):
+        sub["Late"]
+    with pytest.raises(LinkError, match="unknown class 'Late'"):
+        dispatch["Late"]
+    assert "Late" not in sub and "Late" not in dispatch
+    late = program.define_class("Late", superclass="Square")
+    assert len(sub) == 0 and len(dispatch) == 0
+    assert program.subtype_row("Shape") is sub  # bound rows stay valid
+    assert sub["Late"] is True
+    assert program.is_subtype("Late", "Square")
+    assert program.is_subtype("Late[]", "Shape[]")
+    assert not program.is_subtype("Late[]", "int[]")
+    assert dispatch["Late"] is program.klass("Square").methods["area"]
+    assert program.resolve_method("Late", "area") is dispatch["Late"]
+    assert late.name == "Late"
+
+
+def test_program_pickles_with_filled_rows():
+    program = get_benchmark("avrora").load()
+    engine = Engine(program, JitConfig(backend="py"))
+    for _ in range(3):
+        engine.run_iteration("Main")
+    assert any(program._dispatch_rows.values())
+    copy = pickle.loads(pickle.dumps(program))
+    for rows, twin in (
+        (program._subtype_rows, copy._subtype_rows),
+        (program._dispatch_rows, copy._dispatch_rows),
+    ):
+        assert twin.fill.__self__ is copy
+        assert set(twin) == set(rows)
+        for key, row in twin.items():
+            assert row.fill.__self__ is copy
+            assert set(row) == set(rows[key])
+    name = next(iter(copy._dispatch_rows))
+    receiver = next(iter(copy._dispatch_rows[name]))
+    assert copy.resolve_method(receiver, name).qualified_name == (
+        program.resolve_method(receiver, name).qualified_name
+    )
+
+
+# ----------------------------------------------------------------------
+# Invalidation: bindings live as long as their cache entries
+# ----------------------------------------------------------------------
+
+
+def test_links_rebind_after_deopt_and_cycles_match_machine():
+    """A deopt evicts Main.drive's code, dropping its binding; the
+    recompile binds the new code. Every call's value and cycles equal
+    the machine backend's, with an icache penalty that moves."""
+    engines = [
+        speculative_engine(
+            flip_program(), backend=backend,
+            icache=ICacheModel(capacity=20, penalty=40),
+        )
+        for backend in ("machine", "py")
+    ]
+    machine, py = engines
+    drive = py.program.lookup_method("Main", "drive")
+    trail = []
+    for step, kind in enumerate([0] * 10 + [1] + [1, 0] * 5):
+        results = [_step(e, "Main", "drive", [kind]) for e in engines]
+        assert results[0] == results[1], step
+        trail.append(results[1][1][1])
+        _assert_bindings_match_cache(py)
+        if step == 9:
+            first = py._py_entries[drive]
+        if step == 10:
+            assert py.deopt_count == 1
+            assert drive not in py._py_entries
+            assert drive not in py.code_cache
+    assert machine.deopt_count == py.deopt_count == 1
+    assert py._py_entries[drive] is not first
+    assert len(set(trail)) > 1  # the penalty tracked total_size
+
+
+def test_deopt_counts_no_cache_hit():
+    """A deopt counts no cache hit of its own: the py and machine
+    backends count the same hits, misses and installs."""
+    snapshots = []
+    for backend in ("machine", "py"):
+        obs = Observability()
+        engine = speculative_engine(flip_program(), obs=obs, backend=backend)
+        for kind in [0] * 10 + [1] + [1, 0] * 3:
+            engine.call("Main", "drive", [kind])
+        assert engine.deopt_count == 1
+        snapshots.append(obs.metrics.snapshot())
+    machine, py = snapshots
+    for name in ("codecache.hits", "codecache.misses", "codecache.installs"):
+        assert py[name]["value"] == machine[name]["value"], name
+
+
+@pytest.mark.parametrize("name", ["fop", "jython"])
+def test_metrics_with_obs_equal_the_machine_backend(name):
+    """With observability on, the py engine keeps the generic dispatch:
+    its cache and icache metrics equal the machine backend's."""
+    snapshots, cycles = [], []
+    for backend in ("machine", "py"):
+        obs = Observability()
+        config = JitConfig(
+            backend=backend, hot_threshold=5,
+            icache=ICacheModel(capacity=500, penalty=40),
+        )
+        engine = Engine(
+            get_benchmark(name).load(), config, tuned_inliner(0.1), obs=obs
+        )
+        cycles.append(
+            [engine.run_iteration("Main").total_cycles for _ in range(8)]
+        )
+        snapshots.append(obs.metrics.snapshot())
+    assert cycles[0] == cycles[1]
+    keys = [
+        key for key in snapshots[0]
+        if key.startswith("codecache.") or key == "icache.penalty"
+    ]
+    assert "icache.penalty" in keys and "codecache.hits" in keys
+    for key in keys:
+        assert snapshots[1][key] == snapshots[0][key], key
+
+
+def test_shared_cache_bindings_die_with_their_entries():
+    """Two py tenants thrashing a 300-unit shared cache (every install
+    evicts, and the evicted methods recompile at once): every binding a
+    tenant holds is for code the cache still holds."""
+    service = VMService(ServiceConfig(
+        backend="py", cache_budget=300, compile_mode="sync",
+        hot_threshold=5,
+    ))
+    tenants = [
+        service.admit(TenantSpec(
+            name=name, benchmark=name, iterations=1,
+            inliner=lambda: tuned_inliner(0.1),
+        ))
+        for name in ("pmd", "jython")
+    ]
+    report = service.run(concurrent=False)
+    assert all(t["state"] == "done" for t in report.tenants)
+    assert service.cache.reinstalls_after_evict(tenants[0].tenant_id) > 100
+    for tenant in tenants:
+        engine = tenant.engine
+        assert engine.py_exec_count > 0
+        _assert_bindings_match_cache(engine)
+    service.evict("pmd")
+    assert tenants[0].engine._py_entries == {}
+
+
+def test_async_serve_bindings_follow_evictions_across_threads():
+    """Three py tenants on their own threads, two compile workers, and
+    a shared cache that evicts on every install: installs and
+    evictions run the tenants' hooks from other threads while the
+    tenants dispatch. With a tiny switch interval, every binding still
+    dies with its entry, and every tenant computes what it computes
+    alone."""
+    names = ("pmd", "jython", "avrora")
+
+    def fleet(mode, workers):
+        service = VMService(ServiceConfig(
+            backend="py", cache_budget=300, compile_mode=mode,
+            compile_workers=workers, hot_threshold=5,
+        ))
+        tenants = [
+            service.admit(TenantSpec(
+                name=name, benchmark=name, iterations=2,
+                inliner=lambda: tuned_inliner(0.1),
+            ))
+            for name in names
+        ]
+        return service, tenants
+
+    _, alone = fleet("sync", 0)
+    for tenant in alone:
+        tenant.run_workload()
+    service, tenants = fleet("async", 2)
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        report = service.run(concurrent=True)
+    finally:
+        sys.setswitchinterval(old_interval)
+        service.shutdown()
+    assert [t["state"] for t in report.tenants] == ["done"] * len(names)
+    assert service.cache.eviction_count > 0
+    for tenant, reference in zip(tenants, alone):
+        assert tenant.outcomes == reference.outcomes
+        assert tenant.output == reference.output
+        _assert_bindings_match_cache(tenant.engine)
