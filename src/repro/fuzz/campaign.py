@@ -13,9 +13,11 @@ logged seed alone.  For each case the driver:
    serialized text, and (optionally) writes the reproducer into the
    corpus directory.
 
-Progress and findings stream through :mod:`repro.obs` events
-(``fuzz.case`` / ``fuzz.divergence`` / ``fuzz.campaign``), so
-``--report out.jsonl`` gives a machine-readable campaign record.
+Progress and findings are recorded through
+:meth:`repro.obs.Observability.record` (``fuzz.case`` /
+``fuzz.divergence`` / ``fuzz.campaign``), so ``--report out.jsonl``
+gives a machine-readable campaign record and ``--flight-out`` a
+bounded one.
 """
 
 import time
@@ -124,14 +126,6 @@ def _slug(finding):
     )
 
 
-def _emit(obs, name, **attrs):
-    """Mirror one campaign event into the event log *and* the flight
-    ring, so a fuzz run leaves a bounded JSONL-dumpable recording."""
-    obs.events.emit(name, **attrs)
-    if obs.flight.enabled:
-        obs.flight.record(name, **attrs)
-
-
 def run_campaign(
     master_seed=0,
     runs=100,
@@ -162,16 +156,12 @@ def run_campaign(
             program, entry = case.build()
         except Exception as error:
             result.generator_errors += 1
-            _emit(
-                obs, "fuzz.generator_error", seed=seed, error=repr(error)
-            )
+            obs.record("fuzz.generator_error", seed=seed, error=repr(error))
             continue
         result.runs_executed += 1
         divergence = check_program(program, entry, names, iterations, vm_seed)
         if divergence is None:
-            _emit(
-                obs, "fuzz.case", seed=seed, kind=case.kind, status="agree"
-            )
+            obs.record("fuzz.case", seed=seed, kind=case.kind, status="agree")
             continue
         finding = _process_divergence(
             case, divergence, names, iterations, vm_seed, shrink, obs
@@ -179,16 +169,15 @@ def run_campaign(
         result.findings.append(finding)
         if corpus_dir is not None:
             finding.corpus_path = _write_corpus(corpus_dir, finding)
-        _emit(obs, "fuzz.divergence", **finding.as_dict())
+        obs.record("fuzz.divergence", **finding.as_dict())
 
     result.elapsed = time.monotonic() - started
-    _emit(obs, "fuzz.campaign", **result.as_dict())
+    obs.record("fuzz.campaign", **result.as_dict())
     return result
 
 
 def _process_divergence(case, divergence, names, iterations, vm_seed, shrink, obs):
-    _emit(
-        obs,
+    obs.record(
         "fuzz.case",
         seed=case.seed,
         kind=case.kind,

@@ -28,16 +28,12 @@ def note_snapshot_fallback(obs, source):
     """Record a snapshot that gave up after :data:`SNAPSHOT_ATTEMPTS`
     copies, so the compile reads default profiles for *source*
     (``"store"`` or a pooled method name). Inert without observability."""
-    if obs is None:
+    if obs is None or not obs.enabled:
         return
-    if obs.enabled:
-        obs.metrics.counter("profile.snapshot_fallbacks").inc()
-    if obs.flight.enabled:
-        obs.flight.record(
-            "profile.snapshot_fallback",
-            source=source,
-            attempts=SNAPSHOT_ATTEMPTS,
-        )
+    obs.metrics.counter("profile.snapshot_fallbacks").inc()
+    obs.record(
+        "profile.snapshot_fallback", source=source, attempts=SNAPSHOT_ATTEMPTS
+    )
 
 
 class BranchProfile:

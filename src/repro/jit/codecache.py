@@ -474,16 +474,7 @@ class SharedCodeCache:
                 self._m_evictions.inc()
             obs = self._obs
             if obs.enabled:
-                obs.events.emit(
-                    "codecache.evict",
-                    tenant=str(tenant),
-                    method=entry.method.qualified_name,
-                    osr_bci=entry.osr_bci,
-                    policy=self.policy,
-                    size=entry.size,
-                )
-            if obs.flight.enabled:
-                obs.flight.record(
+                obs.record(
                     "codecache.evict",
                     tenant=str(tenant),
                     method=entry.method.qualified_name,

@@ -23,7 +23,7 @@ from repro.errors import CompileError
 from repro.ir.builder import build_graph
 from repro.ir.frequency import annotate_frequencies
 from repro.obs import NULL_OBS, ProvenanceTracer
-from repro.obs.provenance import emit_trace_event, record_trace_event
+from repro.obs.provenance import record_trace_event
 from repro.opts.pipeline import OptimizationPipeline
 
 
@@ -151,9 +151,7 @@ class JitCompiler:
                 getattr(inliner, "tracer", None) is None
                 and hasattr(inliner, "attach_tracer")
             ):
-                inliner.attach_tracer(
-                    ProvenanceTracer(self.obs.events, self.obs.flight)
-                )
+                inliner.attach_tracer(ProvenanceTracer(self.obs))
 
     def compile(self, method):
         """Compile *method*; returns a :class:`CompilationRecord`."""
@@ -222,7 +220,7 @@ class JitCompiler:
             if self.inliner is not None:
                 with timers.span("compile.inline"):
                     inline_report = self._run_inliner(graph, obs)
-            self._emit_typecheck_decisions(graph, obs)
+            self._record_typecheck_decisions(graph, obs)
             with events.span("optimize", stage="post-inline"), \
                     timers.span("compile.optimize"):
                 self.pipeline.run(graph)
@@ -254,11 +252,10 @@ class JitCompiler:
         self.records.append(record)
         return record
 
-    def _emit_typecheck_decisions(self, graph, obs):
-        """Mirror the builder's type-check speculation decisions into
-        the event stream and flight ring.
+    def _record_typecheck_decisions(self, graph, obs):
+        """Record the builder's type-check speculation decisions.
 
-        Emitted after the inliner ran so ``explain`` attributes them to
+        Recorded after the inliner ran so ``explain`` attributes them to
         the compilation opened by its ``inline.begin``. Positive
         decisions feed the ``inline.type_speculations`` counter.
         """
@@ -280,11 +277,8 @@ class JitCompiler:
         speculated = sum(1 for d in decisions if d["speculate"])
         if speculated:
             obs.metrics.counter("inline.type_speculations").inc(speculated)
-        flight = obs.flight
         for decision in decisions:
-            obs.events.emit("inline.typecheck", **decision)
-            if flight.enabled:
-                flight.record("inline.typecheck", **decision)
+            obs.record("inline.typecheck", **decision)
 
     def _attach_py_tier(self, graph, code, obs):
         """Lower *graph* to a Python closure and attach it to *code*.
@@ -294,9 +288,8 @@ class JitCompiler:
         (unsupported shape) — the machine code is always present, so a
         bailout degrades to the oracle tier, never to a wrong answer.
         """
-        events = obs.events
         try:
-            with events.span("pycodegen"), \
+            with obs.events.span("pycodegen"), \
                     obs.timers.span("compile.pycodegen"):
                 factory, source = generate_py(
                     graph, self.config.cost_model
@@ -308,19 +301,12 @@ class JitCompiler:
                 metrics.counter(
                     "backend.py.bailouts.%s" % bailout.reason
                 ).inc()
-                events.emit(
+                obs.record(
                     "backend.bailout",
                     method=graph.name,
                     reason=bailout.reason,
                     detail=bailout.detail,
                 )
-                if obs.flight.enabled:
-                    obs.flight.record(
-                        "backend.bailout",
-                        method=graph.name,
-                        reason=bailout.reason,
-                        detail=bailout.detail,
-                    )
             return "machine"
         code.py_factory = factory
         code.py_source = source
@@ -329,8 +315,8 @@ class JitCompiler:
         return "py"
 
     def _run_inliner(self, graph, obs):
-        """Run the inlining policy inside an ``inline`` span, mirroring
-        its decision trace into the event stream."""
+        """Run the inlining policy inside an ``inline`` span, recording
+        its decision trace."""
         tracer = getattr(self.inliner, "tracer", None)
         drain_from = None
         if (
@@ -343,11 +329,8 @@ class JitCompiler:
             inline_report = self.inliner.run(graph, self.context)
             annotate_frequencies(graph)
             if drain_from is not None:
-                flight = obs.flight
                 for event in tracer.events[drain_from:]:
-                    emit_trace_event(obs.events, event)
-                    if flight.enabled:
-                        record_trace_event(flight, event)
+                    record_trace_event(obs, event)
             if obs.enabled and inline_report is not None:
                 inline_span.set(
                     rounds=inline_report.rounds,

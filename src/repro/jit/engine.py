@@ -16,10 +16,13 @@ Cycle accounting:
   single-threaded JIT does; this is what the warmup figure shows).
 
 Observability: pass ``obs=Observability()`` to record tier
-transitions, compile triggers/failures and per-iteration breakdowns
-into the shared metrics registry and event stream (see
-:mod:`repro.obs`). The default is the inert :data:`~repro.obs.NULL_OBS`
-and leaves the cycle model bit-identical to an un-instrumented run.
+transitions, compile triggers/failures, deopts and per-iteration
+breakdowns into the shared metrics registry, event stream and flight
+ring (see :mod:`repro.obs`). Sync, OSR and background compiles share
+one trigger record, one install path (:meth:`Engine._install`) and one
+failure path (:meth:`Engine._compile_failure`). The default is the
+inert :data:`~repro.obs.NULL_OBS` and leaves the cycle model
+bit-identical to an un-instrumented run.
 
 Background compilation: with ``JitConfig(compile_mode="async")`` (or
 ``REPRO_COMPILE=async``) compile requests are enqueued on a
@@ -210,8 +213,7 @@ class Engine:
             self.interpreter.osr_threshold = max(
                 1, int(self.config.osr_threshold)
             )
-        # Flight recorder: bounded provenance ring (inert on NULL_OBS).
-        self._flight = self.obs.flight
+        # Where the flight-recorder ring goes on a crash, if anywhere.
         self._flight_dump_path = self.config.flight_dump_path()
         # Pre-bound instrument for the hot dispatch path; None when
         # observability is off so the fast path pays one None check.
@@ -328,11 +330,12 @@ class Engine:
         count = self._deopt_counts.get(method, 0) + 1
         self._deopt_counts[method] = count
         self.speculation_log.record(signal.site, signal.reason)
-        if self._flight.enabled:
+        obs = self.obs
+        if obs.enabled:
             # Timeline entry linking back to the guard that fired: the
             # ``site`` key matches the compile-time ``inline.speculation``
             # record for the refuted guess.
-            self._flight.record(
+            obs.record(
                 "deopt",
                 method=method.qualified_name,
                 reason=signal.reason,
@@ -357,27 +360,13 @@ class Engine:
                 invalidated = self.code_cache.evict(method)
         if invalidated:
             self.invalidation_count += 1
-            if self._flight.enabled:
-                self._flight.record(
-                    "jit.invalidate",
-                    method=method.qualified_name,
-                    reason=signal.reason,
-                )
-        obs = self.obs
         if obs.enabled:
             metrics = obs.metrics
             metrics.counter("deopt.taken").inc()
             metrics.counter("deopt.reasons.%s" % signal.reason).inc()
             if invalidated:
                 metrics.counter("jit.invalidations").inc()
-            obs.events.emit(
-                "deopt",
-                method=method.qualified_name,
-                reason=signal.reason,
-                site="%s@%d" % signal.site,
-            )
-            if invalidated:
-                obs.events.emit(
+                obs.record(
                     "jit.invalidate",
                     method=method.qualified_name,
                     reason=signal.reason,
@@ -399,99 +388,118 @@ class Engine:
         return self.profiles.hotness(method) >= config.hot_threshold
 
     def _compile(self, method):
-        obs = self.obs
-        if obs.enabled:
-            obs.events.emit(
-                "jit.trigger",
-                method=method.qualified_name,
-                hotness=self.profiles.hotness(method),
-            )
-        # Flight recording is gated independently of the event log —
-        # a ring-only configuration must still see trigger records,
-        # matching the ``jit.compile_failed`` path below.
-        if self._flight.enabled:
-            self._flight.record(
-                "jit.trigger",
-                method=method.qualified_name,
-                hotness=self.profiles.hotness(method),
-            )
+        self._record_trigger(method)
         try:
             record = self.compiler.compile(method)
         except CompileError as error:
-            self._compile_failed.add(method)
-            if obs.enabled:
-                obs.metrics.counter("jit.compile.failures").inc()
-                obs.events.emit(
-                    "jit.compile_failed", method=method.qualified_name
-                )
-            if self._flight.enabled:
-                self._flight.record(
-                    "jit.compile_failed",
-                    method=method.qualified_name,
-                    error=repr(error),
-                )
-                self._dump_flight_on_crash("compile-error")
+            self._compile_failure(method, error)
             return None
-        if self._install_code(method, record.code) is False:
-            return None
-        self.compile_cycles += record.compile_cycles
-        self.compilation_count += 1
-        if self._flight.enabled:
-            self._flight.record(
-                "jit.install",
-                method=method.qualified_name,
-                code_size=record.code.size,
-                total_size=self.code_cache.total_size,
-                compile_cycles=record.compile_cycles,
-                nodes=record.graph_nodes,
+        return self._install(method, record)
+
+    # ------------------------------------------------------------------
+    # Compile outcomes: one trigger record, one install path and one
+    # failure path for sync, OSR and background compiles
+    # ------------------------------------------------------------------
+
+    def _record_compile(self, outcome, method, bci, background, **attrs):
+        """Record one compile fact: ``jit.<outcome>`` for a whole
+        method, ``osr.<outcome>`` with the backedge *bci* for an OSR
+        continuation; a background compile adds ``mode="async"``."""
+        head = {"method": method.qualified_name}
+        if bci is None:
+            kind = "jit." + outcome
+        else:
+            kind = "osr." + outcome
+            head["bci"] = bci
+        if background:
+            attrs["mode"] = "async"
+        self.obs.record(kind, **head, **attrs)
+
+    def _record_trigger(self, method, bci=None, background=False):
+        """Record that *method* (at OSR backedge *bci*) is compiled now,
+        or queued when *background*."""
+        if self.obs.enabled:
+            self._record_compile(
+                "trigger", method, bci, background,
+                hotness=self.profiles.hotness(method),
             )
+
+    def _mark_failed(self, method, bci):
+        """Stop hot dispatches (or backedges) re-requesting this key."""
+        if bci is None:
+            self._compile_failed.add(method)
+        else:
+            self._osr_failed.add((method, bci))
+
+    def _compile_failure(self, method, error, bci=None, background=False):
+        """The one failure path: the compilation of *method* (at OSR
+        backedge *bci*) raised *error*; it stays interpreted."""
+        self._mark_failed(method, bci)
+        obs = self.obs
+        if obs.enabled:
+            obs.metrics.counter("jit.compile.failures").inc()
+            self._record_compile(
+                "compile_failed", method, bci, background, error=repr(error)
+            )
+            self._dump_flight_on_crash("compile-error")
+
+    def _install(self, method, record, bci=None, background=False):
+        """The one install path: put *record*'s code in the cache (as
+        the OSR continuation at *bci* when given) and account for it.
+
+        Compile cycles go to ``compile_cycles`` (the running iteration
+        pays) or, for a *background* compile, to
+        ``background_compile_cycles``. A per-tenant quota can reject an
+        entry outright (the code alone exceeds the quota); the key is
+        then marked failed so it stops being re-requested. Returns the
+        installed code, or None on rejection.
+        """
+        code = record.code
+        with self._cache_lock:
+            if bci is None:
+                accepted = self.code_cache.install(method, code)
+            else:
+                accepted = self.code_cache.install_osr(method, bci, code)
+        obs = self.obs
+        if accepted is False:
+            self._mark_failed(method, bci)
+            if obs.enabled:
+                obs.metrics.counter("codecache.quota_rejections").inc()
+                obs.record(
+                    "jit.install_rejected",
+                    method=method.qualified_name,
+                    code_size=code.size,
+                )
+            return None
+        cycles = record.compile_cycles
+        if background:
+            self.background_compile_cycles += cycles
+            self.async_installs += 1
+        else:
+            self.compile_cycles += cycles
+        self.compilation_count += 1
+        if bci is not None:
+            self.osr_compilation_count += 1
         if obs.enabled:
             metrics = obs.metrics
+            if bci is not None:
+                metrics.counter("osr.compilations").inc()
             metrics.counter("jit.compile.count").inc()
-            metrics.counter("jit.compile.cycles").inc(record.compile_cycles)
+            metrics.counter(
+                "jit.compile.cycles.background"
+                if background
+                else "jit.compile.cycles"
+            ).inc(cycles)
             metrics.histogram("jit.compile.nodes").record(record.graph_nodes)
-            metrics.histogram("jit.compile.code_size").record(record.code.size)
-            obs.events.emit(
-                "jit.install",
-                method=method.qualified_name,
-                code_size=record.code.size,
+            metrics.histogram("jit.compile.code_size").record(code.size)
+            self._record_compile(
+                "install", method, bci, background,
+                code_size=code.size,
                 total_size=self.code_cache.total_size,
-                compile_cycles=record.compile_cycles,
+                compile_cycles=cycles,
+                nodes=record.graph_nodes,
             )
-        return record.code
-
-    def _install_code(self, method, code, osr_bci=None):
-        """Install compiled code, tolerating shared-cache rejection.
-
-        A per-tenant quota can reject an entry outright (the code alone
-        exceeds the quota); the method is then marked failed so hot
-        dispatches stop re-requesting it. Returns False on rejection.
-        """
-        with self._cache_lock:
-            if osr_bci is not None:
-                accepted = self.code_cache.install_osr(method, osr_bci, code)
-            else:
-                accepted = self.code_cache.install(method, code)
-        if accepted is False:
-            if osr_bci is not None:
-                self._osr_failed.add((method, osr_bci))
-            else:
-                self._compile_failed.add(method)
-            if self.obs.enabled:
-                self.obs.metrics.counter("codecache.quota_rejections").inc()
-                self.obs.events.emit(
-                    "jit.install_rejected",
-                    method=method.qualified_name,
-                    code_size=code.size,
-                )
-            if self._flight.enabled:
-                self._flight.record(
-                    "jit.install_rejected",
-                    method=method.qualified_name,
-                    code_size=code.size,
-                )
-            return False
-        return True
+        return code
 
     # ------------------------------------------------------------------
     # Background compilation (the online setting)
@@ -539,20 +547,7 @@ class Engine:
                     profiles=self.profiles.snapshot(),
                 )
             self._pending[key] = request
-        obs = self.obs
-        if obs.enabled:
-            obs.events.emit(
-                "jit.trigger",
-                method=method.qualified_name,
-                hotness=self.profiles.hotness(method),
-                mode="async",
-            )
-        if self._flight.enabled:
-            self._flight.record(
-                "compile.enqueue",
-                method=request.describe(),
-                hotness=self.profiles.hotness(method),
-            )
+        self._record_trigger(method, request.bci, background=True)
         if not self._service().submit(request):
             # Backpressure: drop the marker so a later hot dispatch
             # retries once the queue has drained.
@@ -592,17 +587,12 @@ class Engine:
         code out of the cache.
         """
         method = request.method
-        name = method.qualified_name
         with self._pending_lock:
             self._pending.pop(request.key, None)
         if request.cancelled or (record is None and error is None):
             self.async_cancelled += 1
-            if self._flight.enabled:
-                self._flight.record(
-                    "compile.cancelled", method=request.describe()
-                )
             if self.obs.enabled:
-                self.obs.events.emit(
+                self.obs.record(
                     "compile.cancelled", method=request.describe()
                 )
             return "cancelled"
@@ -613,64 +603,12 @@ class Engine:
                 error = CompileError(
                     "background compilation crashed: %r" % (error,)
                 )
-            if request.kind == "osr":
-                self._osr_failed.add((method, request.bci))
-            else:
-                self._compile_failed.add(method)
-            if self.obs.enabled:
-                self.obs.metrics.counter("jit.compile.failures").inc()
-                self.obs.events.emit(
-                    "jit.compile_failed", method=name, mode="async"
-                )
-            if self._flight.enabled:
-                self._flight.record(
-                    "jit.compile_failed",
-                    method=request.describe(),
-                    error=repr(error),
-                )
-                self._dump_flight_on_crash("compile-error")
+            self._compile_failure(
+                method, error, request.bci, background=True
+            )
             return "failed"
-        if self._install_code(
-            method, record.code,
-            osr_bci=request.bci if request.kind == "osr" else None,
-        ) is False:
+        if self._install(method, record, request.bci, background=True) is None:
             return "failed"
-        self.background_compile_cycles += record.compile_cycles
-        self.compilation_count += 1
-        self.async_installs += 1
-        if request.kind == "osr":
-            self.osr_compilation_count += 1
-        obs = self.obs
-        if obs.enabled:
-            metrics = obs.metrics
-            metrics.counter("jit.compile.count").inc()
-            metrics.counter("jit.compile.cycles.background").inc(
-                record.compile_cycles
-            )
-            metrics.histogram("jit.compile.nodes").record(record.graph_nodes)
-            metrics.histogram("jit.compile.code_size").record(
-                record.code.size
-            )
-            if request.kind == "osr":
-                metrics.counter("osr.compilations").inc()
-            obs.events.emit(
-                "jit.install",
-                method=request.describe(),
-                code_size=record.code.size,
-                total_size=self.code_cache.total_size,
-                compile_cycles=record.compile_cycles,
-                mode="async",
-            )
-        if self._flight.enabled:
-            self._flight.record(
-                "jit.install",
-                method=request.describe(),
-                code_size=record.code.size,
-                total_size=self.code_cache.total_size,
-                compile_cycles=record.compile_cycles,
-                nodes=record.graph_nodes,
-                mode="async",
-            )
         return "installed"
 
     def _cancel_pending(self, method):
@@ -779,14 +717,7 @@ class Engine:
         obs = self.obs
         if obs.enabled:
             obs.metrics.counter("osr.entries").inc()
-            obs.events.emit(
-                "osr.enter",
-                method=method.qualified_name,
-                bci=bci,
-                stack_depth=len(stack),
-            )
-        if self._flight.enabled:
-            self._flight.record(
+            obs.record(
                 "osr.enter",
                 method=method.qualified_name,
                 bci=bci,
@@ -802,80 +733,22 @@ class Engine:
             return self._handle_deopt(method, signal, osr_key=bci)
 
     def _compile_osr(self, method, bci, target, stack_depth):
-        obs = self.obs
-        name = method.qualified_name
         if (
             len(self.code_cache) + self.code_cache.osr_count()
             >= self.config.max_compiled_methods
         ):
-            self._osr_failed.add((method, bci))
+            self._mark_failed(method, bci)
             return None
-        if obs.enabled:
-            obs.events.emit(
-                "osr.trigger",
-                method=name,
-                bci=bci,
-                hotness=self.profiles.hotness(method),
-            )
-        if self._flight.enabled:
-            self._flight.record(
-                "osr.trigger",
-                method=name,
-                bci=bci,
-                hotness=self.profiles.hotness(method),
-            )
+        self._record_trigger(method, bci)
         try:
             record = self.compiler.compile_osr(method, bci, target, stack_depth)
         except (CompileError, IRError) as error:
             # IRError included: OSR graphs are built from mid-method
             # entry states the whole-method front end never sees, and a
             # builder failure must degrade to interpretation, not crash.
-            self._osr_failed.add((method, bci))
-            if obs.enabled:
-                obs.metrics.counter("jit.compile.failures").inc()
-                obs.events.emit("osr.compile_failed", method=name, bci=bci)
-            if self._flight.enabled:
-                self._flight.record(
-                    "osr.compile_failed",
-                    method=name,
-                    bci=bci,
-                    error=repr(error),
-                )
-                self._dump_flight_on_crash("compile-error")
+            self._compile_failure(method, error, bci)
             return None
-        if self._install_code(method, record.code, osr_bci=bci) is False:
-            return None
-        self.compile_cycles += record.compile_cycles
-        self.compilation_count += 1
-        self.osr_compilation_count += 1
-        if self._flight.enabled:
-            self._flight.record(
-                "osr.install",
-                method=name,
-                bci=bci,
-                code_size=record.code.size,
-                total_size=self.code_cache.total_size,
-                compile_cycles=record.compile_cycles,
-                nodes=record.graph_nodes,
-            )
-        if obs.enabled:
-            metrics = obs.metrics
-            metrics.counter("osr.compilations").inc()
-            metrics.counter("jit.compile.count").inc()
-            metrics.counter("jit.compile.cycles").inc(record.compile_cycles)
-            metrics.histogram("jit.compile.nodes").record(record.graph_nodes)
-            metrics.histogram("jit.compile.code_size").record(
-                record.code.size
-            )
-            obs.events.emit(
-                "osr.install",
-                method=name,
-                bci=bci,
-                code_size=record.code.size,
-                total_size=self.code_cache.total_size,
-                compile_cycles=record.compile_cycles,
-            )
-        return record.code
+        return self._install(method, record, bci)
 
     # ------------------------------------------------------------------
     # Flight recorder
@@ -887,20 +760,22 @@ class Engine:
         Raises :class:`ValueError` when the engine runs without a live
         flight recorder (the ``NULL_OBS`` default).
         """
-        self._flight.save(path)
+        self.obs.flight.save(path)
 
     def _dump_flight_on_crash(self, trigger):
         """Dump the ring to the configured crash path, if any.
 
-        Best-effort: a failing dump never masks the original error.
+        Best-effort: a failing dump never masks the original error
+        (nor does an observability without a ring, whose ``save``
+        raises :class:`ValueError`).
         """
         path = self._flight_dump_path
-        if path is None or not self._flight.enabled:
+        if path is None or not self.obs.enabled:
             return
-        self._flight.record("flight.dump", trigger=trigger, path=path)
+        self.obs.record("flight.dump", trigger=trigger, path=path)
         try:
-            self._flight.save(path)
-        except OSError:
+            self.obs.flight.save(path)
+        except (OSError, ValueError):
             pass
 
     # ------------------------------------------------------------------
@@ -909,13 +784,13 @@ class Engine:
 
     def call(self, class_name, method_name, args=()):
         method = self.program.lookup_method(class_name, method_name)
-        if self._flight.enabled:
+        if self.obs.enabled:
             try:
                 return self._dispatcher(method, list(args))
             except VMError as error:
                 # Dump-on-crash: a trap escaping the dispatch is the
                 # moment the recent compilation history matters most.
-                self._flight.record(
+                self.obs.record(
                     "trap",
                     method=method.qualified_name,
                     error=type(error).__name__,

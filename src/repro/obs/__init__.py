@@ -19,10 +19,9 @@ VM:
   records (inlining verdicts, speculation decisions, deopt timeline),
   dumpable on crash or on demand as PR 1-schema JSONL.
 - :class:`ProvenanceTracer` (:mod:`repro.obs.provenance`): bridges the
-  existing :class:`~repro.core.tracing.InlineTracer` into the event
-  stream *and* the flight recorder, so inlining decisions appear inline
-  in the compilation spans and survive in the bounded ring
-  (``SpanInlineTracer`` remains as a compatibility alias).
+  existing :class:`~repro.core.tracing.InlineTracer` into
+  :meth:`Observability.record`, so inlining decisions appear inline in
+  the compilation spans and survive in the bounded ring.
 - :func:`build_report` / :func:`render_report`
   (:mod:`repro.obs.report`): fold an event stream into the
   ``PrintCompilation``-style report printed by
@@ -34,6 +33,14 @@ layer below it. The default everywhere is :data:`NULL_OBS`, whose
 registry and log are inert no-ops — instrumented code only pays an
 ``obs.enabled`` check, and the deterministic cycle model is untouched
 either way (verified by a differential test).
+
+One fact, one record: every fact the VM reports (a tier transition,
+an inlining decision, a deopt, an eviction) goes through
+:meth:`Observability.record`, which writes the same kind and attributes
+as an event-log point event and as a flight record. Only the
+high-volume ``pass``, ``iteration`` and ``serve.run`` events are
+written to the log alone (``obs.events.emit``); a tier-1 test keeps
+every other module off the two sinks.
 
 Usage::
 
@@ -60,7 +67,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     NullMetricsRegistry,
 )
-from repro.obs.provenance import ProvenanceTracer, SpanInlineTracer
+from repro.obs.provenance import ProvenanceTracer
 from repro.obs.report import build_report, render_report
 from repro.obs.timers import NULL_TIMERS, NullPhaseTimers, PhaseTimers
 
@@ -86,6 +93,17 @@ class Observability:
             else FlightRecorder(capacity=flight_capacity, metrics=self.metrics)
         )
 
+    def record(self, kind, /, **attrs):
+        """Record one fact: a point event in the log (inside its
+        innermost open span) and a record in the flight ring, with the
+        same *kind* and attributes.
+
+        ``kind`` is positional-only so records may carry a ``kind``
+        attribute of their own.
+        """
+        self.events.emit(kind, **attrs)
+        self.flight.record(kind, **attrs)
+
 
 class _NullObservability:
     """The inert default: all halves are no-ops."""
@@ -97,6 +115,9 @@ class _NullObservability:
     events = NULL_EVENTS
     timers = NULL_TIMERS
     flight = NULL_FLIGHT
+
+    def record(self, kind, /, **attrs):
+        pass
 
 
 NULL_OBS = _NullObservability()
@@ -122,7 +143,6 @@ __all__ = [
     "NULL_FLIGHT",
     "read_flight_jsonl",
     "ProvenanceTracer",
-    "SpanInlineTracer",
     "build_report",
     "render_report",
 ]

@@ -1,17 +1,16 @@
 """Inlining-decision provenance: one tracer, one coherent stream.
 
-This module folds the old ``repro.obs.tracebridge`` shim into the
-flight-recorder path.  :class:`ProvenanceTracer` is a drop-in
-:class:`~repro.core.tracing.InlineTracer` that mirrors every decision
-the inliner makes, the moment it happens, into *both* halves of the
-observability layer:
+:class:`ProvenanceTracer` is a drop-in
+:class:`~repro.core.tracing.InlineTracer` that records every decision
+the inliner makes, the moment it happens, through
+:meth:`~repro.obs.Observability.record` — so each decision is both
 
-- the :class:`~repro.obs.events.EventLog`, as ``inline.<kind>`` point
-  events nested inside the enclosing ``compile``/``inline`` span
-  (exactly what the old ``SpanInlineTracer`` did), and
-- the :class:`~repro.obs.flight.FlightRecorder`, as bounded ring
-  records that survive after the event log would have grown unwieldy —
-  the store behind ``repro.tools.explain``.
+- an ``inline.<kind>`` point event in the
+  :class:`~repro.obs.events.EventLog`, nested inside the enclosing
+  ``compile``/``inline`` span, and
+- a bounded :class:`~repro.obs.flight.FlightRecorder` record that
+  survives after the event log would have grown unwieldy — the store
+  behind ``repro.tools.explain``.
 
 So ``repro.core.tracing`` and ``repro.obs`` emit **one** stream: the
 tracer's structured :class:`~repro.core.tracing.TraceEvent` details
@@ -28,21 +27,11 @@ after each inliner run instead (see :meth:`JitCompiler.compile`).
 """
 
 from repro.core.tracing import InlineTracer
-from repro.obs.flight import NULL_FLIGHT
 
 
-def emit_trace_event(events, trace_event):
-    """Forward one :class:`TraceEvent` into *events* as ``inline.<kind>``."""
-    events.emit(
-        "inline." + trace_event.kind,
-        round=trace_event.round_index,
-        **trace_event.detail
-    )
-
-
-def record_trace_event(flight, trace_event):
-    """Forward one :class:`TraceEvent` into the flight ring."""
-    flight.record(
+def record_trace_event(obs, trace_event):
+    """Record one :class:`TraceEvent` through *obs* as ``inline.<kind>``."""
+    obs.record(
         "inline." + trace_event.kind,
         round=trace_event.round_index,
         **trace_event.detail
@@ -50,22 +39,14 @@ def record_trace_event(flight, trace_event):
 
 
 class ProvenanceTracer(InlineTracer):
-    """An :class:`InlineTracer` that mirrors every decision into the
-    event log and the flight recorder as it is made."""
+    """An :class:`InlineTracer` that records every decision through an
+    :class:`~repro.obs.Observability` as it is made."""
 
-    def __init__(self, events, flight=NULL_FLIGHT):
+    def __init__(self, obs):
         InlineTracer.__init__(self)
-        self.event_log = events
-        self.flight = flight
+        self.obs = obs
 
     def _emit(self, kind, detail):
         event = InlineTracer._emit(self, kind, detail)
-        emit_trace_event(self.event_log, event)
-        if self.flight.enabled:
-            record_trace_event(self.flight, event)
+        record_trace_event(self.obs, event)
         return event
-
-
-#: Backwards-compatible name for the event-log-only PR 1 bridge; the
-#: class now also feeds the flight recorder when one is attached.
-SpanInlineTracer = ProvenanceTracer

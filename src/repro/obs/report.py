@@ -10,6 +10,8 @@ back with :meth:`EventLog.read_jsonl`) into a plain-dict report:
 - aggregate phase timings,
 - pass-effectiveness totals from the pipeline's per-pass node deltas,
 - an inlining outcome rollup with the most-inlined callees,
+- failed compilations (an OSR continuation as ``Method@osr<bci>``),
+  deopts, invalidations and py-backend bailouts,
 - per-iteration cycle breakdowns when the engine emitted them.
 
 :func:`render_report` renders that dict as the aligned text report the
@@ -113,6 +115,10 @@ def build_report(records):
                     pending_hotness[attrs["method"]] = attrs.get("hotness")
             elif name == "jit.compile_failed":
                 failures.append(attrs.get("method"))
+            elif name == "osr.compile_failed":
+                failures.append(
+                    "%s@osr%s" % (attrs.get("method"), attrs.get("bci"))
+                )
             elif name == "deopt":
                 deopts.append(
                     {

@@ -5,8 +5,7 @@ stream of events into "where did the wall time go" requires a full scan.
 :class:`PhaseTimers` is the cheap aggregate view: named accumulators of
 ``(seconds, count)`` that cost two ``perf_counter`` calls per timed
 region and nothing to read. The ``stats`` CLI renders the snapshot as a
-wall-time attribution table, and ``repro.tools.perf`` folds it into
-``BENCH_wall.json``.
+wall-time attribution table.
 
 Wall-clock numbers are *host telemetry only*: nothing in the
 deterministic cycle model reads them (same contract as event-span

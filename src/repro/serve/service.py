@@ -164,17 +164,13 @@ class VMService:
         if obs.enabled:
             obs.metrics.counter("serve.tenants.admitted").inc()
             obs.metrics.gauge("serve.tenants").set(len(self.tenants))
-            obs.events.emit(
+            obs.record(
                 "serve.admit",
                 tenant=spec.name,
                 tenant_id=tenant_id,
                 benchmark=spec.benchmark,
                 merge=spec.merge,
                 mode=self.mode,
-            )
-        if obs.flight.enabled:
-            obs.flight.record(
-                "serve.admit", tenant=spec.name, tenant_id=tenant_id
             )
         return tenant
 
@@ -190,15 +186,7 @@ class VMService:
         obs = self.obs
         if obs.enabled:
             obs.metrics.counter("serve.tenants.evicted").inc()
-            obs.events.emit(
-                "serve.evict",
-                tenant=name,
-                reclaimed_bytes=reclaimed,
-            )
-        if obs.flight.enabled:
-            obs.flight.record(
-                "serve.evict", tenant=name, reclaimed_bytes=reclaimed
-            )
+            obs.record("serve.evict", tenant=name, reclaimed_bytes=reclaimed)
         return reclaimed
 
     def _hotness_of(self, tenant_id, method):

@@ -398,7 +398,9 @@ def render(records, root_pattern=None, site_pattern=None):
     parts = [render_tree(c) for c in selected]
     if not parts:
         roots = sorted({c.root for c in compilations if c.root})
-        installs = sum(1 for r in records if r["kind"] == "jit.install")
+        installs = sum(
+            1 for r in records if r["kind"] in ("jit.install", "osr.install")
+        )
         parts.append(
             "no recorded compilations%s"
             % (" for root %r" % root_pattern if root_pattern else "")

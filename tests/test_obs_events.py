@@ -1,9 +1,9 @@
 """Event log semantics: span nesting, attribution, JSONL round-trip,
 and the inert null log."""
 
-from repro.obs import NULL_EVENTS, EventLog
+from repro.obs import NULL_EVENTS, EventLog, Observability
 from repro.obs.report import build_report
-from repro.obs.provenance import SpanInlineTracer
+from repro.obs.provenance import ProvenanceTracer
 
 
 class TestSpans:
@@ -102,7 +102,7 @@ class TestJsonlRoundTrip:
 class TestTracerBridge:
     def test_trace_events_are_mirrored_into_the_log(self):
         log = EventLog()
-        tracer = SpanInlineTracer(log)
+        tracer = ProvenanceTracer(Observability(events=log))
         with log.span("inline"):
             tracer.begin_round(100)
             tracer.terminated("no cutoffs left", 120)

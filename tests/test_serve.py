@@ -449,8 +449,13 @@ class TestProfilePooling:
         try:
             for writer in writers:
                 writer.start()
+            # At least three rounds however slow each one is under load
+            # (a first round with a fallback ``merged_copy`` can take
+            # the whole second).
             deadline = time.monotonic() + 1.0
-            while time.monotonic() < deadline:
+            rounds = 0
+            while rounds < 3 or time.monotonic() < deadline:
+                rounds += 1
                 other = stores[len(snapshots) % len(stores)]
                 snapshots += [own.snapshot(), other.snapshot()]
                 merged = aggregator.merged_copy(methods[1].qualified_name, obs)
