@@ -255,10 +255,11 @@ def _deoptimize(code, index, reason, regs):
 # -- handlers -------------------------------------------------------------------
 #
 # One maker per body opcode: ``make(*instr[1:])`` returns the handler
-# ``h(regs, vm)``. ADD/SUB/MUL/NEG/SHL inline wrap64 as
-# ``(x + _SIGN & _MASK) - _SIGN`` (the same formula pycodegen emits);
-# the constants come from the single int64 definition. DIV/REM call
-# its div64/rem64, as every other executor does.
+# ``h(regs, vm)``. ADD/SUB/MUL/NEG/SHL inline wrap64 branch-free as
+# ``(x + _SIGN & _MASK) - _SIGN``, with the constants of the single
+# int64 definition (pycodegen instead range-tests the exact result and
+# calls wrap64 only outside the range; this form stays its oracle).
+# DIV/REM call its div64/rem64, as every other executor does.
 
 _SIGN = int64._SIGN
 _MASK = int64._WRAP - 1

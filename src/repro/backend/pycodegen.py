@@ -48,10 +48,15 @@ instead of materializing a 0/1 local.
 Parity rules (mirroring :class:`~repro.backend.machine.MachineExecutor`
 instruction by instruction):
 
-- int64: add/sub/mul/neg/shl inline the two's-complement wrap formula
-  using the constants of :mod:`repro.runtime.int64`; div/rem call its
+- int64: add/sub/mul/neg/shl compute the exact Python result and call
+  :func:`~repro.runtime.int64.wrap64` only when a range test against
+  ``INT64_MIN``/``INT64_MAX`` fails (the machine wraps every result
+  branch-free; the values are the same); div/rem call
   :func:`~repro.runtime.int64.div64` / ``rem64``, as every executor
   does.
+- array bounds: a negative index is tested, and the list's own
+  ``IndexError`` stands for the upper-bound test; either raises the
+  machine tier's ``BoundsTrap('index / length')``.
 - linking: the factory resolves each static field, type-test type and
   virtual method name once per binding (:meth:`VMState.static_slot
   <repro.runtime.vmstate.VMState.static_slot>`, :meth:`Program.subtype_row
@@ -83,7 +88,8 @@ outside the supported vocabulary), ``graph-too-large`` (node count over
 :data:`MAX_NODES`), ``frame-state-mismatch`` (malformed deopt state),
 ``irreducible-cfg`` (a loop with two entries), ``compile-failed`` (the
 source nests too deeply to build or ``compile()`` rejects it, e.g. past
-CPython's 20 statically nested loops).
+CPython's 20 statically nested blocks, where loops and the
+``try``/``except`` of an array access all count).
 """
 
 from repro.backend.costmodel import CostModel
@@ -97,16 +103,9 @@ from repro.errors import (
 from repro.ir import nodes as n
 from repro.ir import stamps as st
 from repro.ir.dominators import compute_dominators, compute_loops, dominates
-from repro.runtime import int64
-from repro.runtime.int64 import div64, rem64
+from repro.runtime.int64 import INT64_MAX, INT64_MIN, div64, rem64, wrap64
 from repro.runtime.intrinsics import intrinsic_function
 from repro.runtime.values import ArrayRef, ObjRef
-
-#: Wrap-formula constants, taken from the single int64 definition so the
-#: inlined arithmetic cannot drift from :func:`~repro.runtime.int64.wrap64`
-#: (pinned by ``tests/test_pycodegen.py`` over the edge cases).
-_SIGN = int64._SIGN
-_MASK = int64._WRAP - 1
 
 #: Node-count ceiling; beyond it the generated source stops paying for
 #: itself and ``compile()`` time becomes noticeable, so bail out.
@@ -366,6 +365,7 @@ class _PyCodegen:
             _VE=VMError,
             _OR=ObjRef,
             _AR=ArrayRef,
+            _wrap=wrap64,
             _div=div64,
             _rem=rem64,
         )
@@ -802,8 +802,7 @@ class _PyCodegen:
             op = node.op
             if op in ("ADD", "SUB", "MUL"):
                 sign = {"ADD": "+", "SUB": "-", "MUL": "*"}[op]
-                line(depth, "%s = (%s %s %s + %d & %d) - %d"
-                     % (dst, a, sign, b, _SIGN, _MASK, _SIGN))
+                self._wrapped(dst, "%s %s %s" % (a, sign, b), depth)
             elif op == "DIV":
                 line(depth, "%s = _div(%s, %s)" % (dst, a, b))
             elif op == "REM":
@@ -812,8 +811,7 @@ class _PyCodegen:
                 sign = {"AND": "&", "OR": "|", "XOR": "^"}[op]
                 line(depth, "%s = %s %s %s" % (dst, a, sign, b))
             elif op == "SHL":
-                line(depth, "%s = ((%s << (%s & 63)) + %d & %d) - %d"
-                     % (dst, a, b, _SIGN, _MASK, _SIGN))
+                self._wrapped(dst, "%s << (%s & 63)" % (a, b), depth)
             elif op == "SHR":
                 line(depth, "%s = %s >> (%s & 63)" % (dst, a, b))
             else:
@@ -821,8 +819,7 @@ class _PyCodegen:
                     "unsupported-node", "BinOp %s" % op
                 )
         elif t is n.NegNode:
-            line(depth, "%s = (-(%s) + %d & %d) - %d"
-                 % (dst, self._val(node.inputs[0]), _SIGN, _MASK, _SIGN))
+            self._wrapped(dst, "-(%s)" % self._val(node.inputs[0]), depth)
         elif t is n.CompareNode:
             line(depth, "%s = 1 if %s %s %s else 0" % (
                 dst,
@@ -847,11 +844,7 @@ class _PyCodegen:
             line(depth, "if %s is None:" % array)
             line(depth + 1, "raise _NPT('ALOAD')")
             line(depth, "_t = %s.data" % array)
-            line(depth, "if 0 <= %s < len(_t):" % index)
-            line(depth + 1, "%s = _t[%s]" % (dst, index))
-            line(depth, "else:")
-            line(depth + 1,
-                 "raise _BT('%%d / %%d' %% (%s, len(_t)))" % index)
+            self._subscript("%s = _t[%s]" % (dst, index), index, depth)
         elif t is n.ArrayStoreNode:
             array = self._val(node.inputs[0])
             index = self._val(node.inputs[1])
@@ -859,11 +852,7 @@ class _PyCodegen:
             line(depth, "if %s is None:" % array)
             line(depth + 1, "raise _NPT('ASTORE')")
             line(depth, "_t = %s.data" % array)
-            line(depth, "if 0 <= %s < len(_t):" % index)
-            line(depth + 1, "_t[%s] = %s" % (index, value))
-            line(depth, "else:")
-            line(depth + 1,
-                 "raise _BT('%%d / %%d' %% (%s, len(_t)))" % index)
+            self._subscript("_t[%s] = %s" % (index, value), index, depth)
         elif t is n.ArrayLengthNode:
             array = self._val(node.inputs[0])
             line(depth, "if %s is None:" % array)
@@ -916,6 +905,27 @@ class _PyCodegen:
             raise PyCodegenBailout(
                 "unsupported-node", type(node).__name__
             )
+
+    def _wrapped(self, dst, expr, depth):
+        """``dst = expr`` wrapped to int64: the exact result, and the
+        call to :func:`~repro.runtime.int64.wrap64` only when it leaves
+        the range."""
+        self._line(depth, "%s = %s" % (dst, expr))
+        self._line(depth, "if not %d <= %s <= %d:"
+                   % (INT64_MIN, dst, INT64_MAX))
+        self._line(depth + 1, "%s = _wrap(%s)" % (dst, dst))
+
+    def _subscript(self, access, index, depth):
+        """*access* of the array data ``_t`` at *index*, trapping as the
+        machine tier does: a negative index is tested, the list's own
+        ``IndexError`` checks the upper bound."""
+        trap = "raise _BT('%%d / %%d' %% (%s, len(_t)))" % index
+        self._line(depth, "if %s < 0:" % index)
+        self._line(depth + 1, trap)
+        self._line(depth, "try:")
+        self._line(depth + 1, access)
+        self._line(depth, "except IndexError:")
+        self._line(depth + 1, trap + " from None")
 
     def _emit_invoke(self, node, depth):
         line = self._line

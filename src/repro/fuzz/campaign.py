@@ -8,16 +8,18 @@ logged seed alone.  For each case the driver:
 1. generates and builds the program (generator bugs — programs that
    fail to build — are counted, logged and skipped, never fatal);
 2. runs the differential oracle across the configuration matrix;
-3. on divergence: bisects the pipeline to name the guilty pass,
-   shrinks the case, re-verifies the divergence on the *reassembled*
-   serialized text, and (optionally) writes the reproducer into the
-   corpus directory.
+3. on divergence: shrinks the case, bisects the pipeline to name the
+   guilty pass, runs the shrunk case's diverging configuration once
+   more under the campaign's observability, re-verifies the divergence
+   on the *reassembled* serialized text, and (optionally) writes the
+   reproducer into the corpus directory.
 
 Progress and findings are recorded through
 :meth:`repro.obs.Observability.record` (``fuzz.case`` /
 ``fuzz.divergence`` / ``fuzz.campaign``), so ``--report out.jsonl``
 gives a machine-readable campaign record and ``--flight-out`` a
-bounded one.
+bounded one; the observed re-run adds the diverging compiles'
+provenance to both, for ``python -m repro.tools.explain``.
 """
 
 import time
@@ -28,6 +30,7 @@ from repro.fuzz.oracle import (
     DEFAULT_ITERATIONS,
     check_program,
     oracle_config_names,
+    run_config,
 )
 from repro.fuzz.reduce import shrink_case
 from repro.fuzz.serialize import load_corpus_text, program_to_asm
@@ -194,6 +197,13 @@ def _process_divergence(case, divergence, names, iterations, vm_seed, shrink, ob
     report = bisect_passes(
         program, entry, divergence.config, iterations, vm_seed
     )
+    if obs.enabled:
+        # Once more under the campaign's observability, so its event
+        # log and flight ring hold the compiles (``jit.*``, ``inline.*``)
+        # behind the divergence.
+        run_config(
+            program, entry, divergence.config, iterations, vm_seed, obs=obs
+        )
     asm = program_to_asm(
         program,
         entry,

@@ -308,30 +308,32 @@ def _measure(engine, class_name, method_name):
                      engine.icache_cycles - icache)
 
 
-def oracle_engine(program, name, config, inliner, vm_seed):
+def oracle_engine(program, name, config, inliner, vm_seed, obs=None):
     """A fresh engine running *config* and *inliner* in the environment
     of oracle configuration *name*: over a one-tenant shared cache when
     :data:`CACHE_BUDGETS` gives *name* a budget, else a private cache.
-    Every engine the oracle and the bisector build comes from here."""
+    Every engine the oracle and the bisector build comes from here;
+    *obs* observes it (none by default)."""
     budget = CACHE_BUDGETS.get(name)
     return Engine(
-        program, config, inliner, seed=vm_seed,
+        program, config, inliner, seed=vm_seed, obs=obs,
         code_cache=(
-            SharedCodeCache(budget=budget).view(0)
+            SharedCodeCache(budget=budget, obs=obs).view(0)
             if budget is not None else None
         ),
     )
 
 
 def run_config(program, entry, name, iterations=DEFAULT_ITERATIONS,
-               vm_seed=0x5EED, backend=None):
+               vm_seed=0x5EED, backend=None, obs=None):
     """Execute under oracle configuration *name* with a fresh engine;
-    *backend*, when given, replaces the configuration's own."""
+    *backend*, when given, replaces the configuration's own, and *obs*
+    observes the run."""
     class_name, method_name = entry
     config, inliner = ORACLE_CONFIGS[name]()
     if backend is not None:
         config.backend = backend
-    engine = oracle_engine(program, name, config, inliner, vm_seed)
+    engine = oracle_engine(program, name, config, inliner, vm_seed, obs)
     try:
         outcomes, cycles = [], []
         for _ in range(iterations):

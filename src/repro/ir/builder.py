@@ -21,7 +21,7 @@ from repro.bytecode.opcodes import (
     Op,
 )
 from repro.deopt import FrameDescriptor
-from repro.errors import IRError
+from repro.errors import CompileError, IRError
 from repro.ir import nodes as n
 from repro.ir import stamps as st
 from repro.ir.graph import Graph
@@ -129,7 +129,25 @@ class _Builder:
         self._wire_phis(edge_states)
         self._fix_phi_stamps()
         self._remove_trivial_phis()
+        self._check_special_receivers()
         return self.graph
+
+    def _check_special_receivers(self):
+        """Refuse a special call whose receiver may be null.
+
+        The interpreters trap on a null receiver before the call
+        (``special call C.m``). Compiled code has no such check, and an
+        inlined callee that never reads ``this`` would not trap at all,
+        so the method stays interpreted.
+        """
+        for invoke in self.graph.invokes():
+            if invoke.kind != "special":
+                continue
+            if not invoke.inputs[0].stamp.non_null:
+                raise CompileError(
+                    "special call %s.%s on a receiver that may be null"
+                    % (invoke.declared_class, invoke.method_name)
+                )
 
     # ------------------------------------------------------------------
     # Block discovery

@@ -30,6 +30,7 @@ and events are no-ops.
 """
 
 import json
+import threading
 import time
 
 
@@ -65,6 +66,11 @@ class Span:
 class EventLog:
     """Collects spans and events, in memory and optionally as JSONL.
 
+    Spans nest per thread: a record's ``parent`` or ``span`` is the
+    innermost span open *on the recording thread*. ``seq`` and span
+    ids are drawn under one lock, so they stay unique when compile
+    workers and application threads share the log.
+
     Args:
         sink: optional file-like object; every record is written to it
             as one JSON line the moment it is recorded.
@@ -75,21 +81,33 @@ class EventLog:
     def __init__(self, sink=None):
         self.records = []
         self._sink = sink
-        self._stack = []
+        self._local = threading.local()
+        self._lock = threading.Lock()
         self._next_sid = 1
         self._seq = 0
         self._t0 = time.perf_counter()
 
     # -- recording ---------------------------------------------------------
 
+    def _stack(self):
+        """The calling thread's open spans, innermost last."""
+        local = self._local
+        try:
+            return local.stack
+        except AttributeError:
+            local.stack = []
+            return local.stack
+
     def span(self, name, /, **attrs):
         """Open a nested span; use as ``with log.span("compile", ...):``."""
+        stack = self._stack()
         now = time.perf_counter() - self._t0
-        sid = self._next_sid
-        self._next_sid += 1
-        parent = self._stack[-1].sid if self._stack else None
+        with self._lock:
+            sid = self._next_sid
+            self._next_sid += 1
+        parent = stack[-1].sid if stack else None
         span = Span(self, name, sid, parent, {}, now)
-        self._stack.append(span)
+        stack.append(span)
         self._write(
             {
                 "type": "begin",
@@ -103,26 +121,29 @@ class EventLog:
         return span
 
     def emit(self, name, /, **attrs):
-        """Record a point event inside the innermost open span.
+        """Record a point event inside the calling thread's innermost
+        open span.
 
         ``name`` is positional-only so events may carry a ``name``
         attribute of their own (the pipeline's ``pass`` events do).
         """
+        stack = self._stack()
         self._write(
             {
                 "type": "event",
                 "name": name,
-                "span": self._stack[-1].sid if self._stack else None,
+                "span": stack[-1].sid if stack else None,
                 "ts": time.perf_counter() - self._t0,
                 "attrs": attrs,
             }
         )
 
     def _end_span(self, span):
-        if self._stack and self._stack[-1] is span:
-            self._stack.pop()
-        elif span in self._stack:  # tolerate out-of-order exits
-            self._stack.remove(span)
+        stack = self._stack()
+        if stack and stack[-1] is span:
+            stack.pop()
+        elif span in stack:  # tolerate out-of-order exits
+            stack.remove(span)
         now = time.perf_counter() - self._t0
         self._write(
             {
@@ -136,12 +157,15 @@ class EventLog:
         )
 
     def _write(self, record):
-        record["seq"] = self._seq
-        self._seq += 1
-        self.records.append(record)
-        if self._sink is not None:
-            self._sink.write(json.dumps(record, default=str))
-            self._sink.write("\n")
+        # One lock for seq, the in-memory list and the sink: seq values
+        # are unique and follow the order of both.
+        with self._lock:
+            record["seq"] = self._seq
+            self._seq += 1
+            self.records.append(record)
+            if self._sink is not None:
+                self._sink.write(json.dumps(record, default=str))
+                self._sink.write("\n")
 
     # -- queries -----------------------------------------------------------
 

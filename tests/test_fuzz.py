@@ -1,6 +1,7 @@
 """Tests for the differential fuzzing subsystem (:mod:`repro.fuzz`)."""
 
 import importlib
+import re
 
 import pytest
 
@@ -29,6 +30,7 @@ from repro.fuzz.oracle import (
 )
 from repro.jit.engine import Engine
 from repro.obs import Observability
+from repro.tools import explain as explain_cli
 from repro.tools import fuzz as fuzz_cli
 from tests.helpers import single_method_program
 
@@ -360,6 +362,23 @@ class TestCli:
         assert code == 0
         lines = report.read_text().splitlines()
         assert any('"fuzz.campaign"' in line for line in lines)
+
+    def test_flight_dump_explains_the_divergence(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # A divergence re-runs its shrunk case under the campaign's
+        # observability, so the dump holds the compiles behind it.
+        _seeded_folder_bug(monkeypatch)
+        dump = str(tmp_path / "fuzz-flight.jsonl")
+        code = fuzz_cli.main(
+            ["--seed", "10", "--runs", "6", "--configs", "jit-incremental",
+             "--iterations", "3", "--flight-out", dump]
+        )
+        assert code == 1
+        capsys.readouterr()
+        assert explain_cli.main([dump]) == 0
+        out = capsys.readouterr().out
+        assert "no recorded compilations" not in out
+        assert re.search(r"^compile #1 \S+\.\S+", out, re.MULTILINE)
 
     def test_rejects_unknown_config(self):
         with pytest.raises(SystemExit):

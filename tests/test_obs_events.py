@@ -1,9 +1,13 @@
 """Event log semantics: span nesting, attribution, JSONL round-trip,
 and the inert null log."""
 
+import sys
+
 from repro.obs import NULL_EVENTS, EventLog, Observability
 from repro.obs.report import build_report
 from repro.obs.provenance import ProvenanceTracer
+from repro.serve import ServiceConfig, VMService
+from repro.tools.serve import mixed_specs
 
 
 class TestSpans:
@@ -116,6 +120,37 @@ class TestTracerBridge:
         ]
         assert mirrored[0]["attrs"]["round"] == 1
         assert mirrored[1]["attrs"]["reason"] == "no cutoffs left"
+
+
+class TestThreads:
+    def test_concurrent_compiles_stay_apart(self):
+        # Six tenants on their own threads over two compile workers,
+        # sharing one log: each compile is a root span on its worker,
+        # no application-thread iteration lands inside one, and seq
+        # values stay unique.
+        obs = Observability()
+        config = ServiceConfig(
+            max_tenants=6, compile_workers=2, compile_mode="async",
+            hot_threshold=5,
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often
+        try:
+            with VMService(config, obs=obs) as service:
+                for spec in mixed_specs(6, 6):
+                    service.admit(spec)
+                service.run(concurrent=True)
+        finally:
+            sys.setswitchinterval(interval)
+        records = obs.events.records
+        compiles = obs.events.spans_named("compile")
+        assert compiles
+        assert [r["parent"] for r in compiles] == [None] * len(compiles)
+        iterations = obs.events.of_name("iteration")
+        assert iterations
+        assert [r["span"] for r in iterations] == [None] * len(iterations)
+        seqs = [r["seq"] for r in records]
+        assert len(set(seqs)) == len(seqs)
 
 
 class TestNullEventLogIsInert:

@@ -18,11 +18,11 @@ from hypothesis import strategies as hst
 from repro.backend import pycodegen
 from repro.backend.lowering import lower_graph
 from repro.backend.machine import MachineExecutor
-from repro.backend.pycodegen import PyCodegenBailout, _MASK, _SIGN
+from repro.backend.pycodegen import PyCodegenBailout
 from repro.baselines import tuned_inliner
 from repro.bench import all_benchmarks, get_benchmark
 from repro.bytecode import Op
-from repro.errors import DivisionByZeroTrap, TrapError
+from repro.errors import BoundsTrap, DivisionByZeroTrap, TrapError
 from repro.fuzz.serialize import load_corpus_file
 from repro.ir import compute_loops
 from repro.ir import nodes as n
@@ -32,7 +32,7 @@ from repro.jit.config import JitConfig
 from repro.jit.engine import Engine
 from repro.lang import compile_source
 from repro.obs import Observability
-from repro.runtime import VMState
+from repro.runtime import VMState, int64
 from repro.runtime.int64 import (
     INT64_MAX,
     INT64_MIN,
@@ -50,6 +50,11 @@ from tests.helpers import (
     single_method_program,
 )
 from tests.test_deopt import flip_program
+
+#: The masked two's-complement wrap the machine executor inlines: the
+#: test-local reference for the range-tested form the generator emits.
+_SIGN = int64._SIGN
+_MASK = int64._WRAP - 1
 
 
 def _engine(program, backend, obs=None, **jit):
@@ -165,6 +170,94 @@ def test_trap_differential():
     assert kinds == {"value", "trap"}
 
 
+_INT64_EDGES = [
+    INT64_MIN, INT64_MIN + 1, -(2**32), -1, 0, 1, 2**32, INT64_MAX - 1,
+    INT64_MAX,
+]
+
+#: op -> (the method body after its parameters are loaded, the exact
+#: result, the operand pairs).
+_WRAPPING_OPS = {
+    "ADD": (lambda b: b.load(0).load(1).add(), lambda x, y: x + y,
+            [(x, y) for x in _INT64_EDGES for y in _INT64_EDGES]),
+    "SUB": (lambda b: b.load(0).load(1).sub(), lambda x, y: x - y,
+            [(x, y) for x in _INT64_EDGES for y in _INT64_EDGES]),
+    "MUL": (lambda b: b.load(0).load(1).mul(), lambda x, y: x * y,
+            [(x, y) for x in _INT64_EDGES for y in _INT64_EDGES]),
+    "NEG": (lambda b: b.load(0).neg(), lambda x, y: -x,
+            [(x, 0) for x in _INT64_EDGES]),
+    "SHL": (lambda b: b.load(0).load(1).shl(), lambda x, y: x << (y & 63),
+            [(x, y) for x in _INT64_EDGES for y in (0, 1, 63, 64, 127)]),
+}
+
+_WARM = 3  # interpreted iterations before the py tier takes over
+
+
+@pytest.mark.parametrize("op", sorted(_WRAPPING_OPS))
+def test_wrapping_op_edges_match_machine(op, monkeypatch):
+    # Each op over int64 edge operands: the py tier returns wrap64 of
+    # the exact result, with the machine tier's value and cycles, and
+    # takes the out-of-range branch at least once.
+    body, exact, pairs = _WRAPPING_OPS[op]
+    wraps = []
+
+    def counting_wrap(value):
+        wraps.append(value)
+        return wrap64(value)
+
+    monkeypatch.setattr(pycodegen, "wrap64", counting_wrap)
+    program = single_method_program(
+        lambda b: body(b).retv(), params=("int", "int")
+    )
+    args = [(1, 1)] * _WARM + pairs
+    machine, py = _run_both(
+        program, ("T", "f"), lambda i: list(args[i]), len(args),
+        hot_threshold=_WARM,
+    )
+    assert_identical(machine, py)
+    assert py[0][_WARM:] == [("value", wrap64(exact(*p))) for p in pairs]
+    assert any(not int64.is_wrapped(exact(*p)) for p in pairs)
+    assert wraps and all(not int64.is_wrapped(v) for v in wraps)
+
+
+@pytest.mark.parametrize("access", ["load", "store"])
+def test_array_bounds_edges_match_machine(access):
+    # Out-of-range indices on both sides of a 4-element array trap on
+    # the py tier with the machine tier's message and cycles.
+    def build(b):
+        arr = b.alloc_local()
+        b.const(4).newarray("int").store(arr)
+        if access == "load":
+            b.load(arr).load(0).aload().retv()
+        else:
+            b.load(arr).load(0).const(7).astore()
+            b.load(arr).const(0).aload().retv()
+
+    program = single_method_program(build)
+    bad = [-1, 4, 5, INT64_MIN, INT64_MAX]
+    indices = [0, 1, 2] + [x for index in bad for x in (index, 3)]
+    runs = []
+    for backend in ("machine", "py"):
+        engine = _engine(program, backend)
+        observed = []
+        for index in indices:
+            try:
+                outcome = engine.run_iteration("T", "f", [index]).value
+            except TrapError as trap:
+                outcome = (type(trap), str(trap))
+            observed.append(
+                (outcome, engine.compiled_cycles + engine.icache_cycles)
+            )
+        runs.append((observed, engine))
+    (machine, _), (py, engine) = runs
+    assert py == machine
+    assert engine.py_exec_count > 0
+    traps = [outcome for outcome, _ in py[3::2]]
+    assert traps == [
+        (BoundsTrap, "IndexOutOfBounds: %d / 4" % index) for index in bad
+    ]
+
+
 def test_phi_undefined_on_every_edge_starts_null():
     # batik's Main.run merges a local that is undefined along every
     # incoming edge; the phi is never assigned, yet a later edge move
@@ -259,9 +352,17 @@ def test_compile_metrics_and_span_backend():
     2**64 + 17, -(2**64) - 17, 123456789123456789,
 ])
 def test_inline_wrap_formula_matches_wrap64(value):
-    # The codegen inlines the two's-complement wrap instead of calling
-    # wrap64(); the formula must agree on every edge case.
-    assert (value + _SIGN & _MASK) - _SIGN == wrap64(value)
+    # The machine executor inlines the masked wrap; the generator emits
+    # the exact result and a range test that calls wrap64() outside
+    # the range. The emitted text must agree with the formula, and the
+    # formula with wrap64(), on every edge case.
+    masked = (value + _SIGN & _MASK) - _SIGN
+    assert masked == wrap64(value)
+    codegen = pycodegen._PyCodegen(None, None)
+    codegen._wrapped("v", "x", 0)
+    scope = {"x": value, "_wrap": wrap64}
+    exec("\n".join(codegen.lines), scope)
+    assert scope["v"] == masked
 
 
 def test_one_call_div_rem_match_the_wrapped_pair():

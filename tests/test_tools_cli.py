@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.backend import pycodegen
 from repro.tools import bench as bench_tool
 from repro.tools import disasm as disasm_tool
 from repro.tools import run as run_tool
@@ -78,6 +79,23 @@ class TestDisasmTool:
         ) == 0
         out = capsys.readouterr().out
         assert "COST" in out
+
+    def test_py_form(self, demo_file, capsys):
+        assert disasm_tool.main(
+            [demo_file, "--method", "Main.helper", "--form", "py"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "def _run(args):" in out
+        assert "_wrap(" in out
+
+    def test_py_form_bailout(self, demo_file, capsys, monkeypatch):
+        monkeypatch.setattr(pycodegen, "MAX_NODES", 0)
+        assert disasm_tool.main(
+            [demo_file, "--method", "Main.helper", "--form", "py"]
+        ) == 1
+        captured = capsys.readouterr()
+        assert "def _run" not in captured.out
+        assert "graph-too-large" in captured.err
 
     def test_whole_program(self, demo_file, capsys):
         assert disasm_tool.main([demo_file]) == 0
