@@ -833,18 +833,19 @@ class _PyCodegen:
             line(depth, "%s = _alloc(%r)" % (dst, node.class_name))
         elif t is n.NewArrayNode:
             length = self._val(node.inputs[0])
-            line(depth, "if %s < 0:" % length)
-            line(depth + 1,
-                 "raise _BT('negative array length %%d' %% %s)" % length)
-            line(depth, "%s = _allocarr(%r, %s)"
-                 % (dst, node.elem_type, length))
+            trap = "raise _BT('negative array length %%d' %% %s)" % length
+            if self._trap_if_negative(node.inputs[0], trap, depth):
+                line(depth, "%s = _allocarr(%r, %s)"
+                     % (dst, node.elem_type, length))
         elif t is n.ArrayLoadNode:
             array = self._val(node.inputs[0])
             index = self._val(node.inputs[1])
             line(depth, "if %s is None:" % array)
             line(depth + 1, "raise _NPT('ALOAD')")
             line(depth, "_t = %s.data" % array)
-            self._subscript("%s = _t[%s]" % (dst, index), index, depth)
+            self._subscript(
+                "%s = _t[%s]" % (dst, index), node.inputs[1], depth
+            )
         elif t is n.ArrayStoreNode:
             array = self._val(node.inputs[0])
             index = self._val(node.inputs[1])
@@ -852,7 +853,9 @@ class _PyCodegen:
             line(depth, "if %s is None:" % array)
             line(depth + 1, "raise _NPT('ASTORE')")
             line(depth, "_t = %s.data" % array)
-            self._subscript("_t[%s] = %s" % (index, value), index, depth)
+            self._subscript(
+                "_t[%s] = %s" % (index, value), node.inputs[1], depth
+            )
         elif t is n.ArrayLengthNode:
             array = self._val(node.inputs[0])
             line(depth, "if %s is None:" % array)
@@ -915,17 +918,31 @@ class _PyCodegen:
                    % (INT64_MIN, dst, INT64_MAX))
         self._line(depth + 1, "%s = _wrap(%s)" % (dst, dst))
 
-    def _subscript(self, access, index, depth):
-        """*access* of the array data ``_t`` at *index*, trapping as the
-        machine tier does: a negative index is tested, the list's own
-        ``IndexError`` checks the upper bound."""
+    def _subscript(self, access, index_node, depth):
+        """*access* of the array data ``_t`` at the index *index_node*,
+        trapping as the machine tier does: a negative index is tested,
+        the list's own ``IndexError`` checks the upper bound."""
+        index = self._val(index_node)
         trap = "raise _BT('%%d / %%d' %% (%s, len(_t)))" % index
-        self._line(depth, "if %s < 0:" % index)
+        if self._trap_if_negative(index_node, trap, depth):
+            self._line(depth, "try:")
+            self._line(depth + 1, access)
+            self._line(depth, "except IndexError:")
+            self._line(depth + 1, trap + " from None")
+
+    def _trap_if_negative(self, value, trap, depth):
+        """Emit *trap* when *value* is negative. A constant needs no
+        test: nothing is emitted for one >= 0 and the bare *trap* for a
+        negative one. Returns False when the trap is unconditional, so
+        the code after it would be dead."""
+        if type(value) is n.ConstIntNode:
+            if value.value >= 0:
+                return True
+            self._line(depth, trap)
+            return False
+        self._line(depth, "if %s < 0:" % self._val(value))
         self._line(depth + 1, trap)
-        self._line(depth, "try:")
-        self._line(depth + 1, access)
-        self._line(depth, "except IndexError:")
-        self._line(depth + 1, trap + " from None")
+        return True
 
     def _emit_invoke(self, node, depth):
         line = self._line

@@ -1,6 +1,7 @@
 """Shared machinery for the baseline inliners."""
 
 from repro.core.polymorphic import emit_typeswitch
+from repro.errors import CompileError
 from repro.ir import stamps as st
 
 
@@ -10,10 +11,14 @@ def inline_direct_call(graph, invoke, context, report=None):
     Builds a fresh callee graph, injects the argument stamps (even the
     greedy baselines get basic callsite specialization — both C2 and
     open-source Graal do) and substitutes it. Returns the callee graph's
-    node count.
+    node count, or 0 when the callee cannot be compiled
+    (:class:`CompileError`) and the call stays as it is.
     """
     target = invoke.target
-    callee = context.build_callee_graph(target)
+    try:
+        callee = context.build_callee_graph(target)
+    except CompileError:
+        return 0
     for param, arg in zip(callee.params, invoke.inputs):
         joined = param.stamp.join(arg.stamp, context.program)
         if joined.kind != st.Stamp.BOTTOM:

@@ -168,6 +168,8 @@ class ExpansionPhase:
             )
         expand_node(node, context, self.params, deep=self.deep_trials)
         self._cache.invalidate()
+        if node.kind == NodeKind.GENERIC:  # the callee failed to build
+            return NO_PROGRESS
         report.explored_nodes += node.graph.node_count()
         # New children may immediately be expandable.
         node.queue = [c for c in node.children if self._keep_on_queue(c)]

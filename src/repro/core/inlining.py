@@ -20,6 +20,7 @@ from repro.core.trials import (
     discover_children,
     normalize_node,
 )
+from repro.errors import CompileError
 
 _INLINEABLE = (NodeKind.CUTOFF, NodeKind.EXPANDED, NodeKind.POLYMORPHIC)
 
@@ -149,9 +150,14 @@ class InliningPhase:
             # fresh call-tree children so later rounds keep exploring.
             from repro.core.trials import caller_method
 
-            node.graph = context.build_callee_graph(
-                node.method, caller=caller_method(node)
-            )
+            try:
+                node.graph = context.build_callee_graph(
+                    node.method, caller=caller_method(node)
+                )
+            except CompileError:
+                # Not compilable: the callsite stays a generic call.
+                node.kind = NodeKind.GENERIC
+                return
             apply_argument_stamps(node, context.program)
             discover_children(node, context, self.params)
         graph = node.graph

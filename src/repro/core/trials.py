@@ -13,6 +13,7 @@ the root).
 
 from repro.bytecode import types as bt
 from repro.core.calltree import CallNode, NodeKind
+from repro.errors import CompileError
 from repro.ir import stamps as st
 from repro.ir.frequency import annotate_frequencies
 
@@ -247,6 +248,9 @@ def expand_node(node, context, params, deep=True):
     node is a direct child of the root — specialization does not travel
     down the tree.
 
+    A callee whose graph cannot be built (:class:`CompileError`) turns
+    the node generic instead of failing the caller's compilation.
+
     When the compile context carries a :class:`TrialMemo`, a repeated
     (method, caller context, argument signature) expansion is served as
     a copy of the memoized specialized graph, skipping the rebuild and
@@ -270,7 +274,15 @@ def expand_node(node, context, params, deep=True):
             discover_children(node, context, params)
             return node
         memo.misses += 1
-    graph = context.build_callee_graph(node.method, caller=caller_method(node))
+    try:
+        graph = context.build_callee_graph(
+            node.method, caller=caller_method(node)
+        )
+    except CompileError:
+        # The callee cannot be compiled (a special call on a receiver
+        # that may be null): the callsite stays a generic call.
+        node.kind = NodeKind.GENERIC
+        return node
     node.graph = graph
     node.kind = NodeKind.EXPANDED
     if trialed:

@@ -25,9 +25,11 @@ Feature set:
 - annotations ``@inline`` / ``@noinline`` on methods (mapped to the
   force/never-inline method flags).
 
-Public surface: :func:`compile_source` / :func:`load_program`.
+Public surface: :func:`compile_source`, which compiles one user module
+against the standard library (:data:`STDLIB_SOURCE`, compiled once per
+process) and always verifies the result.
 """
 
-from repro.lang.loader import compile_source, load_program, STDLIB_SOURCE
+from repro.lang.loader import compile_source, STDLIB_SOURCE
 
-__all__ = ["compile_source", "load_program", "STDLIB_SOURCE"]
+__all__ = ["compile_source", "STDLIB_SOURCE"]

@@ -32,15 +32,17 @@ def erase_type(type_name):
 
 
 class CodeGen:
-    """Generates a whole program from resolved modules."""
+    """Adds the classes of one resolver run to *program*: its own
+    declarations in source order, then its ``$LambdaN`` classes."""
 
-    def __init__(self, table, lambdas, program):
-        self.table = table
-        self.lambdas = lambdas
+    def __init__(self, resolver, program):
+        self.table = resolver.table
+        self.decls = resolver.decls
+        self.lambdas = resolver.lambdas
         self.program = program
 
     def run(self):
-        for decl in self.table.decls.values():
+        for decl in self.decls:
             self._gen_class(decl)
         for lam in self.lambdas:
             self._gen_lambda_class(lam)

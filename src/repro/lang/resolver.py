@@ -1,6 +1,7 @@
 """Semantic analysis for minij.
 
-The resolver runs over the combined user-plus-stdlib module list and
+The resolver runs over a module list (the stdlib once per process, then
+each user module against the stdlib's already-resolved class table) and
 
 - builds the class table and validates the hierarchy;
 - type-checks every method body, annotating expressions with their
@@ -71,20 +72,25 @@ def _normalize_param(type_name):
 
 
 class ClassTable:
-    """Name → declaration with hierarchy queries."""
+    """Name → declaration with hierarchy queries.
 
-    def __init__(self, decls):
-        self.decls = {}
+    With a *base* table, the new *decls* join the base's declarations
+    (which were checked when the base was built), and only they are
+    checked.
+    """
+
+    def __init__(self, decls, base=None):
+        self.decls = dict(base.decls) if base is not None else {}
         for decl in decls:
             if decl.name in self.decls or decl.name == "Object":
                 raise ResolveError(
                     "duplicate class %s" % decl.name, decl.line, decl.column
                 )
             self.decls[decl.name] = decl
-        self._check_hierarchy()
+        self._check_hierarchy(decls)
 
-    def _check_hierarchy(self):
-        for decl in self.decls.values():
+    def _check_hierarchy(self, decls):
+        for decl in decls:
             if decl.superclass is not None:
                 sup = self.decls.get(decl.superclass)
                 if decl.superclass != "Object" and sup is None:
@@ -249,20 +255,25 @@ class _Scope:
 
 
 class Resolver:
-    """Resolves and type-checks a list of modules in one namespace."""
+    """Resolves and type-checks a list of modules in one namespace.
 
-    def __init__(self, modules):
-        decls = []
+    With a *base* :class:`ClassTable` (the resolved stdlib), the modules
+    see the base's classes but only their own declarations are resolved,
+    so the base's AST is read and never annotated again.
+    """
+
+    def __init__(self, modules, base=None):
+        self.decls = []  # this run's declarations, in source order
         for module in modules:
-            decls.extend(module.decls)
-        self.table = ClassTable(decls)
+            self.decls.extend(module.decls)
+        self.table = ClassTable(self.decls, base)
         self.lambda_counter = 0
         self.lambdas = []  # all LambdaExpr encountered, for codegen
         self._current_class = None
         self._current_method = None
 
     def run(self):
-        for decl in self.table.decls.values():
+        for decl in self.decls:
             self._resolve_class(decl)
         return self.table
 

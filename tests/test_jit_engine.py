@@ -1,11 +1,26 @@
 """Tiered-engine tests: hotness, tier transitions, accounting."""
 
+import os
+
 import pytest
 
-from repro.baselines import GreedyInliner, tuned_inliner
-from repro.errors import CompileError
+from repro.baselines import (
+    C2Inliner,
+    GreedyInliner,
+    fixed_threshold_inliner,
+    tuned_inliner,
+)
+from repro.errors import CompileError, TrapError
+from repro.fuzz.serialize import load_corpus_file
+from repro.interp import Interpreter
 from repro.jit import CodeCache, Engine, JitConfig
+from repro.obs import Observability
+from repro.runtime import VMState
 from tests.helpers import SHAPES_RESULT, shapes_program
+
+SPECIAL_CALL_IN_CALLEE = os.path.join(
+    os.path.dirname(__file__), "corpus", "special_call_in_callee.asm"
+)
 
 
 class TestCodeCache:
@@ -145,3 +160,51 @@ class TestInlinersInEngine:
             base_result = baseline.run_iteration("Main", "run")
             inlined_result = inlined.run_iteration("Main", "run")
         assert inlined_result.total_cycles < base_result.total_cycles
+
+
+def _outcomes(call, iterations):
+    outcomes = []
+    for _ in range(iterations):
+        try:
+            outcomes.append(("value", call()))
+        except TrapError as trap:
+            outcomes.append(("trap", str(trap)))
+    return outcomes
+
+
+class TestUncompilableCallee:
+    """A callee whose graph cannot be built (a special call on a receiver
+    that may be null) stays a generic call in its caller: only the
+    callee records ``jit.compile_failed``."""
+
+    @pytest.mark.parametrize(
+        "make_inliner",
+        [
+            lambda: tuned_inliner(0.1),  # expansion (trials.expand_node)
+            lambda: fixed_threshold_inliner(te=0),  # cutoff inlined as is
+            GreedyInliner,  # baselines.common.inline_direct_call
+            C2Inliner,
+        ],
+        ids=["incremental", "cutoff-inline", "greedy", "c2"],
+    )
+    @pytest.mark.parametrize("backend", ["machine", "py"])
+    def test_caller_installs(self, make_inliner, backend):
+        program, (cls, name) = load_corpus_file(SPECIAL_CALL_IN_CALLEE)
+        reference = Interpreter(VMState(program), predecode=False)
+        expected = _outcomes(lambda: reference.call_static(cls, name, ()), 10)
+        assert ("trap", "NullPointer: special call Box.seven") in expected
+
+        program, _ = load_corpus_file(SPECIAL_CALL_IN_CALLEE)
+        obs = Observability()
+        engine = Engine(
+            program,
+            JitConfig(hot_threshold=2, backend=backend),
+            inliner=make_inliner(),
+            obs=obs,
+        )
+        observed = _outcomes(lambda: engine.run_iteration(cls, name).value, 10)
+        assert observed == expected
+        run = program.lookup_method(cls, name)
+        assert engine.code_cache.get(run) is not None
+        failed = obs.flight.of_kind("jit.compile_failed")
+        assert [r["attrs"]["method"] for r in failed] == ["Main.helper"]

@@ -258,6 +258,51 @@ def test_array_bounds_edges_match_machine(access):
     ]
 
 
+@pytest.mark.parametrize("access", ["load", "store"])
+@pytest.mark.parametrize(
+    "length,index",
+    [(8, 3), (8, 0), (8, 7), (8, 8), (8, -1), (0, 0), (-2, 0), (-2, -5),
+     (8, INT64_MIN), (8, INT64_MAX)],
+)
+def test_constant_array_bounds_match_machine(length, index, access):
+    # A constant length or index is decided at generation time (no
+    # `< 0` test, or only the trap when it is negative); the py tier
+    # still returns or traps with the machine tier's message and cycles.
+    def build(b):
+        arr = b.alloc_local()
+        b.const(length).newarray("int").store(arr)
+        if access == "store":
+            b.load(arr).const(index).load(0).astore()
+        b.load(arr).const(index).aload().retv()
+
+    program = single_method_program(build)
+    runs = []
+    for backend in ("machine", "py"):
+        engine = _engine(program, backend)
+        observed = []
+        for value in range(8):
+            try:
+                outcome = engine.run_iteration("T", "f", [value]).value
+            except TrapError as trap:
+                outcome = (type(trap), str(trap))
+            observed.append(
+                (outcome, engine.compiled_cycles + engine.icache_cycles)
+            )
+        runs.append((observed, engine))
+    (machine, _), (py, engine) = runs
+    assert py == machine
+    assert engine.py_exec_count > 0
+    if length < 0:
+        expected = (BoundsTrap, "IndexOutOfBounds: negative array length %d"
+                    % length)
+    elif not 0 <= index < length:
+        expected = (BoundsTrap, "IndexOutOfBounds: %d / %d" % (index, length))
+    else:
+        expected = None
+    if expected is not None:
+        assert {outcome for outcome, _ in py} == {expected}
+
+
 def test_phi_undefined_on_every_edge_starts_null():
     # batik's Main.run merges a local that is undefined along every
     # incoming edge; the phi is never assigned, yet a later edge move

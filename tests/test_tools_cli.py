@@ -1,5 +1,7 @@
 """CLI tool tests (argument handling and end-to-end output)."""
 
+import re
+
 import pytest
 
 from repro.backend import pycodegen
@@ -18,6 +20,22 @@ object Main {
     var i: int = 0;
     while (i < 50) { acc = acc + Main.helper(i); i = i + 1; }
     return acc;
+  }
+}
+"""
+
+
+ARRAYS = """
+object Main {
+  def fill(i: int): int {
+    var a: int[] = new int[8];
+    a[3] = i;
+    a[i] = 1;
+    return a[3] + a[i];
+  }
+  def last(n: int): int {
+    var a: int[] = new int[n];
+    return a[0 - 1];
   }
 }
 """
@@ -87,6 +105,26 @@ class TestDisasmTool:
         out = capsys.readouterr().out
         assert "def _run(args):" in out
         assert "_wrap(" in out
+
+    def test_py_form_decides_constant_bounds(self, tmp_path, capsys):
+        # Constant lengths and indices get no `< 0` test: none when the
+        # constant is >= 0, the bare trap when it is negative.
+        path = tmp_path / "arrays.minij"
+        path.write_text(ARRAYS)
+        assert disasm_tool.main(
+            [str(path), "--method", "Main.fill", "--form", "py"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "_allocarr('int', 8)" in out and "_t[3]" in out
+        assert not re.search(r"if -?\d+ < 0:", out)
+        assert re.search(r"if v\d+ < 0:", out)  # the variable index
+        assert disasm_tool.main(
+            [str(path), "--method", "Main.last", "--form", "py"]
+        ) == 0
+        lines = [line.strip() for line in capsys.readouterr().out.splitlines()]
+        trap = "raise _BT('%d / %d' % (-1, len(_t)))"
+        assert trap in lines
+        assert not lines[lines.index(trap) - 1].startswith("if ")
 
     def test_py_form_bailout(self, demo_file, capsys, monkeypatch):
         monkeypatch.setattr(pycodegen, "MAX_NODES", 0)
