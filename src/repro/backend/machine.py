@@ -13,20 +13,27 @@ execution of a :class:`MachineCode` decodes it into straight-line
   ``RETV``, non-native ``CALL``, ``VCALL``, ``GUARD`` or ``DEOPT``, or
   an implicit jump just before any jump target;
 - its ``COST`` instructions fold into one add at segment entry;
-- every other instruction, native ``CALL`` included, becomes a
-  pre-bound handler closure ``h(regs, vm)`` whose operands are fixed at
-  decode time.
+- every other instruction, native ``CALL`` included, belongs to the
+  segment's *body*, which runs as one generated function
+  ``body(regs, vm)`` (a superinstruction). Its maker is compiled once
+  per process for each body *shape*, the sequence of its opcodes, and
+  the instructions' operands become the body's closure cells.
 
 Invariant: no cycle flush happens inside a segment. Accumulated cycles
 reach the sink only in tails (before a non-native call, at a return,
 before a deopt) and never on a trap, so charging all of a segment's
 ``COST`` at its entry is exact: each flush sees precisely the ``COST``
-instructions that precede it in instruction order.
+instructions that precede it in instruction order. A body never
+flushes, and a trap inside it flushes nothing and discards the
+register file, so running a body in one call cannot move a cycle.
 
 Decoding binds nothing engine-specific (the VM state is an argument of
-every handler), so every executor, tenant and thread running one code
+every body), so every executor, tenant and thread running one code
 object shares one decoded table.
 """
+
+import re
+import threading
 
 from repro.deopt import DeoptSignal, materialize_frames
 from repro.errors import (
@@ -165,23 +172,29 @@ class MachineCode:
 _TAILS = frozenset((M_JMP, M_BR, M_RET, M_RETV, M_VCALL, M_GUARD, M_DEOPT))
 
 
-def decode(code):
+def decode(code, shapes=None):
     """Decode *code* into segments; cache and return the entry segment.
 
     A segment is a list ``[cost, body, tail, a, b, c, next]``: the
-    folded ``COST`` total, the tuple of handler closures, the tail
-    opcode with the tail instruction's operands, and the segment that
-    runs after the tail. For ``JMP`` (and the implicit jump before a
-    jump target) ``next`` is the target; for ``BR`` it is the
-    fall-through and ``b`` the taken segment; ``CALL``, ``VCALL`` and
-    ``GUARD`` continue at the next instruction; returns and ``DEOPT``
-    have none.
+    folded ``COST`` total, the generated body function (``None`` for
+    an empty body), the tail opcode with the tail instruction's
+    operands, and the segment that runs after the tail. For ``JMP``
+    (and the implicit jump before a jump target) ``next`` is the
+    target; for ``BR`` it is the fall-through and ``b`` the taken
+    segment; ``CALL``, ``VCALL`` and ``GUARD`` continue at the next
+    instruction; returns and ``DEOPT`` have none.
+
+    A body ``body(regs, vm)`` runs the segment's instructions in one
+    call. It is made by the maker of the body's *shape* (see
+    :data:`MAX_MAKERS`), called with the instructions' operands.
 
     Only code reachable from the entry is decoded. An unknown opcode
-    becomes a handler that raises ``VMError`` when executed and ends
-    its segment, so unreached garbage never raises. Two threads may
-    decode the same code concurrently; both tables are equivalent and
-    the last one stored wins.
+    or a pc outside the code becomes a body entry that raises
+    ``VMError`` when executed and ends its segment, so unreached
+    garbage never raises. Two threads may decode the same code
+    concurrently; both tables are equivalent and the last one stored
+    wins. If *shapes* is a dict, it receives ``start pc -> (segment,
+    shape)`` for every decoded segment (``disasm --form segments``).
     """
     instrs = code.instrs
     targets = set()
@@ -196,7 +209,7 @@ def decode(code):
     def segment_at(pc):
         segment = segments.get(pc)
         if segment is None:
-            segment = segments[pc] = [0, (), M_JMP, None, None, None, None]
+            segment = segments[pc] = [0, None, M_JMP, None, None, None, None]
             pending.append(pc)
         return segment
 
@@ -205,13 +218,15 @@ def decode(code):
         start = pc = pending.pop()
         segment = segments[start]
         cost = 0
-        body = []
+        kinds = []
+        operands = []
         while True:
             if pc != start and pc in targets:
                 segment[6] = segment_at(pc)
                 break
             if not 0 <= pc < len(instrs):
-                body.append(_fault("pc %d outside the code" % pc))
+                kinds.append(_FAULT)
+                operands.append("pc %d outside the code" % pc)
                 break
             instr = instrs[pc]
             op = instr[0]
@@ -229,15 +244,31 @@ def decode(code):
                 break
             if op == M_COST:
                 cost += instr[1]
+            elif op == M_CALL:
+                d, target, arg_regs = instr[1:]
+                kinds.append((M_CALL, len(arg_regs), d >= 0))
+                operands.append(intrinsic_function(target.name))
+                if d >= 0:
+                    operands.append(d)
+                operands.extend(arg_regs)
+            elif op in _TEMPLATES:
+                kinds.append(op)
+                operands.extend(instr[1:])
+                if op == M_GETF:
+                    operands.append("GETFIELD %s" % instr[3])
+                elif op == M_PUTF:
+                    operands.append("PUTFIELD %s" % instr[2])
             else:
-                make = _HANDLERS.get(op)
-                if make is None:
-                    body.append(_fault("bad machine opcode %d" % op))
-                    break
-                body.append(make(*instr[1:]))
+                kinds.append(_FAULT)
+                operands.append("bad machine opcode %d" % op)
+                break
             pc += 1
         segment[0] = cost
-        segment[1] = tuple(body)
+        shape = tuple(kinds)
+        if shape:
+            segment[1] = _maker(shape)[0](*operands)
+        if shapes is not None:
+            shapes[start] = (segment, shape)
     code.segments = entry
     return entry
 
@@ -252,361 +283,213 @@ def _deoptimize(code, index, reason, regs):
     )
 
 
-# -- handlers -------------------------------------------------------------------
+# -- superinstructions ----------------------------------------------------------
 #
-# One maker per body opcode: ``make(*instr[1:])`` returns the handler
-# ``h(regs, vm)``. ADD/SUB/MUL/NEG/SHL inline wrap64 branch-free as
-# ``(x + _SIGN & _MASK) - _SIGN``, with the constants of the single
-# int64 definition (pycodegen instead range-tests the exact result and
-# calls wrap64 only outside the range; this form stays its oracle).
-# DIV/REM call its div64/rem64, as every other executor does.
+# A body's *shape* is the tuple of its instructions' kinds: the opcode,
+# or ``(M_CALL, argument count, stores a result)`` for a native call,
+# or ``_FAULT`` for a decode fault. Its maker is generated source of
+# the form
+#
+#     def make(o0, o1, ...):
+#         def body(regs, vm):
+#             <one template per instruction>
+#         return body
+#
+# whose arguments are the body's operands in instruction order, so they
+# become closure cells of the body. Each template does what its
+# handler closure in the tests' oracle (tests/machine_oracle.py) does,
+# statement for statement: ADD/SUB/MUL/NEG/SHL wrap branch-free as
+# ``(x + SIGN & MASK) - SIGN`` with the constants of the single int64
+# definition printed in (pycodegen instead range-tests the exact
+# result; this form stays its oracle), DIV/REM call div64/rem64, NULL
+# is tested by identity, and every trap keeps its class and message.
+# GETF/PUTF take their trap message as one more operand.
+
+#: Bound on the process-wide maker table. The table holds one maker
+#: per shape a process has decoded: 592 after a cold-suite round of
+#: the 28 suite programs (none new in later rounds), 1,590 after the
+#: suite plus the 300-case generated corpus run on the machine backend,
+#: 778 after the CI fuzz smoke, at 3.5-3.8 KB each (the longest shape
+#: had 72 instructions, the median 6). The bound keeps the table under
+#: about 8 MB. When it is full the oldest maker is dropped; bodies
+#: already made keep running, since they do not reference the table.
+MAX_MAKERS = 2048
+
+_FAULT = -1
 
 _SIGN = int64._SIGN
 _MASK = int64._WRAP - 1
 
 
-def _fault(message):
-    def h(regs, vm):
-        raise VMError(message)
-
-    return h
-
-
-def _movi(d, value):
-    def h(regs, vm):
-        regs[d] = value
-
-    return h
-
-
-def _mov(d, s):
-    def h(regs, vm):
-        regs[d] = regs[s]
-
-    return h
-
-
-def _movnull(d):
-    def h(regs, vm):
-        regs[d] = NULL
-
-    return h
-
-
-def _add(d, a, b):
-    def h(regs, vm):
-        regs[d] = (regs[a] + regs[b] + _SIGN & _MASK) - _SIGN
-
-    return h
-
-
-def _sub(d, a, b):
-    def h(regs, vm):
-        regs[d] = (regs[a] - regs[b] + _SIGN & _MASK) - _SIGN
-
-    return h
-
-
-def _mul(d, a, b):
-    def h(regs, vm):
-        regs[d] = (regs[a] * regs[b] + _SIGN & _MASK) - _SIGN
-
-    return h
-
-
-def _div(d, a, b):
-    def h(regs, vm):
-        regs[d] = div64(regs[a], regs[b])
-
-    return h
-
-
-def _rem(d, a, b):
-    def h(regs, vm):
-        regs[d] = rem64(regs[a], regs[b])
-
-    return h
-
-
-def _neg(d, s):
-    def h(regs, vm):
-        regs[d] = (-regs[s] + _SIGN & _MASK) - _SIGN
-
-    return h
-
-
-def _and(d, a, b):
-    def h(regs, vm):
-        regs[d] = regs[a] & regs[b]
-
-    return h
-
-
-def _or(d, a, b):
-    def h(regs, vm):
-        regs[d] = regs[a] | regs[b]
-
-    return h
-
-
-def _xor(d, a, b):
-    def h(regs, vm):
-        regs[d] = regs[a] ^ regs[b]
-
-    return h
-
-
-def _shl(d, a, b):
-    def h(regs, vm):
-        regs[d] = ((regs[a] << (regs[b] & 63)) + _SIGN & _MASK) - _SIGN
-
-    return h
-
-
-def _shr(d, a, b):
-    def h(regs, vm):
-        regs[d] = regs[a] >> (regs[b] & 63)
-
-    return h
-
-
-def _eq(d, a, b):
-    def h(regs, vm):
-        regs[d] = 1 if regs[a] == regs[b] else 0
-
-    return h
-
-
-def _ne(d, a, b):
-    def h(regs, vm):
-        regs[d] = 1 if regs[a] != regs[b] else 0
-
-    return h
-
-
-def _lt(d, a, b):
-    def h(regs, vm):
-        regs[d] = 1 if regs[a] < regs[b] else 0
-
-    return h
-
-
-def _le(d, a, b):
-    def h(regs, vm):
-        regs[d] = 1 if regs[a] <= regs[b] else 0
-
-    return h
-
-
-def _gt(d, a, b):
-    def h(regs, vm):
-        regs[d] = 1 if regs[a] > regs[b] else 0
-
-    return h
-
-
-def _ge(d, a, b):
-    def h(regs, vm):
-        regs[d] = 1 if regs[a] >= regs[b] else 0
-
-    return h
-
-
-def _refeq(d, a, b):
-    def h(regs, vm):
-        regs[d] = 1 if regs[a] is regs[b] else 0
-
-    return h
-
-
-def _refne(d, a, b):
-    def h(regs, vm):
-        regs[d] = 1 if regs[a] is not regs[b] else 0
-
-    return h
-
-
-def _new(d, class_name):
-    def h(regs, vm):
-        regs[d] = vm.allocate(class_name)
-
-    return h
-
-
-def _newarr(d, n, elem_type):
-    def h(regs, vm):
-        length = regs[n]
-        if length < 0:
-            raise BoundsTrap("negative array length %d" % length)
-        regs[d] = vm.allocate_array(elem_type, length)
-
-    return h
-
-
-def _aload(d, a, i):
-    def h(regs, vm):
-        array = regs[a]
-        index = regs[i]
-        if array is NULL:
-            raise NullPointerTrap("ALOAD")
-        data = array.data
-        if not (0 <= index < len(data)):
-            raise BoundsTrap("%d / %d" % (index, len(data)))
-        regs[d] = data[index]
-
-    return h
-
-
-def _astore(a, i, s):
-    def h(regs, vm):
-        array = regs[a]
-        index = regs[i]
-        if array is NULL:
-            raise NullPointerTrap("ASTORE")
-        data = array.data
-        if not (0 <= index < len(data)):
-            raise BoundsTrap("%d / %d" % (index, len(data)))
-        data[index] = regs[s]
-
-    return h
-
-
-def _alen(d, a):
-    def h(regs, vm):
-        array = regs[a]
-        if array is NULL:
-            raise NullPointerTrap("ARRAYLEN")
-        regs[d] = len(array.data)
-
-    return h
-
-
-def _getf(d, o, field):
-    message = "GETFIELD %s" % field
-
-    def h(regs, vm):
-        obj = regs[o]
-        if obj is NULL:
-            raise NullPointerTrap(message)
-        regs[d] = obj.fields[field]
-
-    return h
-
-
-def _putf(o, field, s):
-    message = "PUTFIELD %s" % field
-
-    def h(regs, vm):
-        obj = regs[o]
-        if obj is NULL:
-            raise NullPointerTrap(message)
-        obj.fields[field] = regs[s]
-
-    return h
-
-
-def _gets(d, class_name, field):
-    def h(regs, vm):
-        regs[d] = vm.get_static(class_name, field)
-
-    return h
-
-
-def _puts(class_name, field, s):
-    def h(regs, vm):
-        vm.put_static(class_name, field, regs[s])
-
-    return h
-
-
-def _isinst(d, s, type_name):
-    def h(regs, vm):
-        value = regs[s]
-        if value is NULL:
-            regs[d] = 0
-        else:
-            actual = (
-                value.class_name if isinstance(value, ObjRef) else value.type_name
-            )
-            regs[d] = 1 if vm.program.is_subtype(actual, type_name) else 0
-
-    return h
-
-
-def _isexact(d, s, class_name):
-    def h(regs, vm):
-        value = regs[s]
-        regs[d] = (
-            1
-            if isinstance(value, ObjRef) and value.class_name == class_name
-            else 0
-        )
-
-    return h
-
-
-def _cast(d, s, type_name):
-    def h(regs, vm):
-        value = regs[s]
-        if value is not NULL:
-            actual = (
-                value.class_name if isinstance(value, ObjRef) else value.type_name
-            )
-            if not vm.program.is_subtype(actual, type_name):
-                raise CastTrap("%s -> %s" % (actual, type_name))
-        regs[d] = value
-
-    return h
-
-
-def _native_call(d, target, arg_regs):
-    function = intrinsic_function(target.name)
-
-    def h(regs, vm):
-        value = function(vm, *[regs[r] for r in arg_regs])
-        if d >= 0:
-            regs[d] = value
-
-    return h
-
-
-_HANDLERS = {
-    M_MOVI: _movi,
-    M_MOV: _mov,
-    M_MOVNULL: _movnull,
-    M_ADD: _add,
-    M_SUB: _sub,
-    M_MUL: _mul,
-    M_DIV: _div,
-    M_REM: _rem,
-    M_NEG: _neg,
-    M_AND: _and,
-    M_OR: _or,
-    M_XOR: _xor,
-    M_SHL: _shl,
-    M_SHR: _shr,
-    M_EQ: _eq,
-    M_NE: _ne,
-    M_LT: _lt,
-    M_LE: _le,
-    M_GT: _gt,
-    M_GE: _ge,
-    M_REFEQ: _refeq,
-    M_REFNE: _refne,
-    M_NEW: _new,
-    M_NEWARR: _newarr,
-    M_ALOAD: _aload,
-    M_ASTORE: _astore,
-    M_ALEN: _alen,
-    M_GETF: _getf,
-    M_PUTF: _putf,
-    M_GETS: _gets,
-    M_PUTS: _puts,
-    M_ISINST: _isinst,
-    M_ISEXACT: _isexact,
-    M_CAST: _cast,
-    M_CALL: _native_call,
+def _wrapped(expr):
+    return "(%s + %d & %d) - %d" % (expr, _SIGN, _MASK, _SIGN)
+
+
+_TYPE = "actual = value.class_name if isinstance(value, ObjRef) else value.type_name"
+
+#: Body opcode -> statement template over operands ``{0}``, ``{1}``, ...
+#: (the instruction's operands in order; GETF/PUTF add the message).
+_TEMPLATES = {
+    M_MOVI: "regs[{0}] = {1}",
+    M_MOV: "regs[{0}] = regs[{1}]",
+    M_MOVNULL: "regs[{0}] = NULL",
+    M_ADD: "regs[{0}] = " + _wrapped("regs[{1}] + regs[{2}]"),
+    M_SUB: "regs[{0}] = " + _wrapped("regs[{1}] - regs[{2}]"),
+    M_MUL: "regs[{0}] = " + _wrapped("regs[{1}] * regs[{2}]"),
+    M_DIV: "regs[{0}] = div64(regs[{1}], regs[{2}])",
+    M_REM: "regs[{0}] = rem64(regs[{1}], regs[{2}])",
+    M_NEG: "regs[{0}] = " + _wrapped("-regs[{1}]"),
+    M_AND: "regs[{0}] = regs[{1}] & regs[{2}]",
+    M_OR: "regs[{0}] = regs[{1}] | regs[{2}]",
+    M_XOR: "regs[{0}] = regs[{1}] ^ regs[{2}]",
+    M_SHL: "regs[{0}] = " + _wrapped("(regs[{1}] << (regs[{2}] & 63))"),
+    M_SHR: "regs[{0}] = regs[{1}] >> (regs[{2}] & 63)",
+    M_EQ: "regs[{0}] = 1 if regs[{1}] == regs[{2}] else 0",
+    M_NE: "regs[{0}] = 1 if regs[{1}] != regs[{2}] else 0",
+    M_LT: "regs[{0}] = 1 if regs[{1}] < regs[{2}] else 0",
+    M_LE: "regs[{0}] = 1 if regs[{1}] <= regs[{2}] else 0",
+    M_GT: "regs[{0}] = 1 if regs[{1}] > regs[{2}] else 0",
+    M_GE: "regs[{0}] = 1 if regs[{1}] >= regs[{2}] else 0",
+    M_REFEQ: "regs[{0}] = 1 if regs[{1}] is regs[{2}] else 0",
+    M_REFNE: "regs[{0}] = 1 if regs[{1}] is not regs[{2}] else 0",
+    M_NEW: "regs[{0}] = vm.allocate({1})",
+    M_NEWARR: """\
+length = regs[{1}]
+if length < 0:
+    raise BoundsTrap("negative array length %d" % length)
+regs[{0}] = vm.allocate_array({2}, length)""",
+    M_ALOAD: """\
+array = regs[{1}]
+index = regs[{2}]
+if array is NULL:
+    raise NullPointerTrap("ALOAD")
+data = array.data
+if not (0 <= index < len(data)):
+    raise BoundsTrap("%d / %d" % (index, len(data)))
+regs[{0}] = data[index]""",
+    M_ASTORE: """\
+array = regs[{0}]
+index = regs[{1}]
+if array is NULL:
+    raise NullPointerTrap("ASTORE")
+data = array.data
+if not (0 <= index < len(data)):
+    raise BoundsTrap("%d / %d" % (index, len(data)))
+data[index] = regs[{2}]""",
+    M_ALEN: """\
+array = regs[{1}]
+if array is NULL:
+    raise NullPointerTrap("ARRAYLEN")
+regs[{0}] = len(array.data)""",
+    M_GETF: """\
+obj = regs[{1}]
+if obj is NULL:
+    raise NullPointerTrap({3})
+regs[{0}] = obj.fields[{2}]""",
+    M_PUTF: """\
+obj = regs[{0}]
+if obj is NULL:
+    raise NullPointerTrap({3})
+obj.fields[{1}] = regs[{2}]""",
+    M_GETS: "regs[{0}] = vm.get_static({1}, {2})",
+    M_PUTS: "vm.put_static({0}, {1}, regs[{2}])",
+    M_ISINST: """\
+value = regs[{1}]
+if value is NULL:
+    regs[{0}] = 0
+else:
+    %s
+    regs[{0}] = 1 if vm.program.is_subtype(actual, {2}) else 0""" % _TYPE,
+    M_ISEXACT: """\
+value = regs[{1}]
+regs[{0}] = 1 if isinstance(value, ObjRef) and value.class_name == {2} else 0""",
+    M_CAST: """\
+value = regs[{1}]
+if value is not NULL:
+    %s
+    if not vm.program.is_subtype(actual, {2}):
+        raise CastTrap("%%s -> %%s" %% (actual, {2}))
+regs[{0}] = value""" % _TYPE,
 }
+
+#: The names a maker's source may use besides its operands.
+_GLOBALS = {
+    "NULL": NULL,
+    "ObjRef": ObjRef,
+    "div64": div64,
+    "rem64": rem64,
+    "BoundsTrap": BoundsTrap,
+    "CastTrap": CastTrap,
+    "NullPointerTrap": NullPointerTrap,
+    "VMError": VMError,
+}
+
+#: Shape -> ``(maker, source)``, oldest first; see :data:`MAX_MAKERS`.
+_MAKERS: dict = {}
+_MAKERS_LOCK = threading.Lock()
+
+
+def _template(kind):
+    """``(template, operand count)`` of one shape entry."""
+    if kind == _FAULT:
+        return "raise VMError({0})", 1
+    if isinstance(kind, tuple):
+        _, count, stores = kind
+        call = "{0}(vm%s)" % "".join(
+            ", regs[{%d}]" % (stores + 1 + k) for k in range(count)
+        )
+        return ("regs[{1}] = " + call if stores else call), 1 + stores + count
+    template = _TEMPLATES[kind]
+    return template, len(set(re.findall(r"\{(\d)\}", template)))
+
+
+def _maker(shape):
+    """``(maker, source)`` for *shape*: from the table, or generated,
+    compiled and stored (evicting the oldest makers at the bound)."""
+    entry = _MAKERS.get(shape)
+    if entry is not None:
+        return entry
+    names = []
+    lines = []
+    for kind in shape:
+        template, count = _template(kind)
+        args = ["o%d" % (len(names) + k) for k in range(count)]
+        names.extend(args)
+        lines.extend(template.format(*args).splitlines())
+    source = "def make(%s):\n    def body(regs, vm):\n%s\n    return body\n" % (
+        ", ".join(names),
+        "\n".join("        " + line for line in lines),
+    )
+    namespace: dict = {}
+    exec(compile(source, "<segment body>", "exec"), _GLOBALS, namespace)
+    entry = (namespace["make"], source)
+    with _MAKERS_LOCK:
+        makers = _MAKERS
+        if shape not in makers:
+            while len(makers) >= MAX_MAKERS:
+                del makers[next(iter(makers))]
+        makers[shape] = entry
+    return entry
+
+
+def shape_names(shape):
+    """The opcode names of *shape*, one per instruction: a native call
+    reads ``CALL/<argument count>``, with ``/void`` when it stores no
+    result; a decode fault reads ``FAULT``."""
+    names = []
+    for kind in shape:
+        if kind == _FAULT:
+            names.append("FAULT")
+        elif isinstance(kind, tuple):
+            names.append("CALL/%d%s" % (kind[1], "" if kind[2] else "/void"))
+        else:
+            names.append(_NAMES[kind])
+    return names
+
+
+def maker_source(shape):
+    """The generated source of *shape*'s maker."""
+    return _maker(shape)[1]
 
 
 class MachineExecutor:
@@ -614,10 +497,11 @@ class MachineExecutor:
 
     :meth:`execute` runs the code's decoded segments (built by
     :func:`decode` on first execution and shared by every executor):
-    add the segment's folded ``COST``, run its handlers, then act on
-    its tail — follow a jump or branch, flush and dispatch a call,
-    check a guard, flush and return, or flush and deoptimize. Nothing
-    inside a segment flushes cycles, and nothing flushes on a trap.
+    add the segment's folded ``COST``, make one call to its generated
+    body (if it has one), then act on its tail — follow a jump or
+    branch, flush and dispatch a call, check a guard, flush and return,
+    or flush and deoptimize. Nothing inside a segment flushes cycles,
+    and nothing flushes on a trap.
 
     The executor is deliberately free of policy: tier transfer decisions
     live in the dispatch callable (the JIT engine), which is invoked for
@@ -649,8 +533,8 @@ class MachineExecutor:
         while True:
             cost, body, tail, a, b, c, follow = segment
             cycles += cost
-            for h in body:
-                h(regs, vm)
+            if body is not None:
+                body(regs, vm)
             if tail == M_JMP:
                 segment = follow
             elif tail == M_BR:

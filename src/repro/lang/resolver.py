@@ -293,6 +293,11 @@ class Resolver:
             targets = []
         else:
             targets = list(self.table.superclass_chain(decl.superclass))
+        targets.extend(
+            self.table.decl(name)
+            for name in sorted(self.table.all_interfaces(decl.name))
+            if name != decl.name
+        )
         for method in decl.methods:
             if method.is_static:
                 continue

@@ -1,23 +1,28 @@
-"""Dump bytecode, SSA IR, machine code or py-tier source for a minij
-method.
+"""Dump bytecode, SSA IR, machine code, decoded segments or py-tier
+source for a minij method.
 
 Examples::
 
     python -m repro.tools.disasm program.minij --method Main.run
     python -m repro.tools.disasm program.minij --method Main.run --form ir
     python -m repro.tools.disasm program.minij --method Main.run --form machine
+    python -m repro.tools.disasm program.minij --method Main.run --form segments
     python -m repro.tools.disasm program.minij --method Main.run --form py
     python -m repro.tools.disasm program.minij            # whole program
 
-``--form py`` prints the closure source the py tier generates for the
-optimized graph (the one ``--form machine`` lowers); when the generator
-bails out it prints the reason and exits with status 1.
+``--form segments`` decodes the machine code as the machine executor
+does and prints each reachable segment in pc order (start pc, folded
+cost, the body's shape and the tail), then the generated maker source
+of each shape once. ``--form py`` prints the closure source the py tier
+generates for the optimized graph (the one ``--form machine`` lowers);
+when the generator bails out it prints the reason and exits with
+status 1.
 """
 
 import argparse
 import sys
 
-from repro.backend import pycodegen
+from repro.backend import machine, pycodegen
 from repro.backend.lowering import lower_graph
 from repro.bytecode.disassembler import disassemble_method, disassemble_program
 from repro.ir import build_graph, format_graph
@@ -36,7 +41,8 @@ def main(argv=None):
         help="restrict to one method (Class.method); default: whole program",
     )
     parser.add_argument(
-        "--form", choices=["bytecode", "ir", "ir-opt", "machine", "py"],
+        "--form",
+        choices=["bytecode", "ir", "ir-opt", "machine", "segments", "py"],
         default="bytecode",
     )
     args = parser.parse_args(argv)
@@ -65,8 +71,57 @@ def main(argv=None):
             return 1
         print(source, end="")
         return 0
-    print(lower_graph(graph).listing())
+    code = lower_graph(graph)
+    if args.form == "segments":
+        print(format_segments(code), end="")
+        return 0
+    print(code.listing())
     return 0
+
+
+def format_segments(code):
+    """The decoded segments of *code* in pc order, then the source of
+    each body shape's maker once, in order of first use."""
+    shapes = {}
+    machine.decode(code, shapes)
+    starts = {id(segment): pc for pc, (segment, _) in shapes.items()}
+
+    def operand(value):
+        if id(value) in starts:  # a segment
+            return "@%d" % starts[id(value)]
+        if isinstance(value, tuple):  # argument registers
+            return "(%s)" % ", ".join(str(r) for r in value)
+        return str(getattr(value, "qualified_name", value))
+
+    lines = []
+    makers = {}
+    for pc in sorted(shapes):
+        segment, shape = shapes[pc]
+        cost, _, tail, a, b, c, follow = segment
+        names = machine.shape_names(shape)
+        tail_name = machine.shape_names((tail,))[0]
+        if names and names[-1] == "FAULT":
+            ending = "traps"
+        elif tail == machine.M_JMP:
+            ending = "JMP %s" % operand(follow)
+        elif tail == machine.M_BR:
+            ending = "BR %s ? %s : %s" % (a, operand(b), operand(follow))
+        else:
+            ending = " ".join(
+                [tail_name] + [operand(x) for x in (a, b, c) if x is not None]
+            )
+            if follow is not None:
+                ending += " -> " + operand(follow)
+        lines.append(
+            "@%-4d cost %-4d [%s] %s" % (pc, cost, " ".join(names), ending)
+        )
+        if shape:
+            makers.setdefault(shape, machine.maker_source(shape))
+    for shape, source in makers.items():
+        lines.append("")
+        lines.append("# shape: %s" % " ".join(machine.shape_names(shape)))
+        lines.extend(source.rstrip("\n").splitlines())
+    return "\n".join(lines) + "\n"
 
 
 if __name__ == "__main__":

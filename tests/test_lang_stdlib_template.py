@@ -23,7 +23,7 @@ from repro.bytecode.disassembler import disassemble_program
 from repro.bytecode.klass import FieldDef
 from repro.bytecode.program import Program
 from repro.bytecode.verifier import verify_program
-from repro.errors import ReproError
+from repro.errors import ReproError, ResolveError
 from repro.fuzz.generator import _generate_minij, generate_case
 from repro.lang import STDLIB_SOURCE, compile_source, loader
 from repro.lang.codegen import CodeGen
@@ -165,6 +165,18 @@ BROKEN = {
         "}"
     ),
     "unknown-superclass": "class A extends Nope { }",
+    "bad-trait-override": (
+        "class Cell { var v: int; def get(): int { return v; } }\n"
+        "class Bad implements IntFn1 {\n"
+        "  def apply(x: Cell): int { return x.get(); }\n"
+        "}"
+    ),
+    "bad-stdlib-trait-override": (
+        "class Bad implements Seq {\n"
+        "  def length(): bool { return true; }\n"
+        "  def get(i: int): Object { return null; }\n"
+        "}"
+    ),
     "missing-return": (
         "class Main {\n"
         "  static def run(x: int): int { if (x > 0) { return 1; } }\n"
@@ -196,17 +208,40 @@ class TestBrokenSources:
         assert _outcome(compile_source, source) == expected
 
     def test_trait_override_matches_oracle(self):
-        # The resolver checks overrides along the superclass chain only,
-        # so a trait method implemented with another signature compiles;
-        # the template must neither reject it nor compile it differently.
-        source = (
-            "class Bad implements Seq {\n"
-            "  def length(): bool { return true; }\n"
-            "  def get(i: int): Object { return null; }\n"
-            "}"
-        )
+        # The resolver checks overrides against the superclass chain and
+        # every trait a class implements, the stdlib's included: the
+        # template must reject a trait method implemented with another
+        # signature exactly as a from-scratch compile does.
+        source = BROKEN["bad-stdlib-trait-override"]
         assert _outcome(compile_source, source) == _outcome(
             oracle_compile_source, source
+        )
+
+    @pytest.mark.parametrize(
+        "name,message,line,column",
+        [
+            (
+                "bad-trait-override",
+                "Bad.apply overrides IntFn1.apply with a different signature",
+                3,
+                3,
+            ),
+            (
+                "bad-stdlib-trait-override",
+                "Bad.length overrides Seq.length with a different signature",
+                2,
+                3,
+            ),
+        ],
+    )
+    def test_trait_override_is_rejected(self, name, message, line, column):
+        # Calling such a method through the trait used to crash the
+        # host (an int argument where the body reads a Cell's field).
+        assert _outcome(compile_source, BROKEN[name]) == (
+            ResolveError,
+            "line %d:%d: %s" % (line, column, message),
+            line,
+            column,
         )
 
     def test_error_leaves_next_compile_unchanged(self):

@@ -3,10 +3,19 @@
 The lowering tests already cover the common paths; these pin the exact
 semantics of each machine instruction in isolation, and the cycle
 flush points, control-flow shapes and sharing the executor's segment
-decoding must preserve.
+decoding must preserve. The last class checks the generated segment
+bodies (superinstructions) against the per-instruction handler
+closures they replaced, and the process-wide maker table behind them.
 """
 
+import sys
+import threading
+import types
+from unittest import mock
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.backend import machine as m
 from repro.backend.machine import MachineCode, MachineExecutor
@@ -14,6 +23,10 @@ from repro.deopt import DeoptSignal, FrameTemplate
 from repro.errors import BoundsTrap, CastTrap, NullPointerTrap, VMError
 from repro.interp import Interpreter
 from repro.runtime import VMState
+from repro.runtime.int64 import INT64_MAX, INT64_MIN
+from repro.runtime.intrinsics import INTRINSIC_TABLE
+from repro.runtime.values import NULL, ObjRef
+from tests import machine_oracle
 from tests.helpers import (
     fresh_program,
     shapes_program,
@@ -520,3 +533,352 @@ class TestSharedCode:
             assert values == [c * arg + c for arg in range(60)]
             assert list(vm.output) == [c * arg for arg in range(60)]
             assert sink.cycles == 7 * 60
+
+
+# -- superinstructions ----------------------------------------------------------
+#
+# Each segment body runs as one generated function. The per-instruction
+# handler closures it replaced are the oracle (tests/machine_oracle.py).
+
+INT_VALUES = (
+    0, 1, -1, 2, 3, 7, 63, 64, 65, 2 ** 32, -(2 ** 32),
+    INT64_MAX, INT64_MIN, INT64_MAX - 1, INT64_MIN + 1,
+)
+#: Registers 0..10 take any value; register 11 holds a small length
+#: for NEWARR and is never written, so no body allocates a huge array.
+NUM_REGS = 12
+LENGTH_REG = 11
+WRITABLE = range(LENGTH_REG)
+MIX3 = types.SimpleNamespace(name="mix3", is_native=True)
+
+#: Native calls by argument count: ticks, abs/print/rand/seed, imin/imax,
+#: and a test-only three-argument intrinsic.
+NATIVES = {0: ("ticks",), 1: ("abs", "print", "rand", "seed"), 2: ("imin", "imax")}
+
+ARITH = (m.M_ADD, m.M_SUB, m.M_MUL, m.M_DIV, m.M_REM, m.M_AND, m.M_OR,
+         m.M_XOR, m.M_SHL, m.M_SHR, m.M_EQ, m.M_NE, m.M_LT, m.M_LE, m.M_GT,
+         m.M_GE)
+BODY_OPS = ARITH + (
+    m.M_MOVI, m.M_MOV, m.M_MOVNULL, m.M_NEG, m.M_REFEQ, m.M_REFNE, m.M_NEW,
+    m.M_NEWARR, m.M_ALOAD, m.M_ASTORE, m.M_ALEN, m.M_GETF, m.M_PUTF,
+    m.M_GETS, m.M_PUTS, m.M_ISINST, m.M_ISEXACT, m.M_CAST, m.M_CALL,
+)
+
+
+def _mix3(vm, a, b, c):
+    return (a ^ b) - c
+
+
+def _differential_program():
+    from repro.bytecode.klass import FieldDef
+
+    program = shapes_program()
+    holder = program.define_class("G")
+    holder.add_field(FieldDef("c", "int", is_static=True))
+    return program
+
+
+PROGRAM = _differential_program()
+
+
+@st.composite
+def _register_file(draw):
+    """A recipe per register: an int, NULL, an object or an array."""
+    value = st.one_of(
+        st.tuples(st.just("int"), st.sampled_from(INT_VALUES)),
+        st.just(("null",)),
+        st.tuples(st.just("obj"), st.sampled_from(["Square", "Circle"])),
+        st.tuples(
+            st.just("arr"),
+            st.sampled_from(["int", "Shape"]),
+            st.integers(0, 4),
+        ),
+    )
+    recipe = draw(st.lists(value, min_size=LENGTH_REG, max_size=LENGTH_REG))
+    return recipe + [("int", draw(st.sampled_from([-1, 0, 1, 3])))]
+
+
+def _materialize(recipe, vm):
+    regs = []
+    for entry in recipe:
+        if entry[0] == "int":
+            regs.append(entry[1])
+        elif entry[0] == "null":
+            regs.append(NULL)
+        elif entry[0] == "obj":
+            obj = vm.allocate(entry[1])
+            obj.fields["side" if entry[1] == "Square" else "r"] = 5
+            regs.append(obj)
+        else:
+            array = vm.allocate_array(entry[1], entry[2])
+            if entry[1] == "int":
+                array.data[:] = INT_VALUES[: entry[2]]
+            regs.append(array)
+    return regs
+
+
+@st.composite
+def _body(draw, recipe):
+    """1-12 body instructions whose operands mostly have the kind the
+    opcode expects (tracked as the body writes registers), so bodies
+    run deep as well as trap."""
+    kinds = [entry[0] for entry in recipe]
+
+    def reg(*wanted):
+        matching = [r for r, kind in enumerate(kinds) if kind in wanted]
+        if matching and draw(st.integers(0, 15)) < 15:
+            return draw(st.sampled_from(matching))
+        return draw(st.integers(0, NUM_REGS - 1))
+
+    def dest(kind):
+        d = draw(st.sampled_from(WRITABLE))
+        kinds[d] = kind
+        return d
+
+    instrs = []
+    for _ in range(draw(st.integers(1, 12))):
+        op = draw(st.sampled_from(BODY_OPS))
+        if draw(st.integers(0, 4)) == 0:
+            instrs.append((m.M_COST, draw(st.integers(1, 9))))
+        if op in ARITH:
+            a, b = reg("int"), reg("int")
+            instr = (op, dest("int"), a, b)
+        elif op == m.M_MOVI:
+            instr = (op, dest("int"), draw(st.sampled_from(INT_VALUES)))
+        elif op == m.M_MOV:
+            s = reg("int", "null", "obj", "arr", "any")
+            instr = (op, dest(kinds[s]), s)
+        elif op == m.M_MOVNULL:
+            instr = (op, dest("null"))
+        elif op == m.M_NEG:
+            s = reg("int")
+            instr = (op, dest("int"), s)
+        elif op in (m.M_REFEQ, m.M_REFNE):
+            a, b = reg("null", "obj", "arr"), reg("null", "obj", "arr")
+            instr = (op, dest("int"), a, b)
+        elif op == m.M_NEW:
+            instr = (op, dest("obj"), draw(st.sampled_from(["Square", "Circle"])))
+        elif op == m.M_NEWARR:
+            elem = draw(st.sampled_from(["int", "Shape"]))
+            instr = (op, dest("arr"), LENGTH_REG, elem)
+        elif op == m.M_ALOAD:
+            a, i = reg("arr"), reg("int")
+            instr = (op, dest("any"), a, i)
+        elif op == m.M_ASTORE:
+            instr = (op, reg("arr"), reg("int"), reg("int", "null", "obj"))
+        elif op == m.M_ALEN:
+            a = reg("arr")
+            instr = (op, dest("int"), a)
+        elif op == m.M_GETF:
+            o = reg("obj")
+            instr = (op, dest("any"), o, draw(st.sampled_from(["side", "r"])))
+        elif op == m.M_PUTF:
+            instr = (op, reg("obj"), draw(st.sampled_from(["side", "r"])),
+                     reg("int", "obj", "null"))
+        elif op == m.M_GETS:
+            instr = (op, dest("any"), "G", "c")
+        elif op == m.M_PUTS:
+            instr = (op, "G", "c", reg("int", "obj", "null"))
+        elif op in (m.M_ISINST, m.M_ISEXACT, m.M_CAST):
+            s = reg("obj", "arr", "null")
+            name = draw(st.sampled_from(["Shape", "Square", "Circle", "int[]"]))
+            kind = kinds[s] if op == m.M_CAST else "int"
+            instr = (op, dest(kind), s, name)
+        else:
+            count = draw(st.integers(0, 3))
+            args = tuple(reg("int") for _ in range(count))
+            name = "mix3" if count == 3 else draw(st.sampled_from(NATIVES[count]))
+            target = MIX3 if count == 3 else PROGRAM.lookup_method("Builtins", name)
+            d = dest("int") if draw(st.booleans()) else -1
+            instr = (op, d, target, args)
+        instrs.append(instr)
+    return instrs
+
+
+def _snapshot(regs, vm, error):
+    """Everything a body can change, with references numbered in
+    first-seen order so two VMs' heaps compare by shape."""
+    numbers = {}
+    heap = []
+
+    def ref(value):
+        if value is NULL or isinstance(value, int):
+            return value
+        if id(value) not in numbers:
+            numbers[id(value)] = len(heap)
+            heap.append(value)
+        return ("ref", numbers[id(value)])
+
+    registers = [ref(value) for value in regs]
+    static = ref(vm.get_static("G", "c"))
+    rendered = []
+    for value in heap:  # grows while it is walked
+        if isinstance(value, ObjRef):
+            fields = [(k, ref(value.fields[k])) for k in sorted(value.fields)]
+            rendered.append(("obj", value.class_name, fields))
+        else:
+            rendered.append(("arr", value.elem_type, [ref(v) for v in value.data]))
+    trap = None if error is None else (type(error), str(error))
+    return (trap, registers, static, rendered, vm.allocation_count,
+            list(vm.output), vm.tick_counter)
+
+
+def _straight_code(instrs):
+    return MachineCode(None, list(instrs) + [(m.M_RET,)], NUM_REGS, 0)
+
+
+def _run_generated(instrs, recipe):
+    vm = VMState(PROGRAM)
+    regs = _materialize(recipe, vm)
+    error = None
+    try:
+        body = m.decode(_straight_code(instrs))[1]
+        body(regs, vm)
+    except Exception as caught:  # host errors must match too
+        error = caught
+    return _snapshot(regs, vm, error)
+
+
+def _run_oracle(instrs, recipe):
+    vm = VMState(PROGRAM)
+    regs = _materialize(recipe, vm)
+    error = None
+    try:
+        machine_oracle.run_body(instrs, regs, vm)
+    except Exception as caught:
+        error = caught
+    return _snapshot(regs, vm, error)
+
+
+@st.composite
+def _case(draw):
+    recipe = draw(_register_file())
+    return recipe, draw(_body(recipe))
+
+
+def _int_recipe(*values):
+    values = list(values) + [0] * (NUM_REGS - len(values))
+    return [("int", value) for value in values]
+
+
+class TestSuperinstructions:
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(_case())
+    def test_body_matches_handler_closures(self, case):
+        recipe, instrs = case
+        with mock.patch.dict(INTRINSIC_TABLE, {"mix3": ([], "int", _mix3)}):
+            assert _run_generated(instrs, recipe) == _run_oracle(instrs, recipe)
+
+    def test_wrap_at_both_ends(self):
+        # The differential test's most likely catch, pinned directly.
+        instrs = [
+            (m.M_ADD, 2, 0, 1),
+            (m.M_SUB, 3, 4, 1),
+            (m.M_MUL, 5, 0, 0),
+            (m.M_NEG, 6, 4),
+            (m.M_SHL, 7, 0, 1),
+        ]
+        recipe = _int_recipe(INT64_MAX, 1, 0, 0, INT64_MIN)
+        generated = _run_generated(instrs, recipe)
+        assert generated == _run_oracle(instrs, recipe)
+        assert generated[1][2:8] == [INT64_MIN, INT64_MAX, INT64_MIN, 1,
+                                     INT64_MIN, -2]
+
+    def test_pc_outside_the_code(self):
+        with pytest.raises(VMError, match="^pc 2 outside the code$"):
+            _execute([(m.M_MOVI, 0, 1), (m.M_COST, 3)])
+
+    def test_same_shape_shares_one_maker(self, monkeypatch):
+        monkeypatch.setattr(m, "_MAKERS", {})
+        first = _straight_code([(m.M_MOVI, 1, 5), (m.M_ADD, 2, 0, 1)])
+        second = _straight_code([(m.M_MOVI, 3, 9), (m.M_ADD, 4, 3, 0)])
+        one, two = m.decode(first)[1], m.decode(second)[1]
+        assert list(m._MAKERS) == [(m.M_MOVI, m.M_ADD)]
+        assert one is not two and one.__code__ is two.__code__
+        regs = _materialize(_int_recipe(2), VMState(PROGRAM))
+        one(regs, None)
+        two(regs, None)
+        assert regs[1:5] == [5, 7, 9, 11]
+
+    def test_bound_drops_the_oldest_makers(self, monkeypatch):
+        monkeypatch.setattr(m, "_MAKERS", {})
+        monkeypatch.setattr(m, "MAX_MAKERS", 3)
+        recipe = _int_recipe(INT64_MAX, 3)
+
+        def code(count):  # one shape per count: MOVI^count ADD
+            return [(m.M_MOVI, 2 + k, k) for k in range(count)] + [
+                (m.M_ADD, 9, 0, 1)
+            ]
+
+        bodies = []
+        for count in range(1, 7):
+            bodies.append((count, m.decode(_straight_code(code(count)))[1]))
+            assert len(m._MAKERS) == min(count, 3)
+        shapes = [(m.M_MOVI,) * count + (m.M_ADD,) for count in (4, 5, 6)]
+        assert list(m._MAKERS) == shapes
+        # The first shape again: made anew, evicting the oldest left.
+        bodies.append((1, m.decode(_straight_code(code(1)))[1]))
+        assert list(m._MAKERS) == shapes[1:] + [(m.M_MOVI, m.M_ADD)]
+        for count, body in bodies:
+            vm = VMState(PROGRAM)
+            regs = _materialize(recipe, vm)
+            body(regs, vm)
+            assert _snapshot(regs, vm, None) == _run_oracle(code(count), recipe)
+
+    def test_concurrent_decode_of_new_shapes(self, monkeypatch):
+        monkeypatch.setattr(m, "_MAKERS", {})
+        shapes = [
+            [m.M_MOVI, m.M_ADD], [m.M_MOVI, m.M_MUL, m.M_NEG],
+            [m.M_MOVI, m.M_SHL, m.M_ALOAD], [m.M_MOVI, m.M_SUB, m.M_SUB],
+        ]
+        recipe = _int_recipe(INT64_MAX, 0, *range(2, NUM_REGS))
+        recipe[1] = ("arr", "int", 4)
+
+        def code(shape, thread, variant):
+            # Distinct operands per thread and variant, one shape.
+            base = 2 + (thread + variant) % 5
+            instrs = [(m.M_MOVI, base, thread * 10 + variant)]
+            for op in shape[1:]:
+                if op == m.M_NEG:
+                    instrs.append((op, 9, base))
+                elif op == m.M_ALOAD:
+                    instrs.append((op, 10, 1, 3))
+                else:
+                    instrs.append((op, 8, 0, base))
+            return instrs
+
+        jobs = [
+            [(shape, thread, variant) for variant in range(5) for shape in shapes]
+            for thread in range(4)
+        ]
+        results = [None] * len(jobs)
+
+        def run(slot):
+            out = []
+            for shape, thread, variant in jobs[slot]:
+                out.append(_run_generated(code(shape, thread, variant), recipe))
+            results[slot] = out
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=run, args=(slot,))
+                for slot in range(len(jobs))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(m._MAKERS) == sorted(tuple(shape) for shape in shapes)
+        for slot, job in enumerate(jobs):
+            assert results[slot] == [
+                _run_oracle(code(*item), recipe) for item in job
+            ]

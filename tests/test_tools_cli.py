@@ -98,6 +98,23 @@ class TestDisasmTool:
         out = capsys.readouterr().out
         assert "COST" in out
 
+    def test_segments_form(self, demo_file, capsys):
+        assert disasm_tool.main(
+            [demo_file, "--method", "Main.run", "--form", "segments"]
+        ) == 0
+        out = capsys.readouterr().out
+        segments = re.findall(r"^@(\d+) +cost (\d+) +\[(.*)\] (.+)$", out, re.M)
+        starts = [int(pc) for pc, _, _, _ in segments]
+        assert starts[0] == 0 and starts == sorted(starts)
+        assert any(int(cost) > 0 for _, cost, _, _ in segments)
+        assert any(tail.startswith("BR ") for _, _, _, tail in segments)
+        assert any(tail.startswith("RETV ") for _, _, _, tail in segments)
+        # Each shape's maker source appears once, for every non-empty body.
+        shapes = re.findall(r"^# shape: (.*)$", out, re.M)
+        assert len(shapes) == len(set(shapes)) == out.count("def make(")
+        assert set(shapes) == {body for _, _, body, _ in segments if body}
+        assert "def body(regs, vm):" in out
+
     def test_py_form(self, demo_file, capsys):
         assert disasm_tool.main(
             [demo_file, "--method", "Main.helper", "--form", "py"]
