@@ -43,6 +43,11 @@ class InlineReport:
         self.explored_nodes = 0
         self.inlined_methods = []
         self.final_root_size = 0
+        #: True when the last end-of-round optimization left the root at
+        #: the pipeline's fixpoint. Only frequencies change the root
+        #: after it, and no pass reads them, so the compiler's
+        #: post-inline run would change nothing and is skipped.
+        self.root_at_fixpoint = False
 
     def __repr__(self):
         return "<InlineReport rounds=%d expanded=%d inlined=%d ts=%d>" % (
@@ -136,7 +141,8 @@ class IncrementalInliner:
             if inlined:
                 # End-of-round optimizations on the root (§IV): full
                 # pipeline including read/write elimination and peeling.
-                context.pipeline.run(root.graph)
+                stats = context.pipeline.run(root.graph)
+                report.root_at_fixpoint = stats.at_fixpoint
                 annotate_frequencies(root.graph)
                 refresh_frequencies(root)
                 if self.deep_trials:

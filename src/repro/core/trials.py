@@ -43,17 +43,27 @@ class TrialMemo:
     transplants. Nodes whose graphs did not come through the memo have
     no lineage and always retrial live.
 
+    The memo also keeps every callee graph
+    :meth:`~repro.jit.compiler.CompileContext.build_callee_graph` builds,
+    as it left the builder, in ``graphs``: a repeat build of the same
+    method for the same caller context and speculation-log version is
+    a copy of the stored one (``graphs_reused`` counts those). These are
+    stored on first sight, because a build costs far more than a copy.
+
     The memo is reset per compilation (profiles mutate between
     compilations — see :meth:`repro.jit.compiler.JitCompiler.compile`);
-    ``hits`` / ``misses`` accumulate across compilations for reporting.
-    Everything memoized is deterministic, so enabling the memo changes
-    host wall-clock only — never compiled code or cycle counts.
+    ``hits`` / ``misses`` / ``graphs_reused`` accumulate across
+    compilations for reporting. Everything memoized is deterministic, so
+    enabling the memo changes host wall-clock only — never compiled code
+    or cycle counts.
     """
 
     __slots__ = (
         "context_sensitive",
         "hits",
         "misses",
+        "graphs_reused",
+        "graphs",
         "_expansions",
         "_retrials",
         "_lineage",
@@ -63,12 +73,16 @@ class TrialMemo:
         self.context_sensitive = context_sensitive
         self.hits = 0
         self.misses = 0
+        self.graphs_reused = 0
+        #: (method, caller or None, log version) -> (graph, decisions).
+        self.graphs = {}
         self._expansions = {}
         self._retrials = {}
         self._lineage = {}
 
     def reset(self):
         """Drop the per-compilation tables (counters persist)."""
+        self.graphs.clear()
         self._expansions.clear()
         self._retrials.clear()
         self._lineage.clear()

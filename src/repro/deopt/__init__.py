@@ -176,6 +176,14 @@ class SpeculationLog:
     def __len__(self):
         return len(self._refuted)
 
+    def version(self):
+        """Grows with every newly refuted site or disabled method.
+
+        Nothing is ever removed, so two reads of an equal version get
+        equal answers from :meth:`refuted` and :meth:`is_disabled`.
+        """
+        return len(self._refuted) + len(self._disabled)
+
     def entries(self):
         return sorted(self._refuted.items())
 

@@ -62,13 +62,35 @@ class CompileContext:
         come from the profile observed *from that caller* (falling back
         to the aggregate) — the §VI extension the paper left to future
         work.
+
+        With a :class:`~repro.core.trials.TrialMemo` attached, each graph
+        is built once per compilation: a repeat build returns a
+        :meth:`~repro.ir.graph.Graph.copy` of the stored first build and
+        replays its type-check decisions. The builder reads the method,
+        the profiles (frozen for the compilation) and the speculation
+        log, so the key is the method, the caller when the profiles are
+        context-sensitive, and the log's version: a refutation recorded
+        mid-compilation (by a deopt racing a background compile) makes
+        the next build miss.
         """
         profiles = self.profiles
-        if (
+        if not (
             profiles is not None
             and caller is not None
             and getattr(profiles, "context_sensitive", False)
         ):
+            caller = None
+        memo = self.trial_memo
+        if memo is not None:
+            log = self.speculation.log if self.speculation is not None else None
+            key = (method, caller, log.version() if log is not None else 0)
+            stored = memo.graphs.get(key)
+            if stored is not None:
+                memo.graphs_reused += 1
+                graph, decisions = stored
+                self.typecheck_decisions.extend(decisions)
+                return graph.copy()[0]
+        if caller is not None:
             profiles = profiles.view_for_caller(caller)
         graph = build_graph(
             method,
@@ -77,10 +99,11 @@ class CompileContext:
             speculate=self.speculate,
             speculation=self.speculation,
         )
-        decisions = getattr(graph, "typecheck_decisions", None)
-        if decisions:
-            self.typecheck_decisions.extend(decisions)
+        decisions = getattr(graph, "typecheck_decisions", None) or ()
+        self.typecheck_decisions.extend(decisions)
         annotate_frequencies(graph)
+        if memo is not None:
+            memo.graphs[key] = (graph.copy()[0], decisions)
         return graph
 
     def can_build(self, method):
@@ -223,7 +246,13 @@ class JitCompiler:
             self._record_typecheck_decisions(graph, obs)
             with events.span("optimize", stage="post-inline"), \
                     timers.span("compile.optimize"):
-                self.pipeline.run(graph)
+                if getattr(inline_report, "root_at_fixpoint", False):
+                    if obs.enabled:
+                        obs.metrics.counter(
+                            "opt.pipeline.post_inline_skipped"
+                        ).inc()
+                else:
+                    self.pipeline.run(graph)
             work_units = graph.node_count()
             with events.span("lower"), timers.span("compile.lower"):
                 code = lower_graph(graph, self.config.cost_model)
@@ -246,6 +275,9 @@ class JitCompiler:
             if obs.enabled and memo is not None:
                 obs.metrics.gauge("inline.trial_memo.hits").set(memo.hits)
                 obs.metrics.gauge("inline.trial_memo.misses").set(memo.misses)
+                obs.metrics.gauge("inline.callee_graphs.reused").set(
+                    memo.graphs_reused
+                )
         record = CompilationRecord(
             method, code, work_units, inline_report, compile_cycles
         )

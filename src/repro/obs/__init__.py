@@ -38,9 +38,9 @@ One fact, one record: every fact the VM reports (a tier transition,
 an inlining decision, a deopt, an eviction) goes through
 :meth:`Observability.record`, which writes the same kind and attributes
 as an event-log point event and as a flight record. Only the
-high-volume ``pass``, ``iteration`` and ``serve.run`` events are
-written to the log alone (``obs.events.emit``); a tier-1 test keeps
-every other module off the two sinks.
+high-volume ``pass``, ``pass.skipped``, ``iteration`` and ``serve.run``
+events are written to the log alone (``obs.events.emit``); a tier-1
+test keeps every other module off the two sinks.
 
 Usage::
 

@@ -9,6 +9,7 @@ back with :meth:`EventLog.read_jsonl`) into a plain-dict report:
   outcome counts),
 - aggregate phase timings,
 - pass-effectiveness totals from the pipeline's per-pass node deltas,
+  with the number of times each pass group was skipped as clean,
 - an inlining outcome rollup with the most-inlined callees,
 - failed compilations (an OSR continuation as ``Method@osr<bci>``),
   deopts, invalidations and py-backend bailouts,
@@ -37,7 +38,7 @@ def build_report(records):
     compile_by_sid = {}
     pending_hotness = {}  # method -> hotness from the last jit.trigger
     phase_totals = dict.fromkeys(PHASES, 0.0)
-    pass_stats = {}  # pass name -> {"runs", "removed", "added"}
+    pass_stats = {}  # pass name -> {"runs", "skipped", "removed", "added"}
     rollup = dict.fromkeys(INLINE_KINDS, 0)
     inlined_methods = {}
     iterations = []
@@ -83,16 +84,20 @@ def build_report(records):
                 compiles.append(entry)
                 compile_by_sid[sid] = entry
         elif rtype == "event":
-            if name == "pass":
+            if name == "pass" or name == "pass.skipped":
                 stats = pass_stats.setdefault(
-                    attrs.get("name", "?"), {"runs": 0, "removed": 0, "added": 0}
+                    attrs.get("name", "?"),
+                    {"runs": 0, "skipped": 0, "removed": 0, "added": 0},
                 )
-                stats["runs"] += 1
-                delta = attrs.get("before", 0) - attrs.get("after", 0)
-                if delta >= 0:
-                    stats["removed"] += delta
+                if name == "pass.skipped":
+                    stats["skipped"] += 1
                 else:
-                    stats["added"] += -delta
+                    stats["runs"] += 1
+                    delta = attrs.get("before", 0) - attrs.get("after", 0)
+                    if delta >= 0:
+                        stats["removed"] += delta
+                    else:
+                        stats["added"] += -delta
             elif name and name.startswith("inline."):
                 kind = name[len("inline."):]
                 if kind in rollup:
@@ -291,11 +296,15 @@ def render_report(report, top=10, hottest=None, metrics_snapshot=None):
     lines.append("== pass effectiveness (IR node deltas) ==")
     if report["pass_stats"]:
         rows = [
-            (name, stats["runs"], stats["removed"], stats["added"])
+            (name, stats["runs"], stats["skipped"], stats["removed"],
+             stats["added"])
             for name, stats in sorted(report["pass_stats"].items())
         ]
         lines.extend(
-            _table(rows, ("pass", "runs", "nodes-", "nodes+"), align_left=(0,))
+            _table(
+                rows, ("pass", "runs", "skipped", "nodes-", "nodes+"),
+                align_left=(0,),
+            )
         )
     else:
         lines.append("  (no pass events recorded)")

@@ -10,6 +10,10 @@ Each local rewrite is classified and counted in :class:`CanonStats`;
 the inliner's N_s(n) (Eq. 4) reads exactly the *simple* counters —
 constant folds, strength reductions and branch prunings — matching the
 paper's "we calculate N_s(n) only for the simplest optimizations".
+``CanonStats.changed`` additionally records whether the run changed the
+graph at all: it is set at every mutation, including the Pi removals
+and phi/checkcast stamp refinements no counter covers, so the pipeline
+can skip a canonicalization of a graph it already left unchanged.
 
 The pass also performs speculative-free devirtualization: a dispatched
 call whose receiver stamp pins the type (or whose declared type has a
@@ -18,17 +22,22 @@ call. Devirtualizations are counted separately — they feed the call-tree
 expansion, not N_s.
 """
 
+from operator import attrgetter
+
 from repro.bytecode.opcodes import Op
 from repro.runtime.int64 import int_div, int_rem, is_wrapped, wrap64
 from repro.ir import nodes as n
 from repro.ir import stamps as st
+
+_node_id = attrgetter("id")
 
 
 class CanonStats:
     """Counters for one canonicalization run.
 
     ``simple()`` is the paper's N_s contribution: the simplest
-    optimizations, all weighted equally (§IV).
+    optimizations, all weighted equally (§IV). ``changed`` is True when
+    the run mutated the graph in any way, counted or not.
     """
 
     __slots__ = (
@@ -39,6 +48,7 @@ class CanonStats:
         "devirtualizations",
         "phi_simplifications",
         "rounds",
+        "changed",
     )
 
     def __init__(self):
@@ -49,6 +59,7 @@ class CanonStats:
         self.devirtualizations = 0
         self.phi_simplifications = 0
         self.rounds = 0
+        self.changed = False
 
     def simple(self):
         return (
@@ -69,6 +80,7 @@ class CanonStats:
         self.devirtualizations += other.devirtualizations
         self.phi_simplifications += other.phi_simplifications
         self.rounds += other.rounds
+        self.changed = self.changed or other.changed
         return self
 
     def __repr__(self):
@@ -108,7 +120,9 @@ class _Canonicalizer:
             self._work.append(node)
 
     def _enqueue_uses(self, node):
-        for user in node.uses:
+        # In id order: set order follows object addresses, and the ids
+        # of the nodes later rewrites create follow the worklist order.
+        for user in sorted(node.uses, key=_node_id):
             self._enqueue(user)
 
     def _seed(self):
@@ -148,6 +162,7 @@ class _Canonicalizer:
 
     def _replace(self, node, replacement):
         """Replace a value node with *replacement* and detach it."""
+        self.stats.changed = True
         block = node.block
         self._enqueue_uses(node)
         self.graph.replace_uses(node, replacement)
@@ -197,6 +212,7 @@ class _Canonicalizer:
         condition = node.inputs[0]
         if condition.stamp.const is not None and condition.stamp.const != 0:
             self.stats.branch_prunings += 1
+            self.stats.changed = True
             node.clear_inputs()
             node.block.instrs.remove(node)
             node.block = None
@@ -334,6 +350,7 @@ class _Canonicalizer:
         old = phi.stamp
         phi.recompute_stamp(self.program)
         if phi.stamp != old:
+            self.stats.changed = True
             self._enqueue_uses(phi)
 
     # -- control flow ----------------------------------------------------------
@@ -355,6 +372,7 @@ class _Canonicalizer:
             removed = node.false_block if const != 0 else node.true_block
             removed.remove_pred_edge(block)
         self.stats.branch_prunings += 1
+        self.stats.changed = True
         node.clear_inputs()
         goto = self.graph.register(n.GotoNode(kept))
         block.set_terminator(goto)
@@ -432,6 +450,7 @@ class _Canonicalizer:
         refined = stamp.join(st.ref_stamp(node.type_name), self.program)
         if refined.kind != st.Stamp.BOTTOM and refined != node.stamp:
             node.stamp = refined
+            self.stats.changed = True
             self._enqueue_uses(node)
 
     def _visit_pi(self, node):
@@ -439,6 +458,7 @@ class _Canonicalizer:
         refined = value.stamp.join(node.stamp, self.program)
         if refined.kind != st.Stamp.BOTTOM and refined != node.stamp:
             node.stamp = refined
+            self.stats.changed = True
             self._enqueue_uses(node)
         if value.stamp == node.stamp:
             self._replace(node, value)
@@ -455,6 +475,7 @@ class _Canonicalizer:
         if target is not None and not target.is_abstract:
             node.devirtualize(target)
             self.stats.devirtualizations += 1
+            self.stats.changed = True
 
     def _devirtualize_target(self, node, receiver):
         program = self.program

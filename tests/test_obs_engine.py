@@ -10,7 +10,7 @@ from repro.jit import Engine, JitConfig
 from repro.jit.engine import IterationResult
 from repro.lang import compile_source
 from repro.baselines import GreedyInliner, tuned_inliner
-from repro.obs import Observability, build_report
+from repro.obs import Observability, build_report, render_report
 
 SOURCE = """
 object Main {
@@ -46,6 +46,39 @@ def run_engine(program, iterations=8, obs=None, inliner="incremental"):
     )
     results = [engine.run_iteration("Main", "run") for _ in range(iterations)]
     return engine, results
+
+
+class TestCompileSkips:
+    def test_skips_are_counted_and_reported(self):
+        obs = Observability()
+        engine = Engine(
+            compile_source(get_benchmark("pmd").source),
+            JitConfig(hot_threshold=25),
+            inliner=tuned_inliner(0.1),
+            obs=obs,
+        )
+        for _ in range(8):
+            engine.run_iteration("Main", "run")
+        metrics = obs.metrics
+        for name in (
+            "opt.passes.skipped",
+            "opt.pipeline.post_inline_skipped",
+            "inline.callee_graphs.reused",
+        ):
+            assert metrics.value(name) > 0, name
+        assert metrics.value("inline.callee_graphs.reused") == (
+            engine.compiler.context.trial_memo.graphs_reused
+        )
+        passes = build_report(obs.events.records)["pass_stats"]
+        assert passes["canonicalize"]["skipped"] > 0
+        # Every iteration has one canonicalize and one gvn group, each
+        # either run or skipped whole.
+        assert (
+            passes["canonicalize"]["runs"] + passes["canonicalize"]["skipped"]
+            == passes["gvn"]["runs"] + passes["gvn"]["skipped"]
+        )
+        rendered = render_report(build_report(obs.events.records))
+        assert "skipped" in rendered.split("== pass effectiveness")[1]
 
 
 class TestEngineMetrics:

@@ -2,10 +2,10 @@
 
 Every fact the VM reports goes through ``Observability.record``, which
 writes one event-log point event and one flight record with the same
-kind and attributes; only the high-volume ``pass``, ``iteration`` and
-``serve.run`` events stay in the log alone. Sync, OSR and background
-compiles share one trigger record, one install path and one failure
-path, so a background compile records the sync kinds plus
+kind and attributes; only the high-volume ``pass``, ``pass.skipped``,
+``iteration`` and ``serve.run`` events stay in the log alone. Sync, OSR
+and background compiles share one trigger record, one install path and
+one failure path, so a background compile records the sync kinds plus
 ``mode="async"``. These tests pin both properties on real workloads, the
 OSR failure fold of ``build_report``, and a source guard that keeps
 every module outside ``repro/obs/`` off the two sinks.
@@ -30,9 +30,9 @@ from tests.test_deopt import flip_program, speculative_engine
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
-#: Events written to the log alone: one per optimizer pass, iteration
-#: or fleet run.
-LOG_ONLY = ("pass", "iteration", "serve.run")
+#: Events written to the log alone: one per optimizer pass group run or
+#: skipped, iteration or fleet run.
+LOG_ONLY = ("pass", "pass.skipped", "iteration", "serve.run")
 
 #: The compile-outcome kinds every compile mode records.
 COMPILE_KINDS = (

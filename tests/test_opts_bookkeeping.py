@@ -16,12 +16,6 @@ irreducible edges, and on every graph ``OptimizationPipeline.run`` and
 ``simplify_only`` see while suite programs and generated fuzz cases
 compile (printed graph, ``CanonStats`` and every pass's eliminated
 count), then end to end on the installed machine code.
-
-The canonicalizer enqueues a replaced node's users in ``node.uses`` set
-order, which follows object addresses, so two copies of one graph may
-number the constants they fold into differently. That order is not
-part of the change under test; the comparisons pin it to node id on
-both sides so that they can be exact.
 """
 
 import pytest
@@ -202,16 +196,6 @@ def install_legacy(mp):
     mp.setattr(_Canonicalizer, "_seed", legacy_seed)
 
 
-def _enqueue_uses_by_id(canon, node):
-    for user in sorted(node.uses, key=lambda user: user.id):
-        canon._enqueue(user)
-
-
-@pytest.fixture(autouse=True)
-def pinned_use_order(monkeypatch):
-    monkeypatch.setattr(_Canonicalizer, "_enqueue_uses", _enqueue_uses_by_id)
-
-
 # ---------------------------------------------------------------------------
 # Comparing results
 # ---------------------------------------------------------------------------
@@ -335,17 +319,14 @@ def assert_annotates_alike(graph):
 
 
 def on_cfgs(test):
-    """Run *test* on the three shapes above, then on generated CFGs.
-    (The autouse use-order pin is the same for every example.)"""
+    """Run *test* on the three shapes above, then on generated CFGs."""
     test = given(cfg_specs())(test)
     for spec in (SELF_LOOP, UNREACHABLE, IRREDUCIBLE):
         test = example(spec)(test)
     return settings(
         max_examples=80,
         deadline=None,
-        suppress_health_check=[
-            HealthCheck.too_slow, HealthCheck.function_scoped_fixture
-        ],
+        suppress_health_check=[HealthCheck.too_slow],
     )(test)
 
 

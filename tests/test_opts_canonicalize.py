@@ -7,7 +7,12 @@ from repro.ir import nodes as n
 from repro.ir import stamps as stm
 from repro.opts import canonicalize
 from tests.execution import compare_tiers
-from tests.helpers import fresh_program, shapes_program, single_method_program
+from tests.helpers import (
+    fresh_program,
+    run_pinned,
+    shapes_program,
+    single_method_program,
+)
 
 
 def _canon(program, class_name, method_name, **kwargs):
@@ -364,3 +369,45 @@ class TestCounters:
         b.devirtualizations = 1
         a.merge(b)
         assert a.constant_folds == 3 and a.devirtualizations == 1
+        assert not a.changed
+        b.changed = True
+        assert a.merge(b).changed
+
+
+#: Compiles the generated cases whose py source once followed object
+#: addresses, and prints every compile's source as JSON.
+_PY_SOURCES = """
+import json
+from repro.baselines import tuned_inliner
+from repro.errors import ReproError
+from repro.fuzz.generator import generate_case
+from repro.jit.config import JitConfig
+from repro.jit.engine import Engine
+
+sources = []
+for index in (6, 12, 134, 261):
+    program, entry = generate_case(1_000_003 + index).build()
+    engine = Engine(program, JitConfig(
+        hot_threshold=2, interp_predecode=True, backend="py",
+        compile_mode="sync", speculate=True, typespec=True, osr=True,
+        osr_threshold=6,
+    ), tuned_inliner(0.1), seed=index)
+    for _ in range(5):
+        try:
+            engine.run_iteration(*entry)
+        except ReproError:
+            pass
+    sources.append([r.code.py_source for r in engine.compiler.records])
+print(json.dumps(sources))
+"""
+
+
+class TestUseOrder:
+    def test_py_source_repeats_across_processes(self):
+        """A replaced node's users are enqueued in id order. In set
+        order, which follows object addresses, the ids of the nodes
+        later rewrites create, and with them the py tier's local names,
+        changed from one process to the next on these cases."""
+        first = run_pinned(_PY_SOURCES, {})
+        assert all(first)
+        assert run_pinned(_PY_SOURCES, {}) == first
