@@ -9,10 +9,14 @@ The executor does not walk those tuples one at a time. The first
 execution of a :class:`MachineCode` decodes it into straight-line
 *segments* and caches them on the code object (:func:`decode`):
 
-- a segment ends at its *tail*: the first ``JMP``, ``BR``, ``RET``/
-  ``RETV``, non-native ``CALL``, ``VCALL``, ``GUARD`` or ``DEOPT``, or
-  an implicit jump just before any jump target;
-- its ``COST`` instructions fold into one add at segment entry;
+- a segment ends at its *tail*: the first ``BR``, ``RET``/``RETV``,
+  non-native ``CALL``, ``VCALL``, ``GUARD`` or ``DEOPT``;
+- it runs through jumps: at a ``JMP``, or at the implicit jump where
+  straight-line code reaches a jump target, decoding continues in the
+  target. Only a target already in the segment (a loop's back edge) or
+  a full body (:data:`MAX_ABSORBED_BODY`) ends it, in a ``JMP`` tail;
+- its ``COST`` instructions, those of the targets it absorbed
+  included, fold into one add at segment entry;
 - every other instruction, native ``CALL`` included, belongs to the
   segment's *body*, which runs as one generated function
   ``body(regs, vm)`` (a superinstruction). Its maker is compiled once
@@ -23,9 +27,10 @@ Invariant: no cycle flush happens inside a segment. Accumulated cycles
 reach the sink only in tails (before a non-native call, at a return,
 before a deopt) and never on a trap, so charging all of a segment's
 ``COST`` at its entry is exact: each flush sees precisely the ``COST``
-instructions that precede it in instruction order. A body never
-flushes, and a trap inside it flushes nothing and discards the
-register file, so running a body in one call cannot move a cycle.
+instructions executed before it, a jump target's among them once
+control has jumped there. A body never flushes, and a trap inside it
+flushes nothing and discards the register file, so running a body in
+one call cannot move a cycle.
 
 Decoding binds nothing engine-specific (the VM state is an argument of
 every body), so every executor, tenant and thread running one code
@@ -168,8 +173,15 @@ class MachineCode:
 # -- decoding -----------------------------------------------------------------
 
 #: Opcodes that always end a segment. A ``CALL`` ends one only when its
-#: target is not native: intrinsics run in-line and never flush.
-_TAILS = frozenset((M_JMP, M_BR, M_RET, M_RETV, M_VCALL, M_GUARD, M_DEOPT))
+#: target is not native: intrinsics run in-line and never flush. A
+#: ``JMP`` ends one only where :func:`decode` does not absorb its target.
+_TAILS = frozenset((M_BR, M_RET, M_RETV, M_VCALL, M_GUARD, M_DEOPT))
+
+#: A segment absorbs a jump target only while its body has fewer
+#: instructions than this. Without a bound, a chain of jumps would make
+#: one body (and one maker shape) of every block it passes through, and
+#: each predecessor of a block would carry its own copy.
+MAX_ABSORBED_BODY = 64
 
 
 def decode(code, shapes=None):
@@ -178,11 +190,18 @@ def decode(code, shapes=None):
     A segment is a list ``[cost, body, tail, a, b, c, next]``: the
     folded ``COST`` total, the generated body function (``None`` for
     an empty body), the tail opcode with the tail instruction's
-    operands, and the segment that runs after the tail. For ``JMP``
-    (and the implicit jump before a jump target) ``next`` is the
-    target; for ``BR`` it is the fall-through and ``b`` the taken
-    segment; ``CALL``, ``VCALL`` and ``GUARD`` continue at the next
-    instruction; returns and ``DEOPT`` have none.
+    operands, and the segment that runs after the tail. For ``BR``
+    ``next`` is the fall-through and ``b`` the taken segment; for
+    ``JMP`` ``next`` is the target; ``CALL``, ``VCALL`` and ``GUARD``
+    continue at the next instruction; returns and ``DEOPT`` have none.
+
+    A segment runs through jumps: at a ``JMP``, or at the implicit jump
+    where straight-line code reaches a jump target, decoding continues
+    at the target, whose ``COST`` folds into the segment's and whose
+    instructions join its body. It stops with a ``JMP`` tail instead
+    when the target is already in the segment (so a loop keeps its back
+    edge) or the body has reached :data:`MAX_ABSORBED_BODY`
+    instructions. A target may so be decoded into several segments.
 
     A body ``body(regs, vm)`` runs the segment's instructions in one
     call. It is made by the maker of the body's *shape* (see
@@ -194,7 +213,9 @@ def decode(code, shapes=None):
     garbage never raises. Two threads may decode the same code
     concurrently; both tables are equivalent and the last one stored
     wins. If *shapes* is a dict, it receives ``start pc -> (segment,
-    shape)`` for every decoded segment (``disasm --form segments``).
+    shape, absorbed, decoded)`` for every decoded segment: the jump
+    targets it absorbed, in order, and the number of instructions it
+    decoded (``disasm --form segments``).
     """
     instrs = code.instrs
     targets = set()
@@ -220,21 +241,21 @@ def decode(code, shapes=None):
         cost = 0
         kinds = []
         operands = []
+        absorbed = []
+        decoded = 0
         while True:
-            if pc != start and pc in targets:
-                segment[6] = segment_at(pc)
-                break
             if not 0 <= pc < len(instrs):
                 kinds.append(_FAULT)
                 operands.append("pc %d outside the code" % pc)
                 break
+            decoded += 1
             instr = instrs[pc]
             op = instr[0]
-            if op in _TAILS or (op == M_CALL and not instr[2].is_native):
+            if op == M_JMP:
+                jump = instr[1]
+            elif op in _TAILS or (op == M_CALL and not instr[2].is_native):
                 a, b, c = (instr[1:] + (None, None, None))[:3]
-                if op == M_JMP:
-                    follow = segment_at(a)
-                elif op in (M_RET, M_RETV, M_DEOPT):
+                if op in (M_RET, M_RETV, M_DEOPT):
                     follow = None
                 else:
                     follow = segment_at(pc + 1)
@@ -242,7 +263,7 @@ def decode(code, shapes=None):
                         b = segment_at(b)
                 segment[2:] = [op, a, b, c, follow]
                 break
-            if op == M_COST:
+            elif op == M_COST:
                 cost += instr[1]
             elif op == M_CALL:
                 d, target, arg_regs = instr[1:]
@@ -262,13 +283,26 @@ def decode(code, shapes=None):
                 kinds.append(_FAULT)
                 operands.append("bad machine opcode %d" % op)
                 break
-            pc += 1
+            if op != M_JMP:
+                pc += 1
+                if pc not in targets:
+                    continue
+                jump = pc  # the implicit jump before a jump target
+            if (
+                jump == start
+                or jump in absorbed
+                or len(kinds) >= MAX_ABSORBED_BODY
+            ):
+                segment[2:] = [M_JMP, None, None, None, segment_at(jump)]
+                break
+            absorbed.append(jump)
+            pc = jump
         segment[0] = cost
         shape = tuple(kinds)
         if shape:
             segment[1] = _maker(shape)[0](*operands)
         if shapes is not None:
-            shapes[start] = (segment, shape)
+            shapes[start] = (segment, shape, tuple(absorbed), decoded)
     code.segments = entry
     return entry
 
@@ -306,12 +340,13 @@ def _deoptimize(code, index, reason, regs):
 # GETF/PUTF take their trap message as one more operand.
 
 #: Bound on the process-wide maker table. The table holds one maker
-#: per shape a process has decoded: 592 after a cold-suite round of
-#: the 28 suite programs (none new in later rounds), 1,590 after the
-#: suite plus the 300-case generated corpus run on the machine backend,
-#: 778 after the CI fuzz smoke, at 3.5-3.8 KB each (the longest shape
-#: had 72 instructions, the median 6). The bound keeps the table under
-#: about 8 MB. When it is full the oldest maker is dropped; bodies
+#: per shape a process has decoded. Since segments run through jumps:
+#: 824 after a cold-suite round of the 28 suite programs (none new in
+#: later rounds), 2,023 after the suite plus the 300-case generated
+#: corpus run on the machine backend, 912 after the CI fuzz smoke, at
+#: 3.8-3.9 KB each (the longest shape had 72 instructions, the median
+#: 7-8). No single process measured exceeds it, and it keeps the table
+#: under about 8 MB. When it is full the oldest maker is dropped; bodies
 #: already made keep running, since they do not reference the table.
 MAX_MAKERS = 2048
 
@@ -498,10 +533,10 @@ class MachineExecutor:
     :meth:`execute` runs the code's decoded segments (built by
     :func:`decode` on first execution and shared by every executor):
     add the segment's folded ``COST``, make one call to its generated
-    body (if it has one), then act on its tail — follow a jump or
-    branch, flush and dispatch a call, check a guard, flush and return,
-    or flush and deoptimize. Nothing inside a segment flushes cycles,
-    and nothing flushes on a trap.
+    body (if it has one), then act on its tail — follow a branch (the
+    most common tail, tested first) or jump, flush and dispatch a call,
+    check a guard, flush and return, or flush and deoptimize. Nothing
+    inside a segment flushes cycles, and nothing flushes on a trap.
 
     The executor is deliberately free of policy: tier transfer decisions
     live in the dispatch callable (the JIT engine), which is invoked for
@@ -535,10 +570,10 @@ class MachineExecutor:
             cycles += cost
             if body is not None:
                 body(regs, vm)
-            if tail == M_JMP:
-                segment = follow
-            elif tail == M_BR:
+            if tail == M_BR:
                 segment = b if regs[a] != 0 else follow
+            elif tail == M_JMP:
+                segment = follow
             elif tail == M_CALL:
                 # (result_reg, target_method, arg_regs)
                 sink.add_compiled_cycles(cycles)

@@ -129,23 +129,24 @@ class Engine:
         #: once at construction — mirrors ``compile_mode`` below.
         self.backend = self.config.resolve("backend")
         self._py = self.backend == "py"
-        #: Bound Python-tier entries, keyed like the cache: the method,
-        #: or ``(method, bci)`` for an OSR continuation, mapped to its
-        #: installed code's closure bound to this engine's VM state,
-        #: dispatch and cycle sink. The cache hook
-        #: (:meth:`_code_changed`) binds at install and drops at
-        #: replacement or eviction, so a binding lives exactly as long
-        #: as its cache entry.
-        self._py_entries = {}
+        #: What a linked call of an installed key runs, keyed like the
+        #: cache: the method, or ``(method, bci)`` for an OSR
+        #: continuation. On a py engine it is the installed code's
+        #: closure bound to this engine's VM state, dispatch and cycle
+        #: sink (code the generator bailed out of has none); on a
+        #: linking machine engine it is the installed code itself. The
+        #: cache hook (:meth:`_code_changed`) binds at install and drops
+        #: at replacement or eviction, so a binding lives exactly as
+        #: long as its cache entry.
+        self._bindings = {}
         #: Whether dispatch links (:meth:`_dispatch_linked`): calls
-        #: run a method's binding straight from ``_py_entries``. Only a
-        #: py engine with a private cache and observability off links:
-        #: a shared cache must tick LRU and count a hit per call, and
-        #: metrics must see each lookup, so those engines keep
-        #: :meth:`_dispatch`.
+        #: run a method's binding straight from ``_bindings``, on
+        #: either backend. Only an engine with a private cache and
+        #: observability off links: a shared cache must tick LRU and
+        #: count a hit per call, and metrics must see each lookup, so
+        #: those engines keep :meth:`_dispatch`.
         self._linked = (
-            self._py and isinstance(self.code_cache, CodeCache)
-            and not self.obs.enabled
+            isinstance(self.code_cache, CodeCache) and not self.obs.enabled
         )
         #: ``icache.entry_penalty(total_size)`` on a linking engine,
         #: kept current by the cache hook: it runs on every install and
@@ -155,7 +156,7 @@ class Engine:
         self._dispatcher = (
             self._dispatch_linked if self._linked else self._dispatch
         )
-        if self._py:
+        if self._py or self._linked:
             self.code_cache.watch(self._code_changed)
         self.interpreter = Interpreter(
             self.vm, profiles=self.profiles, dispatch=self._dispatcher,
@@ -242,26 +243,32 @@ class Engine:
         :class:`~repro.deopt.DeoptSignal`; callers don't care which ran.
         """
         if self._py:
-            entry = self._py_entries.get(key)
+            entry = self._bindings.get(key)
             if entry is not None:
                 self.py_exec_count += 1
                 return entry(args)
         return self.executor.execute(code, args)
 
     def _code_changed(self, key, code):
-        """Cache hook of a py engine (``code_cache.watch``): *code* is
-        now installed at *key*, or nothing when ``None``.
+        """Cache hook (``code_cache.watch``) of a py or a linking
+        engine: *code* is now installed at *key*, or nothing when
+        ``None``.
 
-        Binds the code's closure in place of *key*'s old one; on a
-        linking engine also recomputes the entry penalty for the new
-        ``total_size``.
+        Binds *key* anew (see ``_bindings``); on a linking engine also
+        recomputes the entry penalty for the new ``total_size``.
         """
-        if code is not None and code.py_factory is not None:
-            self._py_entries[key] = code.py_factory(
-                self.vm, self._dispatcher, self.add_compiled_cycles
+        binding = code
+        if self._py and code is not None:
+            factory = code.py_factory
+            binding = (
+                factory(self.vm, self._dispatcher, self.add_compiled_cycles)
+                if factory is not None
+                else None
             )
+        if binding is not None:
+            self._bindings[key] = binding
         else:
-            self._py_entries.pop(key, None)
+            self._bindings.pop(key, None)
         if self._linked:
             self._penalty = self.config.icache.entry_penalty(
                 self.code_cache.total_size
@@ -274,21 +281,24 @@ class Engine:
     def _dispatch_linked(self, method, args):
         """:meth:`_dispatch` for a linking engine (see ``_linked``).
 
-        A linked method runs its bound closure directly: no cache
-        lookup, no :meth:`_execute`, and the entry penalty computed at
-        the last install or evict. Anything else takes
-        :meth:`_dispatch`. Cycles, counts and deopt handling are the
-        same either way.
+        A linked method runs its binding directly: no cache lookup, no
+        :meth:`_execute`, and the entry penalty computed at the last
+        install or evict. Anything else takes :meth:`_dispatch`.
+        Cycles, counts and deopt handling are the same either way.
         """
-        entry = self._py_entries.get(method)
+        entry = self._bindings.get(method)
         if entry is None:
             return self._dispatch(method, args)
         penalty = self._penalty
         if penalty:
             self.icache_cycles += penalty
-        self.py_exec_count += 1
         try:
-            return entry(args)
+            if self._py:
+                self.py_exec_count += 1
+                return entry(args)
+            # Looked up per call, not bound once: a wrapper put on the
+            # executor after construction (a tracer) sees every call.
+            return self.executor.execute(entry, args)
         except DeoptSignal as signal:
             return self._handle_deopt(method, signal)
 

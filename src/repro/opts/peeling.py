@@ -30,9 +30,17 @@ from repro.ir.graph import _copy_node
 
 
 def peel_loops(graph, program, max_peels=4):
-    """Peel qualifying loops, one iteration each; returns count peeled."""
+    """Peel qualifying loops, one iteration each; returns count peeled.
+
+    Loops are computed only while :func:`_has_precise_phi_input` holds,
+    which every loop :func:`_should_peel` accepts needs, so the check
+    changes no outcome; on most graphs it fails and no dominator or
+    loop analysis runs.
+    """
     peeled = 0
     for _ in range(max_peels):
+        if not _has_precise_phi_input(graph, program):
+            break
         loops = compute_loops(graph)
         candidate = None
         for loop in loops:
@@ -44,6 +52,23 @@ def peel_loops(graph, program, max_peels=4):
         _peel(graph, candidate)
         peeled += 1
     return peeled
+
+
+def _has_precise_phi_input(graph, program):
+    """True if some phi, in any block, has a REF input strictly more
+    precise than its own stamp: :func:`_should_peel`'s test, asked of
+    every phi input instead of the loop entry inputs of header phis."""
+    for block in graph.blocks:
+        for phi in block.phis:
+            stamp = phi.stamp
+            for value in phi.inputs:
+                if (
+                    value is not None
+                    and value.stamp.kind == st.Stamp.REF
+                    and st.is_strictly_more_precise(value.stamp, stamp, program)
+                ):
+                    return True
+    return False
 
 
 def _should_peel(loop, program):

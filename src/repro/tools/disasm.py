@@ -12,11 +12,12 @@ Examples::
 
 ``--form segments`` decodes the machine code as the machine executor
 does and prints each reachable segment in pc order (start pc, folded
-cost, the body's shape and the tail), then the generated maker source
-of each shape once. ``--form py`` prints the closure source the py tier
-generates for the optimized graph (the one ``--form machine`` lowers);
-when the generator bails out it prints the reason and exits with
-status 1.
+cost, the body's shape, the tail and the jump targets the segment
+absorbed), a count of segments, shapes and decoded instructions, then
+the generated maker source of each shape once. ``--form py`` prints
+the closure source the py tier generates for the optimized graph (the
+one ``--form machine`` lowers); when the generator bails out it prints
+the reason and exits with status 1.
 """
 
 import argparse
@@ -80,11 +81,11 @@ def main(argv=None):
 
 
 def format_segments(code):
-    """The decoded segments of *code* in pc order, then the source of
-    each body shape's maker once, in order of first use."""
+    """The decoded segments of *code* in pc order, their counts, then
+    the source of each body shape's maker once, in order of first use."""
     shapes = {}
     machine.decode(code, shapes)
-    starts = {id(segment): pc for pc, (segment, _) in shapes.items()}
+    starts = {id(entry[0]): pc for pc, entry in shapes.items()}
 
     def operand(value):
         if id(value) in starts:  # a segment
@@ -96,7 +97,7 @@ def format_segments(code):
     lines = []
     makers = {}
     for pc in sorted(shapes):
-        segment, shape = shapes[pc]
+        segment, shape, absorbed, _ = shapes[pc]
         cost, _, tail, a, b, c, follow = segment
         names = machine.shape_names(shape)
         tail_name = machine.shape_names((tail,))[0]
@@ -112,11 +113,20 @@ def format_segments(code):
             )
             if follow is not None:
                 ending += " -> " + operand(follow)
+        if absorbed:
+            ending += "  (absorbs %s)" % " ".join("@%d" % t for t in absorbed)
         lines.append(
             "@%-4d cost %-4d [%s] %s" % (pc, cost, " ".join(names), ending)
         )
         if shape:
             makers.setdefault(shape, machine.maker_source(shape))
+    lines.append(
+        "# %d segments, %d shapes, %d instructions decoded of %d"
+        % (
+            len(shapes), len(makers),
+            sum(entry[3] for entry in shapes.values()), code.size,
+        )
+    )
     for shape, source in makers.items():
         lines.append("")
         lines.append("# shape: %s" % " ".join(machine.shape_names(shape)))

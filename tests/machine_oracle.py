@@ -1,12 +1,20 @@
-"""The machine executor's per-instruction handler closures, kept as an
-oracle for its generated segment bodies.
+"""Test oracles for the machine executor's decoded form.
 
-Until segment bodies became superinstructions, ``machine.decode`` built
-one pre-bound closure ``h(regs, vm)`` per body instruction with the
-makers below. They are kept here verbatim so that tests can run a body
-instruction by instruction and compare registers, traps, allocations,
-statics and output with the generated function that replaced them
-(``tests/test_machine_opcodes.py``).
+Two pieces of earlier executors live on here, so that tests can check
+what replaced them:
+
+- The per-instruction handler closures. Until segment bodies became
+  superinstructions, ``machine.decode`` built one pre-bound closure
+  ``h(regs, vm)`` per body instruction with the makers below. They are
+  kept verbatim so that tests can run a body instruction by
+  instruction and compare registers, traps, allocations, statics and
+  output with the generated function that replaced them
+  (``tests/test_machine_opcodes.py``).
+- :func:`decode`, the decoder of one segment per block. It ended a
+  segment at every ``JMP`` and just before every jump target, where
+  ``machine.decode`` now runs on into the target. Its table runs on
+  the shipped executor, so tests can compare every observable of
+  extended segments with it (``tests/test_machine_segments.py``).
 """
 
 from repro.errors import (
@@ -19,11 +27,13 @@ from repro.runtime import int64
 from repro.runtime.int64 import div64, rem64
 from repro.runtime.values import ObjRef, NULL
 from repro.runtime.intrinsics import intrinsic_function
+from repro.backend import machine
 from repro.backend.machine import (
-    M_ADD, M_ALEN, M_ALOAD, M_AND, M_ASTORE, M_CALL, M_CAST, M_COST, M_DIV,
-    M_EQ, M_GE, M_GETF, M_GETS, M_GT, M_ISEXACT, M_ISINST, M_LE, M_LT, M_MOV,
-    M_MOVI, M_MOVNULL, M_MUL, M_NE, M_NEG, M_NEW, M_NEWARR, M_OR, M_PUTF,
-    M_PUTS, M_REFEQ, M_REFNE, M_REM, M_SHL, M_SHR, M_SUB, M_XOR,
+    M_ADD, M_ALEN, M_ALOAD, M_AND, M_ASTORE, M_BR, M_CALL, M_CAST, M_COST,
+    M_DEOPT, M_DIV, M_EQ, M_GE, M_GETF, M_GETS, M_GT, M_GUARD, M_ISEXACT,
+    M_ISINST, M_JMP, M_LE, M_LT, M_MOV, M_MOVI, M_MOVNULL, M_MUL, M_NE, M_NEG,
+    M_NEW, M_NEWARR, M_OR, M_PUTF, M_PUTS, M_REFEQ, M_REFNE, M_REM, M_RET,
+    M_RETV, M_SHL, M_SHR, M_SUB, M_VCALL, M_XOR,
 )
 
 
@@ -392,3 +402,91 @@ def run_body(instrs, regs, vm):
     ]
     for h in handlers:
         h(regs, vm)
+
+
+# -- one segment per block ------------------------------------------------------
+
+#: Opcodes that always ended a segment.
+_TAILS = frozenset((M_JMP, M_BR, M_RET, M_RETV, M_VCALL, M_GUARD, M_DEOPT))
+
+
+def decode(code):
+    """Decode *code* as ``machine.decode`` did before segments ran
+    through jumps; return the entry segment without caching it.
+
+    The segment format, bodies and makers are the shipped ones. A
+    segment ended at every ``JMP`` and just before every jump target
+    (an implicit jump), so each block was its own segment.
+    """
+    instrs = code.instrs
+    targets = set()
+    for instr in instrs:
+        if instr[0] == M_JMP:
+            targets.add(instr[1])
+        elif instr[0] == M_BR:
+            targets.add(instr[2])
+    segments = {}
+    pending = []
+
+    def segment_at(pc):
+        segment = segments.get(pc)
+        if segment is None:
+            segment = segments[pc] = [0, None, M_JMP, None, None, None, None]
+            pending.append(pc)
+        return segment
+
+    entry = segment_at(0)
+    while pending:
+        start = pc = pending.pop()
+        segment = segments[start]
+        cost = 0
+        kinds = []
+        operands = []
+        while True:
+            if pc != start and pc in targets:
+                segment[6] = segment_at(pc)
+                break
+            if not 0 <= pc < len(instrs):
+                kinds.append(machine._FAULT)
+                operands.append("pc %d outside the code" % pc)
+                break
+            instr = instrs[pc]
+            op = instr[0]
+            if op in _TAILS or (op == M_CALL and not instr[2].is_native):
+                a, b, c = (instr[1:] + (None, None, None))[:3]
+                if op == M_JMP:
+                    follow = segment_at(a)
+                elif op in (M_RET, M_RETV, M_DEOPT):
+                    follow = None
+                else:
+                    follow = segment_at(pc + 1)
+                    if op == M_BR:
+                        b = segment_at(b)
+                segment[2:] = [op, a, b, c, follow]
+                break
+            if op == M_COST:
+                cost += instr[1]
+            elif op == M_CALL:
+                d, target, arg_regs = instr[1:]
+                kinds.append((M_CALL, len(arg_regs), d >= 0))
+                operands.append(intrinsic_function(target.name))
+                if d >= 0:
+                    operands.append(d)
+                operands.extend(arg_regs)
+            elif op in machine._TEMPLATES:
+                kinds.append(op)
+                operands.extend(instr[1:])
+                if op == M_GETF:
+                    operands.append("GETFIELD %s" % instr[3])
+                elif op == M_PUTF:
+                    operands.append("PUTFIELD %s" % instr[2])
+            else:
+                kinds.append(machine._FAULT)
+                operands.append("bad machine opcode %d" % op)
+                break
+            pc += 1
+        segment[0] = cost
+        shape = tuple(kinds)
+        if shape:
+            segment[1] = machine._maker(shape)[0](*operands)
+    return entry

@@ -184,7 +184,7 @@ class TestOracle:
             entry.key for shard in py.code_cache._shared._shards
             for entry in shard.values()
         }
-        assert set(py._py_entries) <= live
+        assert set(py._bindings) <= live
 
 
 class TestBisect:

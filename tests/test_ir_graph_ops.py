@@ -126,3 +126,50 @@ class TestInlineCall:
         ]
         # Field loads now read from the original receiver parameter.
         assert loads and all(l.inputs[0] is graph.params[0] for l in loads)
+
+    def test_pipeline_removes_the_continuation_of_a_never_returning_callee(
+        self, monkeypatch
+    ):
+        """``inline_call`` strands the continuation of a callee that
+        never returns (``after.preds = []``); the pipeline's
+        unreachable-block pass is what removes it, and with it the
+        calls it held, which ``graph.invokes()`` would list otherwise."""
+        from repro.bytecode import MethodBuilder
+        from repro.opts import pipeline
+        from repro.opts.pipeline import OptimizationPipeline
+        from tests.helpers import fresh_program
+
+        program = fresh_program()
+        holder = program.define_class("H", is_abstract=True)
+        b = MethodBuilder("spin", ["int"], "void", is_static=True)
+        loop = b.new_label()
+        b.place(loop).load(0).invokestatic("Builtins", "print").goto(loop)
+        holder.add_method(b.build())
+        b = MethodBuilder("f", ["int"], "int", is_static=True)
+        b.load(0).invokestatic("H", "spin")
+        b.load(0).const(1).add().invokestatic("Builtins", "abs").retv()
+        holder.add_method(b.build())
+
+        def inlined():
+            graph = build_graph(program.lookup_method("H", "f"), program)
+            (invoke,) = [i for i in graph.invokes() if i.method_name == "spin"]
+            callee = build_graph(program.lookup_method("H", "spin"), program)
+            graph.inline_call(invoke, callee)
+            (after,) = [
+                b for b in graph.blocks if not b.preds and b is not graph.entry
+            ]
+            return graph, after
+
+        graph, after = inlined()
+        assert any(i.method_name == "abs" for i in graph.invokes())
+        OptimizationPipeline(program).run(graph)
+        check_graph(graph, program)
+        assert after not in graph.blocks
+        assert [i.method_name for i in graph.invokes()] == ["print"]
+
+        # Without the pass, nothing else removes it.
+        monkeypatch.setattr(pipeline, "remove_unreachable_blocks", lambda g: 0)
+        graph, after = inlined()
+        OptimizationPipeline(program).run(graph)
+        assert after in graph.blocks
+        assert "abs" in [i.method_name for i in graph.invokes()]

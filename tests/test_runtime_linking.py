@@ -1,22 +1,26 @@
-"""Runtime linking of the py tier.
+"""Runtime linking of compiled calls.
 
-Each generated closure resolves its static fields, type-test types and
-virtual method names once, when the engine binds it, and a py engine
-with a private code cache dispatches a compiled->compiled call straight
-to the callee's binding, skipping the cache lookup. These tests pin the
-mechanism (the steady state makes no resolution call), its failure
-edges (an unresolvable name raises the machine tier's ``LinkError`` at
-the access and caches nothing), its invalidation (bindings live
-exactly as long as their cache entries) and its invisibility (values,
-cycles and metrics equal the machine backend's).
+Each generated py closure resolves its static fields, type-test types
+and virtual method names once, when the engine binds it. An engine with
+a private code cache and observability off, on either backend,
+dispatches a call of installed code straight to the callee's binding
+(its closure, or its machine code), skipping the cache lookup. These
+tests pin the mechanism (the steady state makes no resolution call and
+no cache lookup), its failure edges (an unresolvable name raises the
+machine tier's ``LinkError`` at the access and caches nothing), its
+invalidation (bindings live exactly as long as their cache entries)
+and its invisibility (values, cycles and metrics equal an unlinked
+engine's).
 """
 
+import collections
 import pickle
 import sys
 
 import pytest
 
 from repro.backend.icache import ICacheModel
+from repro.backend.machine import MachineExecutor
 from repro.baselines import tuned_inliner
 from repro.bench import get_benchmark
 from repro.bytecode import MethodBuilder, Program
@@ -73,8 +77,8 @@ def _assert_bindings_match_cache(engine):
         key: code for key, code in _installed(engine).items()
         if code.py_factory is not None
     }
-    assert set(engine._py_entries) == set(installed)
-    for key, entry in engine._py_entries.items():
+    assert set(engine._bindings) == set(installed)
+    for key, entry in engine._bindings.items():
         assert entry.__globals__ is installed[key].py_factory.__globals__
 
 
@@ -141,22 +145,154 @@ def test_steady_window_makes_no_resolution_calls(monkeypatch, name):
 
 def test_choice_of_dispatch_path():
     program = shapes_program()
-    linked = Engine(program, JitConfig(backend="py"))
-    assert linked._dispatcher == linked._dispatch_linked
-    assert linked.interpreter.dispatch == linked._dispatch_linked
-    # The machine backend, a shared cache and observability keep the
-    # generic path (and the machine backend binds nothing).
-    machine = Engine(program, JitConfig(backend="machine"))
-    shared = Engine(
-        program, JitConfig(backend="py"),
-        code_cache=SharedCodeCache().view(0),
+    # Both backends link with a private cache and observability off.
+    for backend in ("py", "machine"):
+        linked = Engine(program, JitConfig(backend=backend))
+        assert linked._linked
+        assert linked._dispatcher == linked._dispatch_linked
+        assert linked.interpreter.dispatch == linked._dispatch_linked
+        assert linked.executor.dispatch == linked._dispatch_linked
+        assert linked.code_cache._hook == linked._code_changed
+    # A shared cache and observability keep the generic path, on both
+    # backends (and a machine engine that does not link binds nothing).
+    for backend in ("py", "machine"):
+        shared = Engine(
+            program, JitConfig(backend=backend),
+            code_cache=SharedCodeCache().view(0),
+        )
+        observed = Engine(
+            program, JitConfig(backend=backend), obs=Observability()
+        )
+        for engine in (shared, observed):
+            assert not engine._linked
+            assert engine._dispatcher == engine._dispatch
+            assert engine.executor.dispatch == engine._dispatch
+        if backend == "machine":
+            assert observed.code_cache._hook is None
+            assert 0 not in shared.code_cache._shared._hooks
+
+
+def _counting(monkeypatch, counts, window, owner, attr):
+    """Count calls of ``owner.attr`` made while ``window[0]`` is set."""
+    original = getattr(owner, attr)
+
+    def counted(*args):
+        if window[0]:
+            counts[attr] += 1
+        return original(*args)
+
+    monkeypatch.setattr(owner, attr, counted)
+
+
+@pytest.mark.parametrize("name", ["xalan", "fop"])
+def test_warm_machine_window_skips_the_cache(monkeypatch, name):
+    """A warm machine engine under the cold-suite configuration runs
+    every compiled call from its binding: no ``CodeCache.get``, no
+    ``entry_penalty`` and no ``Engine._execute`` call."""
+    counts = collections.Counter()
+    window = [False]
+    _counting(monkeypatch, counts, window, CodeCache, "get")
+    _counting(monkeypatch, counts, window, ICacheModel, "entry_penalty")
+    _counting(monkeypatch, counts, window, Engine, "_execute")
+    _counting(monkeypatch, counts, window, MachineExecutor, "execute")
+    engine = Engine(
+        get_benchmark(name).load(), _steady_config("machine"),
+        tuned_inliner(0.1),
     )
-    observed = Engine(program, JitConfig(backend="py"), obs=Observability())
-    for engine in (machine, shared, observed):
-        assert not engine._linked
-        assert engine._dispatcher == engine._dispatch
-        assert engine.executor.dispatch == engine._dispatch
-    assert machine.code_cache._hook is None
+    assert engine._linked
+    for _ in range(30):
+        engine.run_iteration("Main")
+    ops = engine.interpreter.ops_executed
+    window[0] = True
+    for _ in range(5):
+        engine.run_iteration("Main")
+    window[0] = False
+    assert engine.interpreter.ops_executed == ops
+    assert engine.py_exec_count == 0
+    assert counts["execute"] > 100
+    assert (counts["get"], counts["entry_penalty"], counts["_execute"]) == (
+        0, 0, 0
+    )
+
+
+def _machine_trail(engine, steps):
+    trail = [_step(engine, "Main", "drive", [kind]) for kind in steps]
+    return trail, engine.deopt_count, engine.invalidation_count
+
+
+def test_linked_machine_engine_matches_an_unlinked_one():
+    """With a 20-unit icache (the penalty moves with every install and
+    evict) and a deopt that evicts Main.drive's code, a linked machine
+    engine's per-call values, compiled cycles and icache cycles, and
+    its deopt count, equal an unlinked (observed) engine's."""
+    steps = [0] * 10 + [1] + [1, 0] * 5
+    icache = ICacheModel(capacity=20, penalty=40)
+    linked = speculative_engine(
+        flip_program(), backend="machine", icache=icache
+    )
+    observed = speculative_engine(
+        flip_program(), obs=Observability(), backend="machine",
+        icache=icache,
+    )
+    assert linked._linked and not observed._linked
+    trail = _machine_trail(linked, steps)
+    assert trail == _machine_trail(observed, steps)
+    assert trail[1] == 1 and trail[2] == 1
+    assert len({icache for _, (_, icache) in trail[0]}) > 1
+    assert linked.py_exec_count == 0
+
+
+@pytest.mark.parametrize("name", ["fop", "jython"])
+def test_linked_machine_iterations_match_an_unlinked_engine(name):
+    """A suite program under a small icache: every iteration's cycle
+    breakdown equals an unlinked (observed) engine's."""
+    results = []
+    for obs in (None, Observability()):
+        config = JitConfig(
+            backend="machine", hot_threshold=5,
+            icache=ICacheModel(capacity=500, penalty=40),
+        )
+        engine = Engine(
+            get_benchmark(name).load(), config, tuned_inliner(0.1), obs=obs
+        )
+        assert engine._linked == (obs is None)
+        iterations = [engine.run_iteration("Main") for _ in range(8)]
+        results.append([
+            {k: v for k, v in result.as_dict().items() if k != "value"}
+            for result in iterations
+        ])
+        assert engine.py_exec_count == 0
+    assert results[0] == results[1]
+    assert any(row["icache_cycles"] for row in results[0])
+
+
+def test_executor_wrapped_after_construction_sees_every_call(monkeypatch):
+    """A wrapper put on ``engine.executor.execute`` after the engine is
+    built (as a tracer does) sees every machine execution, the nested
+    compiled->compiled calls included."""
+    def run(wrap):
+        seen = [0]
+        engine = Engine(
+            get_benchmark("xalan").load(), _steady_config("machine"),
+            tuned_inliner(0.1),
+        )
+        if wrap:
+            original = engine.executor.execute
+
+            def wrapped(code, args):
+                seen[0] += 1
+                return original(code, args)
+
+            engine.executor.execute = wrapped
+        for _ in range(12):
+            engine.run_iteration("Main")
+        return seen
+
+    wrapped = run(wrap=True)
+    every = collections.Counter()
+    _counting(monkeypatch, every, [True], MachineExecutor, "execute")
+    run(wrap=False)
+    assert wrapped[0] == every["execute"] > 12 * 10
 
 
 # ----------------------------------------------------------------------
@@ -356,13 +492,13 @@ def test_links_rebind_after_deopt_and_cycles_match_machine():
         trail.append(results[1][1][1])
         _assert_bindings_match_cache(py)
         if step == 9:
-            first = py._py_entries[drive]
+            first = py._bindings[drive]
         if step == 10:
             assert py.deopt_count == 1
-            assert drive not in py._py_entries
+            assert drive not in py._bindings
             assert drive not in py.code_cache
     assert machine.deopt_count == py.deopt_count == 1
-    assert py._py_entries[drive] is not first
+    assert py._bindings[drive] is not first
     assert len(set(trail)) > 1  # the penalty tracked total_size
 
 
@@ -433,7 +569,7 @@ def test_shared_cache_bindings_die_with_their_entries():
         assert engine.py_exec_count > 0
         _assert_bindings_match_cache(engine)
     service.evict("pmd")
-    assert tenants[0].engine._py_entries == {}
+    assert tenants[0].engine._bindings == {}
 
 
 def test_async_serve_bindings_follow_evictions_across_threads():

@@ -103,17 +103,34 @@ class TestDisasmTool:
             [demo_file, "--method", "Main.run", "--form", "segments"]
         ) == 0
         out = capsys.readouterr().out
-        segments = re.findall(r"^@(\d+) +cost (\d+) +\[(.*)\] (.+)$", out, re.M)
-        starts = [int(pc) for pc, _, _, _ in segments]
+        segments = re.findall(
+            r"^@(\d+) +cost (\d+) +\[(.*)\] (.+?)(?:  \(absorbs (.*)\))?$",
+            out, re.M,
+        )
+        starts = [int(pc) for pc, _, _, _, _ in segments]
         assert starts[0] == 0 and starts == sorted(starts)
-        assert any(int(cost) > 0 for _, cost, _, _ in segments)
-        assert any(tail.startswith("BR ") for _, _, _, tail in segments)
-        assert any(tail.startswith("RETV ") for _, _, _, tail in segments)
+        assert any(int(cost) > 0 for _, cost, _, _, _ in segments)
+        assert any(tail.startswith("BR ") for _, _, _, tail, _ in segments)
+        assert any(tail.startswith("RETV ") for _, _, _, tail, _ in segments)
+        # The loop's latch runs on through its back edge into the loop
+        # header (a lower pc), and ends at the header's exit test.
+        latches = [
+            (int(pc), tail) for pc, _, _, tail, absorbs in segments
+            if any(int(t[1:]) < int(pc) for t in absorbs.split())
+        ]
+        assert latches and all(tail.startswith("BR ") for _, tail in latches)
         # Each shape's maker source appears once, for every non-empty body.
         shapes = re.findall(r"^# shape: (.*)$", out, re.M)
         assert len(shapes) == len(set(shapes)) == out.count("def make(")
-        assert set(shapes) == {body for _, _, body, _ in segments if body}
+        assert set(shapes) == {body for _, _, body, _, _ in segments if body}
         assert "def body(regs, vm):" in out
+        counts = re.search(
+            r"^# (\d+) segments, (\d+) shapes, (\d+) instructions decoded "
+            r"of (\d+)$", out, re.M,
+        )
+        assert counts is not None
+        assert int(counts[1]) == len(segments) and int(counts[2]) == len(shapes)
+        assert int(counts[3]) >= int(counts[4]) > 0
 
     def test_py_form(self, demo_file, capsys):
         assert disasm_tool.main(
