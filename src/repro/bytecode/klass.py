@@ -89,9 +89,6 @@ class ClassDef:
         self.methods[method.name] = method
         return method
 
-    def declared_method(self, name):
-        return self.methods.get(name)
-
     def __repr__(self):
         kind = "interface" if self.is_interface else "class"
         return "<ClassDef %s %s>" % (kind, self.name)

@@ -16,15 +16,6 @@ VOID = "void"
 OBJECT = "Object"
 
 
-def is_int(t):
-    """True for the primitive integer type."""
-    return t == INT
-
-
-def is_void(t):
-    return t == VOID
-
-
 def is_array(t):
     return t.endswith("[]")
 
@@ -44,10 +35,3 @@ def elem_of(t):
     if not is_array(t):
         raise ValueError("not an array type: %r" % (t,))
     return t[:-2]
-
-
-def base_class(t):
-    """The underlying class name of a non-array reference type."""
-    if is_array(t) or not is_ref(t):
-        raise ValueError("not a class type: %r" % (t,))
-    return t

@@ -24,6 +24,12 @@ from repro.errors import CompileError
 
 _INLINEABLE = (NodeKind.CUTOFF, NodeKind.EXPANDED, NodeKind.POLYMORPHIC)
 
+#: A typeswitch drops its virtual fallback only when the receiver
+#: profile's targets cover at least this share of the calls...
+SPECULATION_MIN_COVERAGE = 0.95
+#: ...over at most this many targets (mono- or bimorphic sites).
+SPECULATION_MAX_TARGETS = 2
+
 
 class InliningPhase:
     """One policy object, reused across rounds.
@@ -215,10 +221,6 @@ class InliningPhase:
             child.invoke = arm
             self._inline_child(child, root, context, report, boundary)
 
-    def _should_speculate(self, invoke, targets, root, context):
-        """Boolean form of :meth:`_speculation_verdict`."""
-        return self._speculation_verdict(invoke, targets, root, context)[0]
-
     def _speculation_verdict(self, invoke, targets, root, context):
         """Decide whether this typeswitch may drop its virtual fallback.
 
@@ -239,10 +241,10 @@ class InliningPhase:
             return False, "no-frame-state"
         if invoke.megamorphic:
             return False, "megamorphic"
-        if len(targets) > policy.max_targets:
+        if len(targets) > SPECULATION_MAX_TARGETS:
             return False, "too-many-targets"
         coverage = sum(probability for _, probability, _ in targets)
-        if coverage < policy.min_coverage:
+        if coverage < SPECULATION_MIN_COVERAGE:
             return False, "low-coverage"
         log = policy.log
         if log is not None:

@@ -58,11 +58,6 @@ class FrameDescriptor:
         self.pushes_result = pushes_result
 
     @property
-    def n_values(self):
-        """Number of state inputs this frame consumes."""
-        return len(self.local_slots) + self.n_stack
-
-    @property
     def site(self):
         """(qualified method name, bci) — the speculation site key."""
         return (self.method.qualified_name, self.bci)
@@ -197,13 +192,10 @@ class SpeculationPolicy:
     machinery, so it only has effect when ``enabled`` is also set.
     """
 
-    __slots__ = ("enabled", "min_coverage", "max_targets", "log", "typecheck")
+    __slots__ = ("enabled", "log", "typecheck")
 
-    def __init__(self, enabled, min_coverage, max_targets, log,
-                 typecheck=False):
+    def __init__(self, enabled, log, typecheck=False):
         self.enabled = enabled
-        self.min_coverage = min_coverage
-        self.max_targets = max_targets
         self.log = log
         self.typecheck = typecheck
 

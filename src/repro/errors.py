@@ -84,7 +84,3 @@ class IRError(ReproError):
 
 class CompileError(ReproError):
     """The JIT compiler could not compile a method."""
-
-
-class BudgetExhausted(CompileError):
-    """An optimization or inlining budget ran out mid-compilation."""

@@ -66,12 +66,6 @@ class Block:
                 return index
         raise IRError("block B%d is not a predecessor of B%d" % (pred.id, self.id))
 
-    def add_pred(self, pred, phi_inputs=None):
-        """Register *pred* as a new predecessor, extending phis."""
-        self.preds.append(pred)
-        for phi in self.phis:
-            phi.add_input(phi_inputs.get(phi) if phi_inputs else None)
-
     def remove_pred_edge(self, pred):
         """Remove one incoming edge from *pred*, shrinking phis."""
         index = self.pred_index(pred)

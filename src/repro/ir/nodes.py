@@ -78,10 +78,6 @@ class Node:
         value-numberable."""
         return None
 
-    @property
-    def produces_value(self):
-        return self.stamp.kind not in (st.Stamp.VOID,)
-
     def brief(self):
         return type(self).__name__.replace("Node", "")
 

@@ -17,7 +17,7 @@ Two implementations share the same surface:
   per-tenant byte quotas and LRU- or hotness-driven eviction under a
   global memory budget. Engines see it through a per-tenant
   :class:`TenantCacheView`, which implements the :class:`CodeCache`
-  surface so the engine code is identical either way.
+  surface the engine uses, so the engine code is identical either way.
 
 Both report every change to an engine's installed code through the hook
 the engine registers with ``watch(hook)``: ``hook(key, code)``, where
@@ -43,8 +43,9 @@ class CodeCache:
         #: own continuation code. Sizes count into ``total_size``.
         self._osr_code = {}
         self.total_size = 0
-        #: Total successful ``install`` calls (first installs *plus*
-        #: replacements — the historical meaning, kept for dashboards).
+        #: Total successful installs, whole-method and OSR, first
+        #: installs *plus* replacements: one per compilation this cache
+        #: accepted.
         self.install_count = 0
         #: The subset of ``install_count`` that replaced existing code
         #: (recompilations); ``install_count - reinstalls`` is the
@@ -165,10 +166,6 @@ class CodeCache:
     def installed_methods(self):
         return list(self._code)
 
-    def size_of(self, method):
-        code = self._code.get(method)
-        return code.size if code is not None else 0
-
     def __len__(self):
         return len(self._code)
 
@@ -238,7 +235,6 @@ class SharedCodeCache:
         self.total_size = 0
         self._tenant_bytes = {}
         self._quotas = {}
-        self._install_counts = {}
         self._reinstalls = {}
         self._evictions = {}
         self._reinstalls_after_evict = {}
@@ -272,9 +268,6 @@ class SharedCodeCache:
         if quota is not None:
             self._quotas[tenant] = quota
         return TenantCacheView(self, tenant)
-
-    def set_quota(self, tenant, quota):
-        self._quotas[tenant] = quota
 
     def quota_of(self, tenant):
         return self._quotas.get(tenant, self.default_quota)
@@ -358,9 +351,6 @@ class SharedCodeCache:
         self.total_size += entry.size
         self._tenant_bytes[tenant] = (
             self._tenant_bytes.get(tenant, 0) + entry.size
-        )
-        self._install_counts[tenant] = (
-            self._install_counts.get(tenant, 0) + 1
         )
         hook = self._hooks.get(tenant)
         if hook is not None:
@@ -514,17 +504,6 @@ class SharedCodeCache:
     def tenant_size(self, tenant):
         return self._tenant_bytes.get(tenant, 0)
 
-    def method_count(self, tenant):
-        # Under the lock: other tenants' threads install/evict while we
-        # walk the shards (their dispatch checks max_compiled_methods).
-        with self._lock:
-            count = 0
-            for shard in self._shards:
-                for entry in shard.values():
-                    if entry.tenant == tenant and not entry.is_osr:
-                        count += 1
-            return count
-
     def osr_count(self, tenant=None):
         with self._lock:
             count = 0
@@ -544,9 +523,6 @@ class SharedCodeCache:
                 for entry in shard.values()
                 if entry.tenant == tenant and not entry.is_osr
             ]
-
-    def install_count_of(self, tenant):
-        return self._install_counts.get(tenant, 0)
 
     def reinstalls_of(self, tenant):
         return self._reinstalls.get(tenant, 0)
@@ -579,22 +555,6 @@ class TenantCacheView:
         return self._shared.total_size
 
     @property
-    def tenant_size(self):
-        return self._shared.tenant_size(self.tenant)
-
-    @property
-    def install_count(self):
-        return self._shared.install_count_of(self.tenant)
-
-    @property
-    def reinstalls(self):
-        return self._shared.reinstalls_of(self.tenant)
-
-    @property
-    def evictions(self):
-        return self._shared.evictions_of(self.tenant)
-
-    @property
     def reinstalls_after_evict(self):
         return self._shared.reinstalls_after_evict(self.tenant)
 
@@ -622,14 +582,6 @@ class TenantCacheView:
     def evict_osr(self, method, bci):
         return self._shared.evict_osr(self.tenant, method, bci)
 
-    def osr_count(self):
-        return self._shared.osr_count(self.tenant)
-
     def installed_methods(self):
         return self._shared.installed_methods(self.tenant)
 
-    def size_of(self, method):
-        return self._shared.size_of(self.tenant, method)
-
-    def __len__(self):
-        return self._shared.method_count(self.tenant)

@@ -154,8 +154,6 @@ class JitCompiler:
 
         self.context.speculation = SpeculationPolicy(
             enabled=config.resolve("speculate"),
-            min_coverage=config.speculation_min_coverage,
-            max_targets=config.speculation_max_targets,
             log=speculation_log
             if speculation_log is not None
             else SpeculationLog(),
@@ -211,16 +209,13 @@ class JitCompiler:
         hotness = None
         if obs.enabled and hasattr(self.profiles, "hotness"):
             hotness = self.profiles.hotness(method)
-        timers = obs.timers
         span_kwargs = {"method": method.qualified_name, "hotness": hotness}
         if osr_bci is not None:
             # Only OSR spans carry the attribute — whole-method compile
             # records keep their PR 1 shape.
             span_kwargs["osr_bci"] = osr_bci
-        with events.span(
-            "compile", **span_kwargs
-        ) as compile_span, timers.span("compile"):
-            with events.span("build"), timers.span("compile.build"):
+        with events.span("compile", **span_kwargs) as compile_span:
+            with events.span("build"):
                 graph = build_graph(
                     method,
                     self.program,
@@ -236,16 +231,13 @@ class JitCompiler:
                         osr_bci,
                     )
                 annotate_frequencies(graph)
-            with events.span("optimize", stage="pre-inline"), \
-                    timers.span("compile.optimize"):
+            with events.span("optimize", stage="pre-inline"):
                 self.pipeline.run(graph, peel=False, rwe=False)
             inline_report = None
             if self.inliner is not None:
-                with timers.span("compile.inline"):
-                    inline_report = self._run_inliner(graph, obs)
+                inline_report = self._run_inliner(graph, obs)
             self._record_typecheck_decisions(graph, obs)
-            with events.span("optimize", stage="post-inline"), \
-                    timers.span("compile.optimize"):
+            with events.span("optimize", stage="post-inline"):
                 if getattr(inline_report, "root_at_fixpoint", False):
                     if obs.enabled:
                         obs.metrics.counter(
@@ -254,7 +246,7 @@ class JitCompiler:
                 else:
                     self.pipeline.run(graph)
             work_units = graph.node_count()
-            with events.span("lower"), timers.span("compile.lower"):
+            with events.span("lower"):
                 code = lower_graph(graph, self.config.cost_model)
             backend = "machine"
             if self.backend == "py":
@@ -321,8 +313,7 @@ class JitCompiler:
         bailout degrades to the oracle tier, never to a wrong answer.
         """
         try:
-            with obs.events.span("pycodegen"), \
-                    obs.timers.span("compile.pycodegen"):
+            with obs.events.span("pycodegen"):
                 factory, source = generate_py(
                     graph, self.config.cost_model
                 )

@@ -44,6 +44,15 @@ class JitConfig:
     differential harnesses can force the reference from the outside).
     ``docs/README.md`` tabulates the pins.
 
+    Only what an experiment or tool varies is a field. The engine's
+    fixed parameters are constants where they are read: the
+    speculation gates (``SPECULATION_MIN_COVERAGE`` and
+    ``SPECULATION_MAX_TARGETS`` in :mod:`repro.core.inlining`), the
+    deopt limit (``SPECULATION_DEOPT_LIMIT`` in
+    :mod:`repro.jit.engine`) and the size of an engine's private
+    compile pipeline (the :class:`~repro.serve.scheduler.BackgroundCompiler`
+    defaults).
+
     Attributes:
         hot_threshold: profile hotness (invocations + backedge/8) at
             which a method is compiled.
@@ -52,7 +61,6 @@ class JitConfig:
         cost_model: the :class:`~repro.backend.costmodel.CostModel`.
         icache: the :class:`~repro.backend.icache.ICacheModel`.
         optimizer: the :class:`~repro.opts.pipeline.OptimizerConfig`.
-        max_compiled_methods: safety valve for runaway configurations.
         context_sensitive_profiles: record one-level-context receiver
             and branch profiles alongside the aggregates (the §VI
             extension); the inliner then specializes call-tree nodes
@@ -67,13 +75,6 @@ class JitConfig:
             well-predicted virtual fallbacks with guard/deopt
             (:mod:`repro.deopt`); ``False`` keeps the conservative
             typeswitch.
-        speculation_min_coverage: minimum receiver-profile coverage
-            (summed target probabilities) to drop the fallback.
-        speculation_max_targets: speculate only through mono/bimorphic
-            sites by default.
-        speculation_deopt_limit: deopts tolerated per compiled root
-            before the engine stops speculating in that method
-            entirely (bounds deopt/recompile churn).
         typespec: profile-guided type-check speculation (pin
             ``REPRO_TYPESPEC``). ``True`` lets the graph builder replace
             a profile-monomorphic ``INSTANCEOF``/``CHECKCAST`` with an
@@ -116,15 +117,6 @@ class JitConfig:
             values, trap kinds, printed output, cycles and deopt frames
             are bit-identical by construction, only host wall-clock
             changes.
-        compile_workers: worker threads of the engine-private
-            background pipeline (only used when the engine runs async
-            *without* an externally attached compile service — a
-            multi-tenant :class:`~repro.serve.service.VMService` shares
-            one pipeline across all tenant engines instead).
-        compile_queue_capacity: bound of the engine-private compile
-            queue; a full queue rejects the request (backpressure) and
-            the method stays interpreted until a later hot dispatch
-            retries.
     """
 
     def __init__(
@@ -134,42 +126,30 @@ class JitConfig:
         cost_model=None,
         icache=None,
         optimizer=None,
-        max_compiled_methods=2000,
         context_sensitive_profiles=False,
         interp_predecode=None,
         speculate=None,
-        speculation_min_coverage=0.95,
-        speculation_max_targets=2,
-        speculation_deopt_limit=3,
         typespec=None,
         osr=None,
         osr_threshold=400,
         flight_dump=None,
         backend=None,
         compile_mode=None,
-        compile_workers=1,
-        compile_queue_capacity=32,
     ):
         self.hot_threshold = hot_threshold
         self.compile_enabled = compile_enabled
         self.cost_model = cost_model or CostModel()
         self.icache = icache or ICacheModel()
         self.optimizer = optimizer or OptimizerConfig()
-        self.max_compiled_methods = max_compiled_methods
         self.context_sensitive_profiles = context_sensitive_profiles
         self.interp_predecode = interp_predecode
         self.speculate = speculate
-        self.speculation_min_coverage = speculation_min_coverage
-        self.speculation_max_targets = speculation_max_targets
-        self.speculation_deopt_limit = speculation_deopt_limit
         self.typespec = typespec
         self.osr = osr
         self.osr_threshold = osr_threshold
         self.flight_dump = flight_dump
         self.backend = backend
         self.compile_mode = compile_mode
-        self.compile_workers = compile_workers
-        self.compile_queue_capacity = compile_queue_capacity
 
     def flight_dump_path(self):
         """Resolve the dump-on-crash path against ``REPRO_FLIGHT_DUMP``."""

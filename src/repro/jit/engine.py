@@ -17,8 +17,9 @@ Cycle accounting:
 
 Observability: pass ``obs=Observability()`` to record tier
 transitions, compile triggers/failures, deopts and per-iteration
-breakdowns into the shared metrics registry, event stream and flight
-ring (see :mod:`repro.obs`). Sync, OSR and background compiles share
+breakdowns (an ``iteration`` span per :meth:`Engine.run_iteration`)
+into the shared metrics registry, event stream and flight ring (see
+:mod:`repro.obs`). Sync, OSR and background compiles share
 one trigger record, one install path (:meth:`Engine._install`) and one
 failure path (:meth:`Engine._compile_failure`). The default is the
 inert :data:`~repro.obs.NULL_OBS` and leaves the cycle model
@@ -51,6 +52,10 @@ from repro.jit.codecache import CodeCache
 from repro.jit.config import JitConfig
 from repro.obs import NULL_OBS
 from repro.runtime.vmstate import VMState
+
+#: Deopts tolerated in one compiled root before the engine stops
+#: speculating in that method entirely (bounds deopt/recompile churn).
+SPECULATION_DEOPT_LIMIT = 3
 
 
 class IterationResult:
@@ -100,7 +105,13 @@ class IterationResult:
 
 
 class Engine:
-    """A tiered VM instance."""
+    """A tiered VM instance.
+
+    Installed code needs no cap: the cache holds at most one entry per
+    method plus one per OSR backedge. A compiled root that deopts
+    :data:`SPECULATION_DEOPT_LIMIT` times compiles without speculation
+    from then on.
+    """
 
     def __init__(self, program, config=None, inliner=None, seed=0x5EED,
                  obs=None, code_cache=None, profiles=None,
@@ -353,7 +364,7 @@ class Engine:
                 count=count,
                 frames=len(signal.frames),
             )
-        if count >= self.config.speculation_deopt_limit:
+        if count >= SPECULATION_DEOPT_LIMIT:
             # Too much deopt/recompile churn in this root: stop
             # speculating in it entirely.
             self.speculation_log.disable(method.qualified_name)
@@ -392,8 +403,6 @@ class Engine:
         if method.is_native or method.is_abstract:
             return False
         if method in self._compile_failed:
-            return False
-        if len(self.code_cache) >= config.max_compiled_methods:
             return False
         return self.profiles.hotness(method) >= config.hot_threshold
 
@@ -517,16 +526,15 @@ class Engine:
 
     def _service(self):
         """The attached compile service, creating a private pipeline
-        (one worker, bounded queue) on first use when none was given."""
+        (the :class:`~repro.serve.scheduler.BackgroundCompiler`
+        defaults: one worker, a 32-request queue) on first use when
+        none was given. A full queue rejects the request and the
+        method stays interpreted until a later hot dispatch retries."""
         service = self.compile_service
         if service is None:
             from repro.serve.scheduler import BackgroundCompiler
 
-            service = BackgroundCompiler(
-                workers=self.config.compile_workers,
-                queue_capacity=self.config.compile_queue_capacity,
-                obs=self.obs,
-            )
+            service = BackgroundCompiler(obs=self.obs)
             self.compile_service = service
             self._owns_service = True
         return service
@@ -692,9 +700,9 @@ class Engine:
         keyed ``(method, bci)`` and runs it with the interpreter frame
         — all local slots, then the live operand stack — as arguments;
         the return value finishes the interpreted frame. Returns
-        :data:`~repro.interp.interpreter.OSR_MISS` to decline (failed
-        or capped compilation), in which case the interpreter simply
-        continues the loop.
+        :data:`~repro.interp.interpreter.OSR_MISS` to decline (a failed
+        or still queued compilation), in which case the interpreter
+        simply continues the loop.
         """
         if (method, bci) in self._osr_failed:
             return OSR_MISS
@@ -705,13 +713,7 @@ class Engine:
                 # loop keeps interpreting and a later backedge (the
                 # counter stays past the threshold) enters the
                 # installed code.
-                if (
-                    len(self.code_cache) + self.code_cache.osr_count()
-                    < self.config.max_compiled_methods
-                ):
-                    self._request_compile(
-                        method, osr=(bci, target, len(stack))
-                    )
+                self._request_compile(method, osr=(bci, target, len(stack)))
                 return OSR_MISS
             code = self._compile_osr(method, bci, target, len(stack))
             if code is None:
@@ -743,12 +745,6 @@ class Engine:
             return self._handle_deopt(method, signal, osr_key=bci)
 
     def _compile_osr(self, method, bci, target, stack_depth):
-        if (
-            len(self.code_cache) + self.code_cache.osr_count()
-            >= self.config.max_compiled_methods
-        ):
-            self._mark_failed(method, bci)
-            return None
         self._record_trigger(method, bci)
         try:
             record = self.compiler.compile_osr(method, bci, target, stack_depth)
@@ -825,33 +821,36 @@ class Engine:
         compilations_before = self.compilation_count
         installed_before = self.code_cache.total_size
 
-        with self.obs.timers.span("engine.iteration"):
-            value = self.call(class_name, method_name, args)
-
-        interp_ops = self.interpreter.ops_executed - interp_before
-        interpreted = interp_ops * self.config.cost_model.INTERPRETED_OP
-        compiled = self.compiled_cycles - compiled_before
-        compile_time = self.compile_cycles - compile_before
-        icache = self.icache_cycles - icache_before
-        result = IterationResult(
-            value=value,
-            interpreted_cycles=interpreted,
-            compiled_cycles=compiled,
-            compile_cycles=compile_time,
-            icache_cycles=icache,
-            total_cycles=interpreted + compiled + compile_time + icache,
-            compilations=self.compilation_count - compilations_before,
-            installed_size=self.code_cache.total_size,
-            installed_size_delta=self.code_cache.total_size - installed_before,
-        )
         obs = self.obs
-        if obs.enabled:
-            metrics = obs.metrics
-            metrics.counter("engine.iterations").inc()
-            metrics.gauge("interp.ops").set(self.interpreter.ops_executed)
-            metrics.counter("engine.cycles").inc(result.total_cycles)
-            metrics.histogram("engine.iteration.cycles").record(
-                result.total_cycles
+        # The span's end record carries the breakdown, and its ``dur``
+        # is the iteration's wall time.
+        with obs.events.span("iteration") as span:
+            value = self.call(class_name, method_name, args)
+            interp_ops = self.interpreter.ops_executed - interp_before
+            interpreted = interp_ops * self.config.cost_model.INTERPRETED_OP
+            compiled = self.compiled_cycles - compiled_before
+            compile_time = self.compile_cycles - compile_before
+            icache = self.icache_cycles - icache_before
+            result = IterationResult(
+                value=value,
+                interpreted_cycles=interpreted,
+                compiled_cycles=compiled,
+                compile_cycles=compile_time,
+                icache_cycles=icache,
+                total_cycles=interpreted + compiled + compile_time + icache,
+                compilations=self.compilation_count - compilations_before,
+                installed_size=self.code_cache.total_size,
+                installed_size_delta=(
+                    self.code_cache.total_size - installed_before
+                ),
             )
-            obs.events.emit("iteration", **result.as_dict())
+            if obs.enabled:
+                metrics = obs.metrics
+                metrics.counter("engine.iterations").inc()
+                metrics.gauge("interp.ops").set(self.interpreter.ops_executed)
+                metrics.counter("engine.cycles").inc(result.total_cycles)
+                metrics.histogram("engine.iteration.cycles").record(
+                    result.total_cycles
+                )
+                span.set(**result.as_dict())
         return result

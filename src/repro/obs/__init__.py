@@ -11,9 +11,10 @@ VM:
   gauges and cheap fixed-bucket histograms addressable by dotted names
   (``jit.compile.cycles``, ``interp.ops``, ``codecache.installed_bytes``).
 - :class:`EventLog` (:mod:`repro.obs.events`): a structured stream of
-  nestable spans (``compile`` → ``build``/``inline``/``optimize``/
-  ``lower``) and point events (per-pass node deltas, inlining
-  decisions, tier transitions), streamable as JSONL.
+  nestable spans (``iteration``, ``compile`` → ``build``/``inline``/
+  ``optimize``/``lower``), each timed by its ``dur``, and point events
+  (per-pass node deltas, inlining decisions, tier transitions),
+  streamable as JSONL.
 - :class:`FlightRecorder` (:mod:`repro.obs.flight`): a bounded
   ring-buffer *flight recorder* holding the most recent provenance
   records (inlining verdicts, speculation decisions, deopt timeline),
@@ -38,9 +39,9 @@ One fact, one record: every fact the VM reports (a tier transition,
 an inlining decision, a deopt, an eviction) goes through
 :meth:`Observability.record`, which writes the same kind and attributes
 as an event-log point event and as a flight record. Only the
-high-volume ``pass``, ``pass.skipped``, ``iteration`` and ``serve.run``
-events are written to the log alone (``obs.events.emit``); a tier-1
-test keeps every other module off the two sinks.
+high-volume ``pass``, ``pass.skipped`` and ``serve.run`` events are
+written to the log alone (``obs.events.emit``); a tier-1 test keeps
+every other module off the two sinks.
 
 Usage::
 
@@ -69,24 +70,21 @@ from repro.obs.metrics import (
 )
 from repro.obs.provenance import ProvenanceTracer
 from repro.obs.report import build_report, render_report
-from repro.obs.timers import NULL_TIMERS, NullPhaseTimers, PhaseTimers
 
 
 class Observability:
-    """One metrics registry, one event log, one set of phase timers,
-    one flight recorder."""
+    """One metrics registry, one event log, one flight recorder."""
 
-    __slots__ = ("metrics", "events", "timers", "flight")
+    __slots__ = ("metrics", "events", "flight")
 
     enabled = True
 
     def __init__(self, metrics=None, events=None, events_sink=None,
-                 timers=None, flight=None, flight_capacity=4096):
+                 flight=None, flight_capacity=4096):
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.events = (
             events if events is not None else EventLog(sink=events_sink)
         )
-        self.timers = timers if timers is not None else PhaseTimers()
         self.flight = (
             flight
             if flight is not None
@@ -113,7 +111,6 @@ class _NullObservability:
     enabled = False
     metrics = NULL_METRICS
     events = NULL_EVENTS
-    timers = NULL_TIMERS
     flight = NULL_FLIGHT
 
     def record(self, kind, /, **attrs):
@@ -135,9 +132,6 @@ __all__ = [
     "EventLog",
     "NullEventLog",
     "NULL_EVENTS",
-    "PhaseTimers",
-    "NullPhaseTimers",
-    "NULL_TIMERS",
     "FlightRecorder",
     "NullFlightRecorder",
     "NULL_FLIGHT",

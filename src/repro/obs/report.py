@@ -7,13 +7,14 @@ back with :meth:`EventLog.read_jsonl`) into a plain-dict report:
 - one entry per ``compile`` span (method, hotness at trigger, node and
   code sizes, modelled compile cycles, wall time per phase, inlining
   outcome counts),
-- aggregate phase timings,
+- wall time and call count per phase, with ``compile`` and
+  ``iteration`` spans as phases of their own,
 - pass-effectiveness totals from the pipeline's per-pass node deltas,
   with the number of times each pass group was skipped as clean,
 - an inlining outcome rollup with the most-inlined callees,
 - failed compilations (an OSR continuation as ``Method@osr<bci>``),
   deopts, invalidations and py-backend bailouts,
-- per-iteration cycle breakdowns when the engine emitted them.
+- per-iteration cycle breakdowns from the ``iteration`` spans.
 
 :func:`render_report` renders that dict as the aligned text report the
 ``repro.tools.stats`` CLI prints.
@@ -23,8 +24,12 @@ back with :meth:`EventLog.read_jsonl`) into a plain-dict report:
 #: ``pycodegen`` only appears when the Python-codegen backend runs.
 PHASES = ("build", "inline", "optimize", "lower", "pycodegen")
 
-#: Phases omitted from per-compile phase listings when they took no
-#: time (they don't exist in every configuration).
+#: Every span in the phase totals: the compile phases, whole compiles
+#: and whole iterations (whose wall time the shares are of).
+TIMED = ("iteration", "compile") + PHASES
+
+#: Phases omitted from phase listings when they took no time (they
+#: don't exist in every configuration).
 OPTIONAL_PHASES = ("inline", "pycodegen")
 
 #: Inline decision kinds surfaced in the rollup, in display order.
@@ -37,7 +42,8 @@ def build_report(records):
     compiles = []
     compile_by_sid = {}
     pending_hotness = {}  # method -> hotness from the last jit.trigger
-    phase_totals = dict.fromkeys(PHASES, 0.0)
+    phase_totals = dict.fromkeys(TIMED, 0.0)
+    phase_calls = dict.fromkeys(TIMED, 0)
     pass_stats = {}  # pass name -> {"runs", "skipped", "removed", "added"}
     rollup = dict.fromkeys(INLINE_KINDS, 0)
     inlined_methods = {}
@@ -147,12 +153,17 @@ def build_report(records):
                 entry = enclosing_compile(sid)
                 if entry is not None:
                     entry["bailout"] = attrs.get("reason")
-            elif name == "iteration":
-                iterations.append(attrs)
         elif rtype == "end":
             info = spans.get(sid)
             duration = record.get("dur") or 0.0
-            if name == "compile":
+            if name in phase_totals:
+                phase_totals[name] += duration
+                phase_calls[name] += 1
+            if name == "iteration":
+                # A trapping iteration ends its span with no breakdown.
+                if attrs:
+                    iterations.append(attrs)
+            elif name == "compile":
                 entry = compile_by_sid.get(sid)
                 if entry is not None:
                     entry["duration"] = duration
@@ -160,8 +171,7 @@ def build_report(records):
                                 "backend"):
                         if attrs.get(key) is not None:
                             entry[key] = attrs[key]
-            elif name in phase_totals:
-                phase_totals[name] += duration
+            elif name in PHASES:
                 parent = info["parent"] if info else None
                 entry = enclosing_compile(parent)
                 if entry is not None:
@@ -173,6 +183,7 @@ def build_report(records):
     return {
         "compiles": compiles,
         "phase_totals": phase_totals,
+        "phase_calls": phase_calls,
         "pass_stats": pass_stats,
         "inline_rollup": rollup,
         "top_inlined": top_inlined,
@@ -284,11 +295,23 @@ def render_report(report, top=10, hottest=None, metrics_snapshot=None):
 
     lines.append("")
     lines.append("== phase totals (wall time; telemetry only) ==")
-    lines.append(
-        "  "
-        + "   ".join(
-            "%s %s" % (phase, _ms(report["phase_totals"][phase]))
-            for phase in PHASES
+    totals = report["phase_totals"]
+    calls = report["phase_calls"]
+    whole = totals["iteration"]
+    rows = [
+        (
+            phase,
+            calls[phase],
+            _ms(totals[phase]),
+            "%.1f%%" % (100.0 * totals[phase] / whole) if whole else "-",
+        )
+        for phase in TIMED
+        if calls[phase] or phase not in OPTIONAL_PHASES
+    ]
+    lines.extend(
+        _table(
+            rows, ("phase", "calls", "wall", "of iterations"),
+            align_left=(0,),
         )
     )
 

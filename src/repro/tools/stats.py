@@ -2,9 +2,12 @@
 
 Runs a minij program with full observability (or replays a previously
 recorded JSONL event log) and renders a per-method compilation report:
-compile order, hotness at trigger, node/code sizes, phase wall times,
-pass-effectiveness node deltas, inlining outcome rollups and the
-hottest methods.
+compile order, hotness at trigger, node/code sizes, phase wall times
+and call counts, pass-effectiveness node deltas, inlining outcome
+rollups and the hottest methods. Every number comes from the event
+stream, so a replay prints the same tables as the live run that
+recorded the log (the hottest methods and the metrics excepted: a live
+run reads them from the profile store and the registry).
 
 Examples::
 
@@ -76,9 +79,8 @@ def main(argv=None):
         records = EventLog.read_jsonl(args.target)
         hottest = None
         snapshot = None
-        timers = None
     else:
-        records, hottest, snapshot, timers = _run_live(args)
+        records, hottest, snapshot = _run_live(args)
 
     report = build_report(records)
     print(
@@ -89,39 +91,14 @@ def main(argv=None):
             metrics_snapshot=None if args.no_metrics_section else snapshot,
         )
     )
-    if timers:
-        print(render_timers(timers))
     return 0
-
-
-def render_timers(timers):
-    """A wall-clock phase attribution table from a
-    :meth:`~repro.obs.PhaseTimers.snapshot` dict (live runs only —
-    replayed event logs carry no host timings)."""
-    total = timers.get("engine.iteration", {}).get("seconds", 0.0)
-    lines = ["", "Wall-clock phases (host time, not model cycles):"]
-    lines.append(
-        "  %-24s %10s %8s %9s" % ("phase", "seconds", "count", "of total")
-    )
-    for name in sorted(timers):
-        seconds = timers[name]["seconds"]
-        count = timers[name]["count"]
-        share = (
-            "%8.1f%%" % (100.0 * seconds / total)
-            if total > 0
-            else "%9s" % "-"
-        )
-        lines.append(
-            "  %-24s %10.4f %8d %s" % (name, seconds, count, share)
-        )
-    return "\n".join(lines)
 
 
 def _run_live(args):
     """Run the program under full observability; returns the event
     records (normalized through JSON, exactly as a replay would see
-    them), the profile store's hottest methods, the metrics snapshot
-    and the phase-timer snapshot."""
+    them), the profile store's hottest methods and the metrics
+    snapshot."""
     program = compile_file(args.target)
     sink = open(args.events, "w") if args.events else None
     try:
@@ -162,12 +139,7 @@ def _run_live(args):
         json.loads(json.dumps(record, default=str))
         for record in obs.events.records
     ]
-    return (
-        records,
-        engine.profiles.hottest(args.top),
-        obs.metrics.snapshot(),
-        obs.timers.snapshot(),
-    )
+    return records, engine.profiles.hottest(args.top), obs.metrics.snapshot()
 
 
 if __name__ == "__main__":

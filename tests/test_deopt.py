@@ -23,7 +23,7 @@ from repro.ir.checker import check_graph
 from repro.ir.frequency import annotate_frequencies
 from repro.jit.codecache import CodeCache
 from repro.jit.config import JitConfig
-from repro.jit.engine import Engine
+from repro.jit.engine import SPECULATION_DEOPT_LIMIT, Engine
 from repro.obs import Observability
 from repro.obs.report import build_report, render_report
 from repro.runtime import VMState
@@ -46,20 +46,7 @@ def flip_program():
     refutes the inlined guard (a genuine multi-frame deopt).
     """
     program = fresh_program()
-    shape = program.define_class("Shape", is_interface=True)
-    shape.add_method(Method("area", [], "int", is_abstract=True))
-    square = program.define_class("Square", interfaces=["Shape"])
-    square.add_field(FieldDef("side", "int"))
-    b = MethodBuilder("area", [], "int")
-    b.load(0).getfield("Square", "side")
-    b.load(0).getfield("Square", "side").mul().retv()
-    square.add_method(b.build())
-    circle = program.define_class("Circle", interfaces=["Shape"])
-    circle.add_field(FieldDef("r", "int"))
-    b = MethodBuilder("area", [], "int")
-    b.load(0).getfield("Circle", "r")
-    b.load(0).getfield("Circle", "r").mul().const(3).mul().retv()
-    circle.add_method(b.build())
+    define_shapes(program)
     main = program.define_class("Main", is_abstract=True)
     b = MethodBuilder("total", ["Shape", "int"], "int", is_static=True)
     b.load(1).load(0).invokeinterface("Shape", "area").mul().retv()
@@ -76,6 +63,50 @@ def flip_program():
     b.store(shape_slot)
     b.place(join)
     b.load(shape_slot).const(2).invokestatic("Main", "total").retv()
+    main.add_method(b.build())
+    verify_program(program)
+    return program
+
+
+def define_shapes(program):
+    """``Shape`` with ``Square.area`` (side²) and ``Circle.area`` (3r²);
+    the drivers below build side 4 (area 16) and r 3 (area 27)."""
+    shape = program.define_class("Shape", is_interface=True)
+    shape.add_method(Method("area", [], "int", is_abstract=True))
+    square = program.define_class("Square", interfaces=["Shape"])
+    square.add_field(FieldDef("side", "int"))
+    b = MethodBuilder("area", [], "int")
+    b.load(0).getfield("Square", "side")
+    b.load(0).getfield("Square", "side").mul().retv()
+    square.add_method(b.build())
+    circle = program.define_class("Circle", interfaces=["Shape"])
+    circle.add_field(FieldDef("r", "int"))
+    b = MethodBuilder("area", [], "int")
+    b.load(0).getfield("Circle", "r")
+    b.load(0).getfield("Circle", "r").mul().const(3).mul().retv()
+    circle.add_method(b.build())
+
+
+def sites_program(sites):
+    """``Main.drive(k1, ..., kN)`` dispatches ``area`` at *sites* call
+    sites of its own, each on a Square (0) or a Circle (1) chosen by
+    its own argument, so each site can be refuted on its own."""
+    program = fresh_program()
+    define_shapes(program)
+    main = program.define_class("Main", is_abstract=True)
+    b = MethodBuilder("make", ["int"], "Shape", is_static=True)
+    use_circle = b.new_label()
+    b.load(0).const(1).eq().if_true(use_circle)
+    b.new("Square").dup().const(4).putfield("Square", "side").retv()
+    b.place(use_circle)
+    b.new("Circle").dup().const(3).putfield("Circle", "r").retv()
+    main.add_method(b.build())
+    b = MethodBuilder("drive", ["int"] * sites, "int", is_static=True)
+    b.const(0)
+    for slot in range(sites):
+        b.load(slot).invokestatic("Main", "make")
+        b.invokeinterface("Shape", "area").add()
+    b.retv()
     main.add_method(b.build())
     verify_program(program)
     return program
@@ -245,12 +276,17 @@ def test_profile_flip_executes_real_deopt():
 
 
 def test_deopt_limit_disables_speculation_in_root():
-    program = flip_program()
-    engine = speculative_engine(program, speculation_deopt_limit=1)
+    sites = SPECULATION_DEOPT_LIMIT
+    engine = speculative_engine(sites_program(sites))
     for _ in range(10):
-        engine.call("Main", "drive", [0])
-    engine.call("Main", "drive", [1])
-    assert engine.deopt_count == 1
+        assert engine.call("Main", "drive", [0] * sites) == 16 * sites
+    # Each call brings a Circle to the next site, which the code
+    # recompiled after the previous deopt still guards for a Square.
+    for site in range(sites):
+        assert not engine.speculation_log.is_disabled("Main.drive")
+        args = [int(index == site) for index in range(sites)]
+        assert engine.call("Main", "drive", args) == 27 + 16 * (sites - 1)
+        assert engine.deopt_count == site + 1
     assert engine.speculation_log.is_disabled("Main.drive")
 
 

@@ -125,15 +125,6 @@ class TestTiering:
         assert engine.profiles.of(total).invocations == compiled_at
         assert engine.code_cache.get(run) is not None
 
-    def test_max_compiled_methods_cap(self):
-        program = shapes_program()
-        engine = Engine(
-            program, JitConfig(hot_threshold=1, max_compiled_methods=1)
-        )
-        for _ in range(4):
-            engine.run_iteration("Main", "run")
-        assert len(engine.code_cache) <= 1
-
 
 class TestInlinersInEngine:
     @pytest.mark.parametrize(

@@ -711,6 +711,7 @@ def _snapshot(regs, vm, error):
 
     registers = [ref(value) for value in regs]
     static = ref(vm.get_static("G", "c"))
+    output = [ref(value) for value in vm.output]  # print takes any register
     rendered = []
     for value in heap:  # grows while it is walked
         if isinstance(value, ObjRef):
@@ -720,7 +721,7 @@ def _snapshot(regs, vm, error):
             rendered.append(("arr", value.elem_type, [ref(v) for v in value.data]))
     trap = None if error is None else (type(error), str(error))
     return (trap, registers, static, rendered, vm.allocation_count,
-            list(vm.output), vm.tick_counter)
+            output, vm.tick_counter)
 
 
 def _straight_code(instrs):

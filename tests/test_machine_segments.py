@@ -158,8 +158,9 @@ def run(instrs, decoder, recipe=None):
     except Exception as error:  # host errors must match too
         outcome = ("trap", type(error), str(error))
     static = heap.ref(vm.get_static("G", "c"))
+    output = heap.refs(vm.output)  # a body may print a reference
     return (outcome, sink.flushes, calls, static, heap.render(),
-            vm.allocation_count, list(vm.output), vm.tick_counter)
+            vm.allocation_count, output, vm.tick_counter)
 
 
 def table(instrs):

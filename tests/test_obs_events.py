@@ -146,9 +146,9 @@ class TestThreads:
         compiles = obs.events.spans_named("compile")
         assert compiles
         assert [r["parent"] for r in compiles] == [None] * len(compiles)
-        iterations = obs.events.of_name("iteration")
+        iterations = obs.events.spans_named("iteration")
         assert iterations
-        assert [r["span"] for r in iterations] == [None] * len(iterations)
+        assert [r["parent"] for r in iterations] == [None] * len(iterations)
         seqs = [r["seq"] for r in records]
         assert len(set(seqs)) == len(seqs)
 

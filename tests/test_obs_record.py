@@ -31,8 +31,8 @@ from tests.test_deopt import flip_program, speculative_engine
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
 #: Events written to the log alone: one per optimizer pass group run or
-#: skipped, iteration or fleet run.
-LOG_ONLY = ("pass", "pass.skipped", "iteration", "serve.run")
+#: skipped, or fleet run.
+LOG_ONLY = ("pass", "pass.skipped", "serve.run")
 
 #: The compile-outcome kinds every compile mode records.
 COMPILE_KINDS = (
@@ -310,7 +310,7 @@ def test_guard_flags_every_direct_sink_use():
         "obs.events.emit('jit.install', method=m)\n"
         "obs.events.emit(kind)\n"
         "obs.events.emit('pass', name='gvn')\n"
-        "obs.events.emit('iteration')\n"
+        "obs.events.emit('serve.run')\n"
         "obs.record('deopt', method=m)\n"
     )
     assert sink_uses(source) == [

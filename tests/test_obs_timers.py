@@ -1,72 +1,16 @@
-"""Phase timers: cheap wall-clock accumulators behind Observability."""
+"""Phase timing: the event log's spans time every compile phase and
+every iteration once, and the report folds them into phase totals."""
 
-import pytest
+from repro.baselines import tuned_inliner
+from repro.jit.config import JitConfig
+from repro.jit.engine import Engine
+from repro.obs import Observability, build_report
+from tests.helpers import shapes_program
 
-from repro.obs import NULL_OBS, NULL_TIMERS, Observability, PhaseTimers
-from repro.obs.timers import NullPhaseTimers
-
-
-def test_span_accumulates_seconds_and_counts():
-    timers = PhaseTimers()
-    for _ in range(3):
-        with timers.span("compile"):
-            pass
-    phase = timers.phase("compile")
-    assert phase.count == 3
-    assert phase.seconds >= 0.0
-    assert timers.seconds("compile") == phase.seconds
-
-
-def test_unknown_phase_reads_zero():
-    timers = PhaseTimers()
-    assert timers.seconds("never") == 0.0
-
-
-def test_snapshot_shape_and_sorting():
-    timers = PhaseTimers()
-    with timers.span("b.late"):
-        pass
-    with timers.span("a.early"):
-        pass
-    snapshot = timers.snapshot()
-    assert list(snapshot) == ["a.early", "b.late"]
-    for entry in snapshot.values():
-        assert set(entry) == {"seconds", "count"}
-        assert entry["count"] == 1
-
-
-def test_span_charges_on_exception():
-    timers = PhaseTimers()
-    with pytest.raises(ValueError):
-        with timers.span("risky"):
-            raise ValueError("boom")
-    assert timers.phase("risky").count == 1
-
-
-def test_null_timers_are_inert():
-    assert NULL_TIMERS.enabled is False
-    with NULL_TIMERS.span("anything"):
-        pass
-    assert NULL_TIMERS.snapshot() == {}
-    assert NULL_TIMERS.seconds("anything") == 0.0
-    assert len(NULL_TIMERS) == 0
-    assert isinstance(NULL_TIMERS, NullPhaseTimers)
-
-
-def test_observability_wiring():
-    obs = Observability()
-    assert isinstance(obs.timers, PhaseTimers)
-    assert NULL_OBS.timers is NULL_TIMERS
-    custom = PhaseTimers()
-    assert Observability(timers=custom).timers is custom
+SUB_PHASES = ("build", "inline", "optimize", "lower")
 
 
 def test_engine_records_compile_phases():
-    from repro.baselines import tuned_inliner
-    from repro.jit.config import JitConfig
-    from repro.jit.engine import Engine
-    from tests.helpers import shapes_program
-
     obs = Observability()
     engine = Engine(
         shapes_program(),
@@ -77,27 +21,22 @@ def test_engine_records_compile_phases():
     )
     for _ in range(8):
         engine.run_iteration("Main", "run")
-    snapshot = obs.timers.snapshot()
-    assert "engine.iteration" in snapshot
-    assert snapshot["engine.iteration"]["count"] == 8
-    for phase in (
-        "compile",
-        "compile.build",
-        "compile.inline",
-        "compile.optimize",
-        "compile.lower",
-    ):
-        assert phase in snapshot, phase
-        assert snapshot[phase]["count"] >= 1
-    # Sub-phases nest inside the compile span, so their sum is bounded
-    # by it.
-    parts = sum(
-        snapshot[p]["seconds"]
-        for p in (
-            "compile.build",
-            "compile.inline",
-            "compile.optimize",
-            "compile.lower",
-        )
-    )
-    assert parts <= snapshot["compile"]["seconds"]
+    report = build_report(obs.events.records)
+    calls = report["phase_calls"]
+    assert calls["iteration"] == 8
+    assert calls["compile"] == engine.compilation_count >= 1
+    for phase in SUB_PHASES:
+        assert calls[phase] >= 1, phase
+    # Sub-phases nest inside their compile span, so each lies within it
+    # and their summed wall time is bounded by the compiles'.
+    records = obs.events.records
+    begins = {r["span"]: r for r in records if r["type"] == "begin"}
+    ends = {r["span"]: r for r in records if r["type"] == "end"}
+    for sid, begin in begins.items():
+        if begin["name"] in SUB_PHASES:
+            parent = begins[begin["parent"]]
+            assert parent["name"] == "compile"
+            assert parent["ts"] <= begin["ts"]
+            assert ends[sid]["ts"] <= ends[parent["span"]]["ts"]
+    totals = report["phase_totals"]
+    assert sum(totals[phase] for phase in SUB_PHASES) <= totals["compile"]

@@ -13,7 +13,7 @@ import pytest
 
 from repro.baselines import tuned_inliner
 from repro.bytecode import MethodBuilder, verify_program
-from repro.errors import BoundsTrap
+from repro.errors import BoundsTrap, CompileError
 from repro.interp import Interpreter
 from repro.jit.config import JitConfig
 from repro.jit.engine import Engine
@@ -285,13 +285,21 @@ class TestOsrDeoptAndFailure:
             == FLIP_RESULT
         )
 
-    def test_compile_cap_declines_and_interprets(self):
-        engine = osr_engine(shapes_program(), max_compiled_methods=0)
+    def test_failed_compile_declines_and_interprets(self):
+        engine = osr_engine(shapes_program())
+        attempts = []
+
+        def fail(*args):
+            attempts.append(args)
+            raise CompileError("continuation refused")
+
+        engine.compiler.compile_osr = fail
         assert engine.call("Main", "run") == SHAPES_RESULT
         assert engine.osr_entry_count == 0
         assert engine.osr_compilation_count == 0
         # The failed key is memoized: later backedges stop retrying.
         assert len(engine._osr_failed) == 1
+        assert len(attempts) == 1
 
     def test_env_pin_overrides_explicit_config(self, monkeypatch):
         monkeypatch.setenv("REPRO_OSR", "off")

@@ -175,6 +175,13 @@ class TestDisasmTool:
         assert "class Main" in out or "Main" in out
 
 
+def phase_table(out):
+    """The rows of a stats report's phase table, split into cells."""
+    lines = out.split("== phase totals")[1].split("\n\n")[0].splitlines()
+    assert lines[1].split() == ["phase", "calls", "wall", "of", "iterations"]
+    return [line.split() for line in lines[2:]]
+
+
 class TestStatsTool:
     def test_live_report(self, demo_file, capsys):
         assert stats_tool.main([demo_file, "--iterations", "8"]) == 0
@@ -199,6 +206,23 @@ class TestStatsTool:
         live_compiles = live_out.split("== phase totals")[0]
         replay_compiles = replay_out.split("== phase totals")[0]
         assert replay_compiles == live_compiles
+
+    def test_phase_table_live_and_replay(self, demo_file, tmp_path, capsys):
+        # One phase table, folded from the event stream: a replay of
+        # the log prints what the live run that wrote it printed.
+        events = str(tmp_path / "events.jsonl")
+        assert stats_tool.main(
+            [demo_file, "--iterations", "8", "--events", events]
+        ) == 0
+        live = phase_table(capsys.readouterr().out)
+        assert stats_tool.main([events]) == 0
+        replay = phase_table(capsys.readouterr().out)
+        assert replay == live
+        calls = {row[0]: int(row[1]) for row in live}
+        assert list(calls)[:2] == ["iteration", "compile"]
+        assert calls["iteration"] == 8
+        for phase in ("build", "inline", "optimize", "lower"):
+            assert calls[phase] >= calls["compile"] > 0, phase
 
     def test_metrics_json_artifact(self, demo_file, tmp_path, capsys):
         metrics = tmp_path / "metrics.json"
