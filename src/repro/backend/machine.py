@@ -538,6 +538,12 @@ class MachineExecutor:
     check a guard, flush and return, or flush and deoptimize. Nothing
     inside a segment flushes cycles, and nothing flushes on a trap.
 
+    The cycle sink is any object with a ``compiled_cycles`` attribute;
+    a flush is ``sink.compiled_cycles += cycles``, an attribute add
+    rather than a call. The engine is its own sink, and the py tier's
+    closures flush to it the same way, so there is one sink protocol
+    for both tiers.
+
     The executor is deliberately free of policy: tier transfer decisions
     live in the dispatch callable (the JIT engine), which is invoked for
     every non-native CALL and every VCALL.
@@ -548,7 +554,9 @@ class MachineExecutor:
         Args:
             vm: the :class:`~repro.runtime.vmstate.VMState`.
             dispatch: ``(method, args) -> value`` used for all calls.
-            cycle_sink: object with an ``add_compiled_cycles(n)`` method.
+            cycle_sink: the object whose ``compiled_cycles``
+                attribute each flush adds to (the engine; the py
+                tier's closures flush to the same attribute).
         """
         self.vm = vm
         self.dispatch = dispatch
@@ -576,7 +584,7 @@ class MachineExecutor:
                 segment = follow
             elif tail == M_CALL:
                 # (result_reg, target_method, arg_regs)
-                sink.add_compiled_cycles(cycles)
+                sink.compiled_cycles += cycles
                 cycles = 0
                 value = self.dispatch(b, [regs[r] for r in c])
                 if a >= 0:
@@ -591,25 +599,25 @@ class MachineExecutor:
                 if isinstance(receiver, ArrayRef):
                     raise VMError("virtual call on array receiver")
                 target = vm.program.resolve_method(receiver.class_name, b)
-                sink.add_compiled_cycles(cycles)
+                sink.compiled_cycles += cycles
                 cycles = 0
                 value = self.dispatch(target, call_args)
                 if a >= 0:
                     regs[a] = value
                 segment = follow
             elif tail == M_RETV:
-                sink.add_compiled_cycles(cycles)
+                sink.compiled_cycles += cycles
                 return regs[a]
             elif tail == M_RET:
-                sink.add_compiled_cycles(cycles)
+                sink.compiled_cycles += cycles
                 return NULL
             elif tail == M_GUARD:
                 # (condition_reg, deopt_table_index, reason)
                 if regs[a] == 0:
-                    sink.add_compiled_cycles(cycles)
+                    sink.compiled_cycles += cycles
                     _deoptimize(code, b, c, regs)
                 segment = follow
             else:
                 # DEOPT: (deopt_table_index, reason)
-                sink.add_compiled_cycles(cycles)
+                sink.compiled_cycles += cycles
                 _deoptimize(code, a, b, regs)

@@ -51,9 +51,23 @@ instruction by instruction):
 - int64: add/sub/mul/neg/shl compute the exact Python result and call
   :func:`~repro.runtime.int64.wrap64` only when a range test against
   ``INT64_MIN``/``INT64_MAX`` fails (the machine wraps every result
-  branch-free; the values are the same); div/rem call
+  branch-free; the values are the same). The test is one comparison
+  where the result can leave the range on one side only: ``a + c`` and
+  ``a - c`` for a constant ``c`` (the sign of ``c`` picks the side),
+  ``c - a`` (above for ``c >= 0``, below for ``c <= -2``, none for
+  ``c == -1``) and ``-a`` (above). div/rem call
   :func:`~repro.runtime.int64.div64` / ``rem64``, as every executor
   does.
+- null tests: a field access, array access or virtual call tests its
+  receiver for ``None`` (the machine's ``NullPointerTrap``) unless the
+  receiver is an allocation, or the same SSA value was tested earlier
+  in the same block or in a block that dominates it: a test that
+  passed proved the value is not null, and an SSA value never changes
+  (a loop phi is reassigned only on the way into its header, and a
+  test in the loop cannot dominate the header). A non-null stamp
+  proves nothing here: a parameter's holds only if every call tests
+  its receiver, and a call devirtualized by class-hierarchy analysis
+  tests none, on either tier.
 - array bounds: a negative index is tested, and the list's own
   ``IndexError`` stands for the upper-bound test; either raises the
   machine tier's ``BoundsTrap('index / length')``.
@@ -63,11 +77,25 @@ instruction by instruction):
   <repro.bytecode.program.Program.subtype_row>`, ``dispatch_row``), so a
   site is one subscript; a name that does not resolve raises the
   machine tier's :class:`~repro.errors.LinkError` at the access itself.
-- cycles: ``_cy`` starts at ``METHOD_ENTRY``, each block adds the same
-  block cost lowering puts in its ``COST`` pseudo-instruction, and the
-  accumulator flushes to the engine sink exactly where the machine
-  flushes — before non-native dispatches, before a deopt raise, and at
-  returns; never on a trap.
+- cycles: the machine charges each block's cost (lowering's ``COST``
+  pseudo-instruction) on entry and flushes its count to the sink
+  before non-native dispatches, before a deopt raise and at returns;
+  never on a trap. The closure charges only on the edges outside a
+  spanning tree of the CFG (Ball and Larus, "Optimally Profiling and
+  Tracing Programs", TOPLAS 1994): the tree gives each block but the
+  entry its heaviest forward in-edge (``block.frequency`` times the
+  branch probability; the earliest in reverse postorder on a tie).
+  Each block *b* gets an offset φ(b) ≥ 0: φ(entry) = 0 and φ(v) =
+  φ(u) + cost(v) along every tree edge u→v. Invariant: inside *b* the
+  machine's count is ``_cy + φ(b)``. So ``_cy`` starts at
+  ``METHOD_ENTRY`` + cost(entry); an edge u→v adds cost(v) + φ(u) −
+  φ(v), which is 0 on every tree edge, beside that edge's phi moves;
+  a flush in *b* is ``_sink.compiled_cycles += _cy + φ(b)``, and
+  before a call it then sets ``_cy = -φ(b)``. Every flush sees
+  exactly the machine's sum, and an iteration of a loop without
+  branches pays one add, on its back edge, rather than one per block.
+  The sink is any object with a ``compiled_cycles`` attribute (the
+  engine), as for :class:`~repro.backend.machine.MachineExecutor`.
 - phis: a phi with a ``None`` input (a local undefined along that
   edge) starts as ``None`` at entry, as its machine register starts
   NULL; that edge assigns nothing on either tier.
@@ -137,6 +165,24 @@ _CMP_OPS = {
     "REF_NE": "is not",
 }
 
+#: Range tests of a wrapping op's exact result ``%s``: both sides of
+#: int64, or the one side it can leave (see the module docstring).
+_OUTSIDE = "not %d <= %%s <= %d" % (INT64_MIN, INT64_MAX)
+_ABOVE = "%%s > %d" % INT64_MAX
+_BELOW = "%%s < %d" % INT64_MIN
+
+#: Call kinds with a known target, hence no receiver null test.
+_DIRECT_CALLS = ("static", "special", "direct")
+
+#: Node types that test their first input for null.
+_NULL_TESTING = (
+    n.LoadFieldNode,
+    n.StoreFieldNode,
+    n.ArrayLoadNode,
+    n.ArrayStoreNode,
+    n.ArrayLengthNode,
+)
+
 #: Operator inversion for fused negated conditions (guards fail on 0).
 _CMP_NEGATED = {
     "EQ": "!=",
@@ -150,11 +196,48 @@ _CMP_NEGATED = {
 }
 
 
+#: Node types whose value is never null.
+_ALLOCATIONS = (n.NewNode, n.NewArrayNode)
+
+
+def _null_tested(node):
+    """The value *node* tests for null before it runs, or ``None``."""
+    t = type(node)
+    if t in _NULL_TESTING or (
+        t is n.InvokeNode and node.kind not in _DIRECT_CALLS
+    ):
+        return node.inputs[0]
+    return None
+
+
+def _range_test(node):
+    """The range test the exact result of the wrapping binary op *node*
+    needs (``_OUTSIDE``, ``_ABOVE`` or ``_BELOW``), or ``None`` when it
+    cannot leave int64."""
+    if node.op not in ("ADD", "SUB"):
+        return _OUTSIDE
+    left, right = node.inputs
+    if type(right) is n.ConstIntNode:
+        step = right.value if node.op == "ADD" else -right.value
+    elif type(left) is n.ConstIntNode:
+        if node.op == "ADD":
+            step = left.value
+        else:  # c - a lies in [c + INT64_MIN + 1, c + INT64_MAX + 1]
+            step = left.value + 1
+    else:
+        return _OUTSIDE
+    if step > 0:
+        return _ABOVE
+    return _BELOW if step < 0 else None
+
+
 def generate(graph, cost_model=None):
     """Generate the Python tier for *graph*.
 
     Returns ``(factory, source)`` where ``factory(vm, dispatch, sink)``
-    binds one engine's VM state and returns the ``run(args)`` closure.
+    binds one engine's VM state, dispatch and cycle sink (an object
+    with a ``compiled_cycles`` attribute) and returns the ``run(args)``
+    closure.
     Raises :class:`PyCodegenBailout` when the graph cannot be
     translated faithfully.
     """
@@ -170,10 +253,10 @@ def generate(graph, cost_model=None):
 
 
 class _Code:
-    """A block's cycle charge and instructions, and its terminator when
-    that is a return or a deopt (``leaves``). Edges are statements of
-    their own; the phi moves on an edge into a block placed inline are
-    a plain source line (a ``str``)."""
+    """A block's instructions, and its terminator when that is a return
+    or a deopt (``leaves``). Edges are statements of their own; the
+    cycle charge and phi moves on an edge into a block placed inline
+    are plain source lines (``str``)."""
 
     __slots__ = ("block", "leaves")
 
@@ -183,7 +266,9 @@ class _Code:
 
 
 class _Jump:
-    """An edge to a loop header (``back``) or to a merge's region end.
+    """An edge to a loop header (``back``) or to a merge's region end;
+    ``moves`` are the edge's source lines (its cycle charge and phi
+    moves).
 
     Planning sets ``elided`` (the jump falls through to its target),
     ``stack`` (the constructs around it, outermost first), ``final``
@@ -256,10 +341,10 @@ def _landing(stmt):
 
 def _empty(stmts):
     """True when *stmts* prints nothing: one jump that falls through
-    without phi moves."""
+    without a cycle charge or phi moves."""
     return (
         len(stmts) == 1 and type(stmts[0]) is _Jump
-        and stmts[0].elided and stmts[0].moves is None
+        and stmts[0].elided and not stmts[0].moves
     )
 
 
@@ -292,6 +377,8 @@ class _PyCodegen:
         self._flags = {}
         self._linked = {}  # (call, operands...) -> bound expression
         self._link_lines = []
+        self._block = None  # the block being emitted
+        self._tested = set()  # values null-tested earlier in it
 
     # -- source assembly ----------------------------------------------------
 
@@ -413,10 +500,66 @@ class _PyCodegen:
                     self._line(2, "v%d = None" % phi.id)
         for flag in self._flags.values():
             self._line(2, "%s = False" % flag)
-        self._line(2, "_cy = %d" % self.cost.METHOD_ENTRY)
+        self._line(2, "_cy = %d" % (
+            self.cost.METHOD_ENTRY + self._block_cost(order[0])
+        ))
         self._render(body, 2)
         lines.append("    return _run")
         lines[links_at:links_at] = ["    " + x for x in self._link_lines]
+
+    # -- cycle charges and null tests ------------------------------------------
+
+    def _block_cost(self, block):
+        """*block*'s price, as lowering's ``COST`` pseudo-instruction
+        has it: what keeps the cycle model bit-identical."""
+        cost = sum(self.cost.node_cost(node) for node in block.instrs)
+        if block.terminator is not None:
+            cost += self.cost.node_cost(block.terminator)
+        return cost
+
+    def _plan_charges(self, order):
+        """φ of every block (``_phi``) and the charge on every edge
+        (``_charges``, keyed ``(pred, succ)``) from a spanning tree of
+        the CFG that gives each block but the entry its heaviest
+        forward in-edge; see "cycles" in the module docstring."""
+        rpo = self._rpo
+        cost = {block: self._block_cost(block) for block in order}
+        phi = {order[0]: 0}
+        parent = {}  # block -> (its heaviest forward in-edge's weight, pred)
+        for block in order:
+            # Reverse postorder: every forward predecessor came first.
+            if block in parent:
+                phi[block] = phi[parent[block][1]] + cost[block]
+            term = block.terminator
+            for arm, succ in enumerate(block.successors()):
+                if rpo[succ] <= rpo[block]:
+                    continue
+                weight = block.frequency
+                if type(term) is n.IfNode:
+                    weight *= (
+                        term.probability if arm == 0
+                        else 1.0 - term.probability
+                    )
+                if succ not in parent or weight > parent[succ][0]:
+                    parent[succ] = (weight, block)
+        self._phi = phi
+        self._charges = {
+            (block, succ): cost[succ] + phi[block] - phi[succ]
+            for block in order for succ in block.successors()
+        }
+
+    def _plan_null_tests(self, order):
+        """``_null_testers``: for each value some node tests for null,
+        the blocks holding such a node."""
+        testers = {}
+        for block in order:
+            for node in block.instrs:
+                value = _null_tested(node)
+                if value is not None:
+                    blocks = testers.setdefault(value, [])
+                    if not blocks or blocks[-1] is not block:
+                        blocks.append(block)
+        self._null_testers = testers
 
     # -- structuring ----------------------------------------------------------
 
@@ -440,6 +583,10 @@ class _PyCodegen:
                         % (block.id, succ.id, succ.id),
                     )
         loops = compute_loops(graph, idom, order) if cyclic else ()
+        self._idom = idom
+        self._rpo = rpo
+        self._plan_charges(order)
+        self._plan_null_tests(order)
         self._headers = {loop.header for loop in loops}
         self._after_loop = self._hoist(order, idom, rpo, forward, loops)
         hoisted = {b for blocks in self._after_loop.values() for b in blocks}
@@ -452,7 +599,6 @@ class _PyCodegen:
                 self._followers.setdefault(idom[block], []).append(block)
             else:
                 self._inline.add(block)
-        self._rpo = rpo
         body = []
         self._tree(order[0], body)
         return body
@@ -549,12 +695,11 @@ class _PyCodegen:
             out.append(_If(block, then, orelse))
 
     def _branch(self, pred, succ, out):
-        moves = self._edge_moves(pred, succ)
+        moves = self._edge_lines(pred, succ)
         if self._rpo[succ] <= self._rpo[pred]:
             out.append(_Jump(succ, True, moves))
         elif succ in self._inline:
-            if moves is not None:
-                out.append(moves)
+            out.extend(moves)
             self._tree(succ, out)
         else:
             out.append(_Jump(succ, False, moves))
@@ -658,8 +803,8 @@ class _PyCodegen:
             elif t is str:
                 line(depth, stmt)
             elif t is _Jump:
-                if stmt.moves is not None:
-                    line(depth, stmt.moves)
+                for move in stmt.moves:
+                    line(depth, move)
                 if stmt.elided:
                     continue
                 if stmt.flag is not None:
@@ -711,13 +856,8 @@ class _PyCodegen:
         self._render_arm(orelse, depth + 1)
 
     def _emit_block(self, block, depth):
-        # Identical block price to the COST pseudo-instruction lowering
-        # emits — this is what keeps the cycle model bit-identical.
-        cost = sum(self.cost.node_cost(node) for node in block.instrs)
-        if block.terminator is not None:
-            cost += self.cost.node_cost(block.terminator)
-        if cost:
-            self._line(depth, "_cy += %d" % cost)
+        self._block = block
+        self._tested = set()
         fused = self._fused[block]
         for node in block.instrs:
             if node in fused:
@@ -726,15 +866,25 @@ class _PyCodegen:
         term = block.terminator
         if type(term) is n.ReturnNode:
             value = term.value()
-            self._line(depth, "_sink(_cy)")
+            self._flush(depth, False)
             self._line(depth, "return %s"
                        % (self._val(value) if value is not None else "None"))
         elif type(term) is n.DeoptNode:
             index, values = self._deopt_entry(
                 term.frames, term.state_values, term.reason
             )
-            self._line(depth, "_sink(_cy)")
+            self._flush(depth, False)
             self._line(depth, "_deopt(%d, %s)" % (index, values))
+
+    def _flush(self, depth, call):
+        """Flush the machine's count in the current block, ``_cy +
+        φ``, to the sink; before a *call* the count starts over, so
+        ``_cy`` becomes ``-φ``."""
+        offset = self._phi[self._block]
+        self._line(depth, "_sink.compiled_cycles += _cy%s"
+                   % (" + %d" % offset if offset else ""))
+        if call:
+            self._line(depth, "_cy = %d" % -offset)
 
     def _fused_conditions(self, block):
         """Compare/instance-of nodes foldable into their single branch
@@ -802,7 +952,9 @@ class _PyCodegen:
             op = node.op
             if op in ("ADD", "SUB", "MUL"):
                 sign = {"ADD": "+", "SUB": "-", "MUL": "*"}[op]
-                self._wrapped(dst, "%s %s %s" % (a, sign, b), depth)
+                self._wrapped(
+                    dst, "%s %s %s" % (a, sign, b), depth, _range_test(node)
+                )
             elif op == "DIV":
                 line(depth, "%s = _div(%s, %s)" % (dst, a, b))
             elif op == "REM":
@@ -819,7 +971,9 @@ class _PyCodegen:
                     "unsupported-node", "BinOp %s" % op
                 )
         elif t is n.NegNode:
-            self._wrapped(dst, "-(%s)" % self._val(node.inputs[0]), depth)
+            self._wrapped(
+                dst, "-(%s)" % self._val(node.inputs[0]), depth, _ABOVE
+            )
         elif t is n.CompareNode:
             line(depth, "%s = 1 if %s %s %s else 0" % (
                 dst,
@@ -840,8 +994,7 @@ class _PyCodegen:
         elif t is n.ArrayLoadNode:
             array = self._val(node.inputs[0])
             index = self._val(node.inputs[1])
-            line(depth, "if %s is None:" % array)
-            line(depth + 1, "raise _NPT('ALOAD')")
+            self._null_test(node.inputs[0], "ALOAD", depth)
             line(depth, "_t = %s.data" % array)
             self._subscript(
                 "%s = _t[%s]" % (dst, index), node.inputs[1], depth
@@ -850,28 +1003,26 @@ class _PyCodegen:
             array = self._val(node.inputs[0])
             index = self._val(node.inputs[1])
             value = self._val(node.inputs[2])
-            line(depth, "if %s is None:" % array)
-            line(depth + 1, "raise _NPT('ASTORE')")
+            self._null_test(node.inputs[0], "ASTORE", depth)
             line(depth, "_t = %s.data" % array)
             self._subscript(
                 "_t[%s] = %s" % (index, value), node.inputs[1], depth
             )
         elif t is n.ArrayLengthNode:
             array = self._val(node.inputs[0])
-            line(depth, "if %s is None:" % array)
-            line(depth + 1, "raise _NPT('ARRAYLEN')")
+            self._null_test(node.inputs[0], "ARRAYLEN", depth)
             line(depth, "%s = len(%s.data)" % (dst, array))
         elif t is n.LoadFieldNode:
             obj = self._val(node.inputs[0])
-            line(depth, "if %s is None:" % obj)
-            line(depth + 1,
-                 "raise _NPT(%r)" % ("GETFIELD %s" % node.field_name))
+            self._null_test(
+                node.inputs[0], "GETFIELD %s" % node.field_name, depth
+            )
             line(depth, "%s = %s.fields[%r]" % (dst, obj, node.field_name))
         elif t is n.StoreFieldNode:
             obj = self._val(node.inputs[0])
-            line(depth, "if %s is None:" % obj)
-            line(depth + 1,
-                 "raise _NPT(%r)" % ("PUTFIELD %s" % node.field_name))
+            self._null_test(
+                node.inputs[0], "PUTFIELD %s" % node.field_name, depth
+            )
             line(depth, "%s.fields[%r] = %s"
                  % (obj, node.field_name, self._val(node.inputs[1])))
         elif t is n.LoadStaticNode:
@@ -902,21 +1053,38 @@ class _PyCodegen:
             )
             line(depth, "if %s:"
                  % self._cond_expr(node.inputs[0], fused, negate=True))
-            line(depth + 1, "_sink(_cy)")
+            self._flush(depth + 1, False)
             line(depth + 1, "_deopt(%d, %s)" % (index, values))
         else:
             raise PyCodegenBailout(
                 "unsupported-node", type(node).__name__
             )
 
-    def _wrapped(self, dst, expr, depth):
+    def _wrapped(self, dst, expr, depth, test=_OUTSIDE):
         """``dst = expr`` wrapped to int64: the exact result, and the
-        call to :func:`~repro.runtime.int64.wrap64` only when it leaves
-        the range."""
+        call to :func:`~repro.runtime.int64.wrap64` only when *test*
+        finds it out of range (no test when *test* is ``None``)."""
         self._line(depth, "%s = %s" % (dst, expr))
-        self._line(depth, "if not %d <= %s <= %d:"
-                   % (INT64_MIN, dst, INT64_MAX))
-        self._line(depth + 1, "%s = _wrap(%s)" % (dst, dst))
+        if test is not None:
+            self._line(depth, "if %s:" % (test % dst))
+            self._line(depth + 1, "%s = _wrap(%s)" % (dst, dst))
+
+    def _null_test(self, value, message, depth):
+        """``raise _NPT(message)`` when *value* is None, unless it is an
+        allocation or a test of it already ran: earlier in this block,
+        or in a block that strictly dominates this one. A non-null
+        stamp is no proof: a parameter's holds only when every call
+        tests its receiver, and a call devirtualized by class-hierarchy
+        analysis does not."""
+        block = self._block
+        if type(value) in _ALLOCATIONS or value in self._tested or any(
+            tester is not block and dominates(self._idom, tester, block)
+            for tester in self._null_testers[value]
+        ):
+            return
+        self._tested.add(value)
+        self._line(depth, "if %s is None:" % self._val(value))
+        self._line(depth + 1, "raise _NPT(%r)" % message)
 
     def _subscript(self, access, index_node, depth):
         """*access* of the array data ``_t`` at the index *index_node*,
@@ -952,7 +1120,7 @@ class _PyCodegen:
             else ""
         )
         args = [self._val(a) for a in node.inputs[: node.n_args]]
-        if node.kind in ("static", "special", "direct"):
+        if node.kind in _DIRECT_CALLS:
             target = node.target
             if target is None:
                 raise PyCodegenBailout(
@@ -967,15 +1135,14 @@ class _PyCodegen:
                 ))
             else:
                 name = self._bind("m", target)
-                line(depth, "_sink(_cy)")
-                line(depth, "_cy = 0")
+                self._flush(depth, True)
                 line(depth, "%s_call(%s, [%s])"
                      % (dst, name, ", ".join(args)))
         else:
             receiver = args[0]
-            line(depth, "if %s is None:" % receiver)
-            line(depth + 1,
-                 "raise _NPT(%r)" % ("call %s" % node.method_name))
+            self._null_test(
+                node.inputs[0], "call %s" % node.method_name, depth
+            )
             line(depth, "if isinstance(%s, _AR):" % receiver)
             line(depth + 1, "raise _VE('virtual call on array receiver')")
             # Resolution precedes the flush, exactly like M_VCALL.
@@ -983,8 +1150,7 @@ class _PyCodegen:
                 self._link("program.dispatch_row", node.method_name),
                 receiver,
             ))
-            line(depth, "_sink(_cy)")
-            line(depth, "_cy = 0")
+            self._flush(depth, True)
             line(depth, "%s_call(_t, [%s])" % (dst, ", ".join(args)))
 
     def _deopt_entry(self, frames, state_values, reason):
@@ -1040,20 +1206,24 @@ class _PyCodegen:
 
     # -- edges ----------------------------------------------------------------
 
-    def _edge_moves(self, pred, succ):
-        """Phi inputs for the edge *pred*→*succ* as one native parallel
-        assignment (tuple unpacking evaluates every source first, which
-        is exactly the parallel-copy semantics), or ``None``."""
-        if not succ.phis:
-            return None
-        index = succ.pred_index(pred)
-        dsts, srcs = [], []
-        for phi in succ.phis:
-            source = phi.inputs[index]
-            if source is None or source is phi:
-                continue
-            dsts.append("v%d" % phi.id)
-            srcs.append(self._val(source))
-        if not dsts:
-            return None
-        return "%s = %s" % (", ".join(dsts), ", ".join(srcs))
+    def _edge_lines(self, pred, succ):
+        """The source lines of the edge *pred*→*succ*: its cycle charge
+        (none on a spanning-tree edge), then its phi inputs as one
+        native parallel assignment (tuple unpacking evaluates every
+        source first, which is exactly the parallel-copy semantics)."""
+        lines = []
+        charge = self._charges[pred, succ]
+        if charge:
+            lines.append("_cy %s= %d" % ("+-"[charge < 0], abs(charge)))
+        if succ.phis:
+            index = succ.pred_index(pred)
+            dsts, srcs = [], []
+            for phi in succ.phis:
+                source = phi.inputs[index]
+                if source is None or source is phi:
+                    continue
+                dsts.append("v%d" % phi.id)
+                srcs.append(self._val(source))
+            if dsts:
+                lines.append("%s = %s" % (", ".join(dsts), ", ".join(srcs)))
+        return lines

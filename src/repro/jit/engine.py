@@ -235,13 +235,6 @@ class Engine:
             else None
         )
 
-    # ------------------------------------------------------------------
-    # Cycle sink interface (used by the machine executor)
-    # ------------------------------------------------------------------
-
-    def add_compiled_cycles(self, cycles):
-        self.compiled_cycles += cycles
-
     def _execute(self, key, code, args):
         """Run *code*, installed at cache key *key*, on the selected
         backend.
@@ -272,7 +265,7 @@ class Engine:
         if self._py and code is not None:
             factory = code.py_factory
             binding = (
-                factory(self.vm, self._dispatcher, self.add_compiled_cycles)
+                factory(self.vm, self._dispatcher, self)
                 if factory is not None
                 else None
             )

@@ -47,6 +47,8 @@ def main(argv=None):
         default="bytecode",
     )
     args = parser.parse_args(argv)
+    if args.method is None and args.form != "bytecode":
+        parser.error("--form %s needs --method" % args.form)
 
     program = compile_file(args.program)
     if args.method is None:

@@ -13,11 +13,11 @@ from repro.runtime import VMState
 
 
 class _NullSink:
-    def __init__(self):
-        self.cycles = 0
+    """A cycle sink: the executor adds each flush to
+    ``compiled_cycles``."""
 
-    def add_compiled_cycles(self, cycles):
-        self.cycles += cycles
+    def __init__(self):
+        self.compiled_cycles = 0
 
 
 def execute_graph(graph, program, args=(), vm=None):

@@ -120,7 +120,7 @@ class TestMachineSemantics:
         executor = MachineExecutor(vm, Interpreter(vm).execute, sink)
         code = lower_graph(graph)
         executor.execute(code, [3])
-        assert sink.cycles >= code.entry_cost
+        assert sink.compiled_cycles >= code.entry_cost
 
     def test_intrinsic_called_natively(self):
         def build(b):

@@ -35,13 +35,21 @@ from tests.helpers import (
 
 
 class _Sink:
+    """A cycle sink that records each flush: ``compiled_cycles`` reads
+    the running total, and each ``+=`` hands its setter one flush."""
+
     def __init__(self):
         self.cycles = 0
         self.flushes = []
 
-    def add_compiled_cycles(self, cycles):
-        self.cycles += cycles
-        self.flushes.append(cycles)
+    @property
+    def compiled_cycles(self):
+        return self.cycles
+
+    @compiled_cycles.setter
+    def compiled_cycles(self, total):
+        self.flushes.append(total - self.cycles)
+        self.cycles = total
 
 
 def _execute(instrs, args=(), program=None, num_regs=16, sink=None):

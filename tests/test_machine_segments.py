@@ -76,11 +76,21 @@ def _intrinsics():
 
 
 class _Sink:
+    """A cycle sink that records each flush: ``compiled_cycles`` reads
+    the running total, and each ``+=`` hands its setter one flush."""
+
     def __init__(self):
         self.flushes = []
+        self.total = 0
 
-    def add_compiled_cycles(self, cycles):
-        self.flushes.append(cycles)
+    @property
+    def compiled_cycles(self):
+        return self.total
+
+    @compiled_cycles.setter
+    def compiled_cycles(self, total):
+        self.flushes.append(total - self.total)
+        self.total = total
 
 
 class _Heap:

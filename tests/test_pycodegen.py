@@ -10,6 +10,7 @@ thing allowed to differ.
 import os
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -22,9 +23,16 @@ from repro.backend.pycodegen import PyCodegenBailout
 from repro.baselines import tuned_inliner
 from repro.bench import all_benchmarks, get_benchmark
 from repro.bytecode import Op
-from repro.errors import BoundsTrap, DivisionByZeroTrap, TrapError
+from repro.errors import (
+    BoundsTrap,
+    DivisionByZeroTrap,
+    NullPointerTrap,
+    TrapError,
+)
+from repro.fuzz.generator import generate_case
 from repro.fuzz.serialize import load_corpus_file
-from repro.ir import compute_loops
+from repro.ir import build_graph, compute_loops
+from repro.ir.frequency import annotate_frequencies
 from repro.ir import nodes as n
 from repro.ir import stamps as stm
 from repro.jit import compiler
@@ -32,6 +40,7 @@ from repro.jit.config import JitConfig
 from repro.jit.engine import Engine
 from repro.lang import compile_source
 from repro.obs import Observability
+from repro.opts.pipeline import OptimizationPipeline
 from repro.runtime import VMState, int64
 from repro.runtime.int64 import (
     INT64_MAX,
@@ -50,6 +59,7 @@ from tests.helpers import (
     single_method_program,
 )
 from tests.test_deopt import flip_program
+from tests.test_opts_bookkeeping import GENERATED_BASE, generated_config
 
 #: The masked two's-complement wrap the machine executor inlines: the
 #: test-local reference for the range-tested form the generator emits.
@@ -190,14 +200,42 @@ _WRAPPING_OPS = {
             [(x, y) for x in _INT64_EDGES for y in (0, 1, 63, 64, 127)]),
 }
 
+#: ADD and SUB with one constant operand can leave int64 on one side
+#: only (``c - a`` with c = -1 on neither): the generator emits one
+#: comparison, or none. Each constant on either side, over these a.
+_ONE_SIDED_CONSTANTS = [INT64_MIN, -2, -1, 1, INT64_MAX]
+_ONE_SIDED_OPERANDS = [INT64_MIN, -1, 0, 1, INT64_MAX]
+
+
+def _constant_op(op, c, constant_left):
+    sign = 1 if op == "ADD" else -1
+    if constant_left:
+        body = lambda b: getattr(b.const(c).load(0), op.lower())()
+        exact = lambda x, y: c + sign * x
+    else:
+        body = lambda b: getattr(b.load(0).const(c), op.lower())()
+        exact = lambda x, y: x + sign * c
+    return body, exact, [(x, 0) for x in _ONE_SIDED_OPERANDS]
+
+
+for _op in ("ADD", "SUB"):
+    for _c in _ONE_SIDED_CONSTANTS:
+        _WRAPPING_OPS["%s c=%d, a" % (_op, _c)] = _constant_op(_op, _c, True)
+        _WRAPPING_OPS["%s a, c=%d" % (_op, _c)] = _constant_op(_op, _c, False)
+
 _WARM = 3  # interpreted iterations before the py tier takes over
+
+#: The two-sided range test; a wrapping op with a constant operand, or
+#: a NEG, needs at most one side.
+_TWO_SIDED = re.compile(r"if not -?\d+ <= v\d+ <= -?\d+:")
 
 
 @pytest.mark.parametrize("op", sorted(_WRAPPING_OPS))
 def test_wrapping_op_edges_match_machine(op, monkeypatch):
     # Each op over int64 edge operands: the py tier returns wrap64 of
     # the exact result, with the machine tier's value and cycles, and
-    # takes the out-of-range branch at least once.
+    # takes the out-of-range branch exactly when a result leaves int64
+    # (at least once, but for `-1 - a`, which never does).
     body, exact, pairs = _WRAPPING_OPS[op]
     wraps = []
 
@@ -216,8 +254,16 @@ def test_wrapping_op_edges_match_machine(op, monkeypatch):
     )
     assert_identical(machine, py)
     assert py[0][_WARM:] == [("value", wrap64(exact(*p))) for p in pairs]
-    assert any(not int64.is_wrapped(exact(*p)) for p in pairs)
-    assert wraps and all(not int64.is_wrapped(v) for v in wraps)
+    leaves = [exact(*p) for p in pairs if not int64.is_wrapped(exact(*p))]
+    assert leaves or op == "SUB c=-1, a"
+    assert sorted(wraps) == sorted(leaves)
+    engine = py[2]
+    (source,) = [
+        engine.code_cache.get(m).py_source
+        for m in engine.code_cache.installed_methods()
+    ]
+    one_sided = op == "NEG" or "c=" in op
+    assert bool(_TWO_SIDED.search(source)) == (not one_sided), source
 
 
 @pytest.mark.parametrize("access", ["load", "store"])
@@ -561,16 +607,25 @@ def fueled_cfg(spec):
 
 
 class _Flushed(list):
-    """A cycle sink that keeps every flush."""
+    """A cycle sink that keeps every flush: ``compiled_cycles`` reads
+    their sum, and each ``+=`` hands its setter one flush."""
 
-    def add_compiled_cycles(self, cycles):
-        self.append(cycles)
+    @property
+    def compiled_cycles(self):
+        return sum(self)
+
+    @compiled_cycles.setter
+    def compiled_cycles(self, total):
+        self.append(total - sum(self))
 
 
-def run_cfg(spec, tier, args):
+def run_cfg(spec, tier, args, pin=None):
     """Run a fueled copy of *spec* on one tier; returns the outcome, the
-    cycles flushed to the sink and the fuel left."""
+    cycles flushed to the sink and the fuel left. *pin*, if given, edits
+    the graph (its frequencies, say) before it is compiled."""
     graph = fueled_cfg(spec)
+    if pin is not None:
+        pin(graph)
     vm = VMState(fresh_program())
     fuel = vm.allocate_array("int", 1)
     fuel.data[0] = FUEL
@@ -587,7 +642,7 @@ def run_cfg(spec, tier, args):
             return executor.execute(code, list(args) + [fuel])
     else:
         factory, _ = pycodegen.generate(graph)
-        run = factory(vm, dispatch, flushed.add_compiled_cycles)
+        run = factory(vm, dispatch, flushed)
 
         def call():
             return run(list(args) + [fuel])
@@ -939,19 +994,43 @@ def test_loop_nest_deeper_than_python_allows():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", [spec.name for spec in all_benchmarks()])
-def test_suite_source_is_structured(name, monkeypatch):
-    # Steady-state configuration, 30 iterations: every compile reaches
-    # the py tier, and no source keeps a block id.
+def record_sources(monkeypatch):
+    """Record ``(source, chords)`` for every graph the compiler hands
+    the py tier, *chords* being E - V + 1 over its reachable blocks:
+    the edges off a spanning tree."""
     sources = []
     generate = compiler.generate_py
 
     def recorded(graph, cost_model=None):
+        chords = chord_count(graph)
         factory, source = generate(graph, cost_model)
-        sources.append(source)
+        sources.append((source, chords))
         return factory, source
 
     monkeypatch.setattr(compiler, "generate_py", recorded)
+    return sources
+
+
+def chord_count(graph):
+    order = graph.reverse_postorder()
+    edges = sum(len(block.successors()) for block in order)
+    return edges - len(order) + 1
+
+
+def charge_lines(source):
+    """The numbers of *source*'s lines that charge cycles (1-based)."""
+    return [
+        number for number, line in enumerate(source.splitlines(), 1)
+        if re.fullmatch(r"\s*_cy [+-]= \d+", line)
+    ]
+
+
+@pytest.mark.parametrize("name", [spec.name for spec in all_benchmarks()])
+def test_suite_source_is_structured(name, monkeypatch):
+    # Steady-state configuration, 30 iterations: every compile reaches
+    # the py tier, no source keeps a block id, and each charges cycles
+    # on at most the chords of a spanning tree.
+    sources = record_sources(monkeypatch)
     engine = Engine(
         compile_source(get_benchmark(name).source),
         JitConfig(hot_threshold=25, interp_predecode=True, backend="py",
@@ -962,6 +1041,246 @@ def test_suite_source_is_structured(name, monkeypatch):
         engine.run_iteration("Main", "run")
     assert sources
     assert len(sources) == engine.compilation_count
-    for source in sources:
+    for source, chords in sources:
         assert not re.search(r"\b_b\s*=", source)
         assert "bad block id" not in source
+        assert len(charge_lines(source)) <= chords, source
+
+
+# ---------------------------------------------------------------------------
+# Cycle charges on the chords of a spanning tree
+# ---------------------------------------------------------------------------
+
+
+def test_generated_cases_charge_only_chords(monkeypatch):
+    # The jitbench generated workload's configuration (speculation,
+    # type specialization, OSR) on 50 fuzz cases.
+    sources = record_sources(monkeypatch)
+    for index in range(50):
+        program, entry = generate_case(GENERATED_BASE + index).build()
+        engine = Engine(
+            program, generated_config(), tuned_inliner(0.1), seed=index
+        )
+        for _ in range(5):
+            try:
+                engine.run_iteration(*entry)
+            except TrapError:
+                pass
+    assert len(sources) > 50
+    for source, chords in sources:
+        assert len(charge_lines(source)) <= chords, source
+
+
+def optimized_graph(program, class_name, method_name):
+    """The graph ``disasm --form py`` generates from: built, optimized
+    and annotated with frequencies, as a compile of the method alone."""
+    graph = build_graph(program.lookup_method(class_name, method_name),
+                        program)
+    OptimizationPipeline(program).run(graph)
+    annotate_frequencies(graph)
+    return graph
+
+
+def run_tiers(graph, program, arg_lists):
+    """Each argument list through *graph*'s machine code and py closure
+    (no calls allowed); per tier, the outcomes with their flushes."""
+    runs = []
+    for tier in ("machine", "py"):
+        observed = []
+        for args in arg_lists:
+            vm = VMState(program)
+            flushed = _Flushed()
+
+            def dispatch(method, call_args):
+                raise AssertionError("no calls expected")
+
+            if tier == "machine":
+                executor = MachineExecutor(vm, dispatch, flushed)
+                code = lower_graph(graph)
+                call = lambda: executor.execute(code, list(args))
+            else:
+                factory, _ = pycodegen.generate(graph)
+                run = factory(vm, dispatch, flushed)
+                call = lambda: run(list(args))
+            try:
+                outcome = ("value", call())
+            except TrapError as trap:
+                outcome = ("trap", type(trap), str(trap))
+            observed.append((outcome, list(flushed)))
+        runs.append(observed)
+    return runs
+
+
+def traced_charges(run, source, args):
+    """How many cycle charges one call of the closure *run*, generated
+    as *source*, executes."""
+    charges = set(charge_lines(source))
+    count = 0
+
+    def tracer(frame, event, arg):
+        nonlocal count
+        if not frame.f_code.co_filename.startswith("<pycodegen:"):
+            return None
+        if event == "line" and frame.f_lineno in charges:
+            count += 1
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        run(args)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+COUNTING_LOOP = """
+object Main {
+  def count(n: int): int {
+    var s: int = 0;
+    var i: int = 0;
+    while (i < n) { s = s + i * 3; i = i + 1; }
+    return s;
+  }
+}
+"""
+
+
+def test_counting_loop_charges_once_per_iteration():
+    # The header and the body are one block each: the spanning tree
+    # keeps the forward edges, so the back edge is the one chord.
+    program = compile_source(COUNTING_LOOP)
+    graph = optimized_graph(program, "Main", "count")
+    factory, source = pycodegen.generate(graph)
+    run = factory(VMState(program), None, _Flushed())
+    counts = [traced_charges(run, source, [trips]) for trips in range(2, 9)]
+    assert [b - a for a, b in zip(counts, counts[1:])] == [1] * 6, source
+    machine, py = run_tiers(graph, program, [[trips] for trips in range(9)])
+    assert py == machine
+
+
+#: B0 branches to B1 directly (rarely) or through B2: the direct edge
+#: is the chord, so its arm of the ``if`` holds the charge alone.
+CHARGE_ARM_SPEC = [
+    ([1, 2], [], 2, []),
+    ([], [(Op.ADD, 0, 1)], 0, []),
+    ([1], [(Op.MUL, 0, 1)], 0, []),
+]
+
+
+def pin_charge_arm(graph):
+    graph.blocks[0].terminator.probability = 0.1
+
+
+def test_arm_holding_only_a_charge_is_not_empty():
+    graph = fueled_cfg(CHARGE_ARM_SPEC)
+    pin_charge_arm(graph)
+    _, source = pycodegen.generate(graph)
+    lines = source.splitlines()
+    arms = [
+        index for index, line in enumerate(lines[:-2])
+        if line.lstrip().startswith("if ")
+        and re.fullmatch(r"\s*_cy [+-]= \d+", lines[index + 1])
+        and len(lines[index + 2]) - len(lines[index + 2].lstrip())
+        <= len(line) - len(line.lstrip())
+    ]
+    assert arms, source
+    outcomes = set()
+    for args in ((1, 0), (0, 0), (-1, 2)):
+        py = run_cfg(CHARGE_ARM_SPEC, "py", args, pin_charge_arm)
+        assert py == run_cfg(CHARGE_ARM_SPEC, "machine", args, pin_charge_arm)
+        outcomes.add(tuple(py[1]))
+    assert len(outcomes) == 2
+
+
+# ---------------------------------------------------------------------------
+# Null tests
+# ---------------------------------------------------------------------------
+
+NULL_TESTS = """
+class Cell {
+  var x: int;
+  def init(x: int): void { this.x = x; }
+  def twice(): int { return this.x + this.x; }
+}
+object Main {
+  def merge(b: Cell, n: int): int {
+    var s: int = 1;
+    if (n > 2) { s = b.x; }
+    return s + b.x;
+  }
+  def fresh(n: int): int {
+    var a: int[] = new int[n + 4];
+    a[n] = 7;
+    return a[n] + a.length;
+  }
+  def call(c: Cell): int { return c.twice(); }
+}
+"""
+
+
+def test_merge_keeps_the_null_test_one_arm_made():
+    # The then-arm tests b, but the else-arm does not, so the test at
+    # the merge does not follow from it: it stays, and traps with the
+    # machine tier's message when b is null and the else-arm ran.
+    program = compile_source(NULL_TESTS)
+    graph = optimized_graph(program, "Main", "merge")
+    _, source = pycodegen.generate(graph)
+    assert source.count("is None:") == 2, source
+    box = VMState(program).allocate("Cell")
+    box.fields["x"] = 5
+    machine, py = run_tiers(
+        graph, program, [[box, 3], [box, 0], [None, 3], [None, 0]]
+    )
+    assert py == machine
+    assert [outcome for outcome, _ in py] == [
+        ("value", 10), ("value", 6),
+        ("trap", NullPointerTrap, "NullPointer: GETFIELD x"),
+        ("trap", NullPointerTrap, "NullPointer: GETFIELD x"),
+    ]
+
+
+def test_allocations_get_no_null_test_but_this_does():
+    # A fresh array is never null. The receiver `this` has a non-null
+    # stamp but can be null (see below): its first access tests it,
+    # and the second, in the same block, does not.
+    program = compile_source(NULL_TESTS)
+    sources = {}
+    for class_name, method_name in (("Main", "fresh"), ("Cell", "twice")):
+        graph = optimized_graph(program, class_name, method_name)
+        _, sources[method_name] = pycodegen.generate(graph)
+    assert "is None" not in sources["fresh"], sources["fresh"]
+    assert sources["twice"].count("is None:") == 1, sources["twice"]
+
+
+def test_devirtualized_call_on_null_receiver_traps_in_the_callee():
+    # Class-hierarchy analysis makes c.twice() a direct call, and no
+    # tier tests a direct call's receiver: with no inliner, null
+    # reaches the compiled Cell.twice as `this`, whose field load must
+    # trap on the py tier exactly as on the machine tier.
+    program = compile_source(NULL_TESTS)
+    runs = []
+    for backend in ("machine", "py"):
+        engine = Engine(program, JitConfig(backend=backend, hot_threshold=3))
+        box = engine.vm.allocate("Cell")
+        box.fields["x"] = 5
+        outcomes = []
+        for receiver in [box] * 6 + [None]:
+            try:
+                result = engine.run_iteration("Main", "call", [receiver])
+                outcomes.append(("value", result.value))
+            except TrapError as trap:
+                outcomes.append(("trap", type(trap), str(trap)))
+        compiled = sorted(
+            method.qualified_name
+            for method in engine.code_cache.installed_methods()
+        )
+        runs.append((outcomes, engine.compiled_cycles, compiled))
+    assert runs[0] == runs[1]
+    outcomes, _, compiled = runs[1]
+    assert compiled == ["Cell.twice", "Main.call"]
+    assert outcomes[-1] == (
+        "trap", NullPointerTrap, "NullPointer: GETFIELD x"
+    )
+    call = engine.code_cache.get(program.lookup_method("Main", "call"))
+    assert "dispatch_row" not in call.py_source, call.py_source

@@ -174,6 +174,21 @@ class TestDisasmTool:
         out = capsys.readouterr().out
         assert "class Main" in out or "Main" in out
 
+    @pytest.mark.parametrize(
+        "form", ["ir", "ir-opt", "machine", "segments", "py"]
+    )
+    def test_form_without_method_is_a_usage_error(
+        self, demo_file, capsys, form
+    ):
+        # Only bytecode has a whole-program form; any other form
+        # without --method used to print the bytecode and exit 0.
+        with pytest.raises(SystemExit) as info:
+            disasm_tool.main([demo_file, "--form", form])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--method" in captured.err and form in captured.err
+
 
 def phase_table(out):
     """The rows of a stats report's phase table, split into cells."""
