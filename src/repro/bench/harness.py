@@ -8,12 +8,8 @@ from repro.bench.configs import CONFIG_FACTORIES
 from repro.bench.measurement import measure_benchmark
 from repro.bench.suite import all_benchmarks, get_benchmark
 
-#: Environment knob: set REPRO_BENCH_QUICK=1 to run a representative
-#: subset (used to keep `pytest benchmarks/` snappy; the full sweep is
-#: a flag away).
-QUICK_ENV = "REPRO_BENCH_QUICK"
-
-#: Representative subset spanning all suites (used in quick mode).
+#: Representative subset spanning all suites: the default set of
+#: ``pytest benchmarks/`` (``REPRO_BENCH_FULL=1`` runs all 28 there).
 QUICK_BENCHMARKS = [
     "jython",
     "sunflow",
@@ -28,8 +24,6 @@ QUICK_BENCHMARKS = [
 def selected_benchmarks(names=None):
     if names is not None:
         return [get_benchmark(name) for name in names]
-    if os.environ.get(QUICK_ENV):
-        return [get_benchmark(name) for name in QUICK_BENCHMARKS]
     return all_benchmarks()
 
 

@@ -5,7 +5,7 @@ Two sweeps, both cheap (each stage is one engine run):
 1. **Additive**: run the program under configurations of growing
    aggressiveness — machine lowering only, then the base canonicalize/
    GVN/DCE pipeline, then devirtualization, RWE and peeling one at a
-   time, then the failing configuration's inliner (speculation pinned
+   time, then the failing configuration's inliner (speculation turned
    off), and finally the verbatim failing configuration — speculation
    included.  The first stage that disagrees with the interpreter
    names the culprit, so "speculation" is blamed only when the
@@ -48,7 +48,7 @@ def _stage_config(devirt=False, rwe=False, peel=False, max_iterations=3):
 
 #: The additive ladder: (label, config factory, mode).  ``mode`` is
 #: ``None`` for a fixed no-inliner stage, ``"inliner"`` for the failing
-#: configuration with speculation pinned off, and ``"speculation"`` for
+#: configuration with speculation turned off, and ``"speculation"`` for
 #: the verbatim failing configuration — so "speculation" can only be
 #: named when speculative guard/deopt code is actually the difference.
 _STAGES = [
@@ -144,10 +144,10 @@ def bisect_passes(
         else:
             config, inliner = ORACLE_CONFIGS[config_name]()
             if mode == "inliner":
-                # Hard-pin speculation off so this stage blames the
-                # inliner itself, never the guard/deopt machinery.
+                # Speculation off, so this stage blames the inliner
+                # itself, never the guard/deopt machinery.
                 config.speculate = False
-            elif not config.resolve("speculate"):
+            elif not config.speculate:
                 # Non-speculative config: this stage would duplicate
                 # the previous one; skip the redundant engine run.
                 stages.append((label, False))

@@ -107,8 +107,7 @@ ORACLE_CONFIGS = {
     # Speculative devirtualization with deoptimization: guard/deopt
     # replaces well-predicted virtual fallbacks, and a failed guard
     # must resume in the interpreter with identical observable
-    # behavior (values, output, traps).  REPRO_SPECULATE=off still
-    # pins this configuration non-speculative by design.
+    # behavior (values, output, traps).
     "jit-speculate": lambda: (
         _cfg(speculate=True),
         tuned_inliner(0.1),
@@ -117,8 +116,6 @@ ORACLE_CONFIGS = {
     # profile-monomorphic INSTANCEOF/CHECKCAST operands get pinned with
     # an exact-type guard so dominated checks fold; a refuted guard
     # must resume in the interpreter bit-identically.
-    # REPRO_TYPESPEC=off still pins this configuration back to runtime
-    # type checks by design.
     "jit-typespec": lambda: (
         _cfg(speculate=True, typespec=True),
         tuned_inliner(0.1),
@@ -126,8 +123,7 @@ ORACLE_CONFIGS = {
     # On-stack replacement at loop backedges: a tiny OSR threshold
     # forces mid-method transfers into compiled continuations on every
     # generated loop, and deopt out of OSR code must fall back through
-    # the same resume path. REPRO_OSR=off still pins this
-    # configuration OSR-free by design.
+    # the same resume path.
     "osr": lambda: (
         _cfg(osr=True, osr_threshold=6, speculate=True),
         tuned_inliner(0.1),
@@ -136,8 +132,7 @@ ORACLE_CONFIGS = {
     # install between iterations (the oracle drains the queue at each
     # iteration edge, so compiled tiers are reached deterministically).
     # Values, trap kinds, and output must stay bit-identical to sync —
-    # only cycle attribution may differ. REPRO_COMPILE=sync still pins
-    # this configuration synchronous by design.
+    # only cycle attribution may differ.
     "jit-async": lambda: (
         _cfg(compile_mode="async", osr=True, osr_threshold=6,
              speculate=True),
@@ -146,8 +141,7 @@ ORACLE_CONFIGS = {
     # The Python-codegen top tier: optimized graphs run as generated
     # Python closures instead of the machine model. Values, trap kinds
     # and output must stay bit-identical to every other tier — the
-    # machine model remains the oracle. REPRO_BACKEND=machine still
-    # pins these configurations back to the machine executor by design.
+    # machine model remains the oracle.
     "jit-py": lambda: (
         _cfg(backend="py"),
         tuned_inliner(0.1),
@@ -276,8 +270,7 @@ def run_interpreter(program, entry, iterations=DEFAULT_ITERATIONS, vm_seed=0x5EE
     """Reference execution: the pure interpreter, no compilation."""
     class_name, method_name = entry
     vm = VMState(program, seed=vm_seed)
-    # The classic loop is the reference. Interpreter reads no pin, so
-    # REPRO_INTERP cannot move it; the flag is spelled out anyway.
+    # The classic loop is the reference.
     interp = Interpreter(vm, predecode=False)
     outcomes = [
         _observe(lambda: interp.call_static(class_name, method_name, ()))

@@ -37,11 +37,11 @@ class CodeCache:
     """Mapping from methods to installed machine code."""
 
     def __init__(self, obs=None):
+        #: Installed code, keyed like the engine's bindings: the method,
+        #: or ``(method, backedge bci)`` for an OSR continuation (one
+        #: loop may be entered at several backedges, and each gets its
+        #: own continuation code). Sizes count into ``total_size``.
         self._code = {}
-        #: OSR continuations, keyed ``(method, backedge bci)`` — one
-        #: loop may be entered at several backedges and each gets its
-        #: own continuation code. Sizes count into ``total_size``.
-        self._osr_code = {}
         self.total_size = 0
         #: Total successful installs, whole-method and OSR, first
         #: installs *plus* replacements: one per compilation this cache
@@ -74,38 +74,38 @@ class CodeCache:
         """Report installed-code changes to *hook* (module docstring)."""
         self._hook = hook
 
-    def get(self, method):
-        code = self._code.get(method)
+    # The accounting lives in these three helpers. The public methods
+    # after them never call one another, so a wrapper put on one of
+    # them (a tracer) sees each install or evict exactly once.
+
+    def _get(self, key):
+        code = self._code.get(key)
         if self._hits is not None:
             (self._hits if code is not None else self._misses).inc()
         return code
 
-    def __contains__(self, method):
-        return method in self._code
-
-    def install(self, method, code):
+    def _install(self, key, code):
         # On reinstall the previous code's size leaves the total before
         # the new size enters, so ``total_size`` always equals the sum
         # of currently installed code — the *delta* across a reinstall
         # is legitimately negative when the recompile shrank the code.
-        previous = self._code.get(method)
+        previous = self._code.get(key)
         if previous is not None:
             self.total_size -= previous.size
             self.reinstalls += 1
             if self._reinstalls is not None:
                 self._reinstalls.inc()
-        self._code[method] = code
+        self._code[key] = code
         self.total_size += code.size
         self.install_count += 1
         if self._installs is not None:
             self._installs.inc()
             self._bytes.set(self.total_size)
         if self._hook is not None:
-            self._hook(method, code)
+            self._hook(key, code)
 
-    def evict(self, method):
-        """Drop *method*'s installed code; returns True if it was present."""
-        code = self._code.pop(method, None)
+    def _evict(self, key):
+        code = self._code.pop(key, None)
         if code is None:
             return False
         self.total_size -= code.size
@@ -113,12 +113,21 @@ class CodeCache:
             self._evictions.inc()
             self._bytes.set(self.total_size)
         if self._hook is not None:
-            self._hook(method, None)
+            self._hook(key, None)
         return True
 
-    # ------------------------------------------------------------------
-    # OSR continuations
-    # ------------------------------------------------------------------
+    def get(self, method):
+        return self._get(method)
+
+    def __contains__(self, method):
+        return method in self._code
+
+    def install(self, method, code):
+        self._install(method, code)
+
+    def evict(self, method):
+        """Drop *method*'s installed code; returns True if it was present."""
+        return self._evict(method)
 
     def get_osr(self, method, bci):
         """Installed OSR continuation for ``(method, bci)``, or None.
@@ -126,48 +135,23 @@ class CodeCache:
         Counts into the same hit/miss metrics as whole-method lookups —
         a miss here is the trigger for an OSR compilation.
         """
-        code = self._osr_code.get((method, bci))
-        if self._hits is not None:
-            (self._hits if code is not None else self._misses).inc()
-        return code
+        return self._get((method, bci))
 
     def install_osr(self, method, bci, code):
-        previous = self._osr_code.get((method, bci))
-        if previous is not None:
-            self.total_size -= previous.size
-            self.reinstalls += 1
-            if self._reinstalls is not None:
-                self._reinstalls.inc()
-        self._osr_code[(method, bci)] = code
-        self.total_size += code.size
-        self.install_count += 1
-        if self._installs is not None:
-            self._installs.inc()
-            self._bytes.set(self.total_size)
-        if self._hook is not None:
-            self._hook((method, bci), code)
+        self._install((method, bci), code)
 
     def evict_osr(self, method, bci):
         """Drop one OSR continuation; returns True if it was present."""
-        code = self._osr_code.pop((method, bci), None)
-        if code is None:
-            return False
-        self.total_size -= code.size
-        if self._evictions is not None:
-            self._evictions.inc()
-            self._bytes.set(self.total_size)
-        if self._hook is not None:
-            self._hook((method, bci), None)
-        return True
+        return self._evict((method, bci))
 
     def osr_count(self):
-        return len(self._osr_code)
+        return sum(type(key) is tuple for key in self._code)
 
     def installed_methods(self):
-        return list(self._code)
+        return [key for key in self._code if type(key) is not tuple]
 
     def __len__(self):
-        return len(self._code)
+        return len(self._code) - self.osr_count()
 
 
 class _Entry:

@@ -140,9 +140,9 @@ class JitCompiler:
         self.profiles = profiles
         self.config = config
         self.inliner = inliner
-        #: Resolved once per compiler so every compilation of this VM
+        #: Read once per compiler so every compilation of this VM
         #: instance (sync or background pipeline) uses one backend.
-        self.backend = config.resolve("backend")
+        self.backend = config.backend
         self.obs = obs if obs is not None else NULL_OBS
         self.pipeline = OptimizationPipeline(
             program, config.optimizer, obs=self.obs
@@ -153,11 +153,11 @@ class JitCompiler:
         from repro.deopt import SpeculationLog, SpeculationPolicy
 
         self.context.speculation = SpeculationPolicy(
-            enabled=config.resolve("speculate"),
+            enabled=config.speculate,
             log=speculation_log
             if speculation_log is not None
             else SpeculationLog(),
-            typecheck=config.resolve("typespec"),
+            typecheck=config.typespec,
         )
         self.context.trial_memo = TrialMemo(
             context_sensitive=getattr(profiles, "context_sensitive", False)

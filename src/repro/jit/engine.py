@@ -25,8 +25,8 @@ failure path (:meth:`Engine._compile_failure`). The default is the
 inert :data:`~repro.obs.NULL_OBS` and leaves the cycle model
 bit-identical to an un-instrumented run.
 
-Background compilation: with ``JitConfig(compile_mode="async")`` (or
-``REPRO_COMPILE=async``) compile requests are enqueued on a
+Background compilation: with ``JitConfig(compile_mode="async")``
+compile requests are enqueued on a
 :class:`~repro.serve.scheduler.BackgroundCompiler` — either an
 externally attached one (``compile_service=``, shared across tenants by
 :class:`~repro.serve.service.VMService`) or an engine-private pipeline
@@ -36,8 +36,7 @@ bit-identical to sync mode; only cycle *attribution* changes:
 background compile cycles accumulate in ``background_compile_cycles``
 instead of being charged to the running iteration (the compiler no
 longer steals application cycles — the point of the paper's online
-setting). ``REPRO_COMPILE=sync`` is a hard pin back to the classic
-synchronous engine.
+setting).
 """
 
 import threading
@@ -56,6 +55,9 @@ from repro.runtime.vmstate import VMState
 #: Deopts tolerated in one compiled root before the engine stops
 #: speculating in that method entirely (bounds deopt/recompile churn).
 SPECULATION_DEOPT_LIMIT = 3
+
+#: The values of the string-valued config fields, reference first.
+CHOICES = {"backend": ("machine", "py"), "compile_mode": ("sync", "async")}
 
 
 class IterationResult:
@@ -118,6 +120,13 @@ class Engine:
                  compile_service=None):
         self.program = program
         self.config = config or JitConfig()
+        for field, values in CHOICES.items():
+            value = getattr(self.config, field)
+            if value not in values:
+                raise ValueError(
+                    "JitConfig.%s=%r: expected %r or %r"
+                    % ((field, value) + values)
+                )
         self.obs = obs if obs is not None else NULL_OBS
         self.vm = VMState(program, seed=seed)
         self.profiles = (
@@ -136,9 +145,9 @@ class Engine:
         )
         #: Which tier runs compiled roots: ``"machine"`` (the cycle
         #: model, the differential oracle) or ``"py"`` (generated
-        #: Python closures, :mod:`repro.backend.pycodegen`). Resolved
-        #: once at construction — mirrors ``compile_mode`` below.
-        self.backend = self.config.resolve("backend")
+        #: Python closures, :mod:`repro.backend.pycodegen`). Read once
+        #: at construction — mirrors ``compile_mode`` below.
+        self.backend = self.config.backend
         self._py = self.backend == "py"
         #: What a linked call of an installed key runs, keyed like the
         #: cache: the method, or ``(method, bci)`` for an OSR
@@ -171,7 +180,7 @@ class Engine:
             self.code_cache.watch(self._code_changed)
         self.interpreter = Interpreter(
             self.vm, profiles=self.profiles, dispatch=self._dispatcher,
-            obs=self.obs, predecode=self.config.resolve("interp_predecode"),
+            obs=self.obs, predecode=self.config.interp_predecode,
         )
         self.speculation_log = SpeculationLog()
         from repro.jit.compiler import JitCompiler
@@ -201,9 +210,9 @@ class Engine:
         self._compile_failed = set()
         self._osr_failed = set()  # (method, bci) pairs
         self._dispatch_depth = 0
-        # Background compilation (the online setting): resolved once at
+        # Background compilation (the online setting): read once at
         # construction so the dispatch fast path pays a single bool.
-        self.compile_mode = self.config.resolve("compile_mode")
+        self.compile_mode = self.config.compile_mode
         self._async = self.compile_mode == "async"
         self.compile_service = compile_service
         self._owns_service = False
@@ -218,9 +227,10 @@ class Engine:
         self._compile_lock = threading.RLock()
         self._cache_lock = threading.RLock()
         # On-stack replacement: install the transfer hook on the
-        # interpreter only when enabled, so the disabled configuration
-        # pays exactly one None check per recorded backedge.
-        if self.config.resolve("osr"):
+        # interpreter only when enabled (a pure interpreter never
+        # compiles), so the disabled configuration pays exactly one
+        # None check per recorded backedge.
+        if self.config.osr and self.config.compile_enabled:
             self.interpreter.osr_hook = self._osr_enter
             self.interpreter.osr_threshold = max(
                 1, int(self.config.osr_threshold)

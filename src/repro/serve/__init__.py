@@ -10,9 +10,9 @@ hosts many tenant workloads in one process over a shared, sharded
 :class:`~repro.jit.codecache.SharedCodeCache` with per-tenant quotas
 and eviction under a global memory budget.
 
-Determinism contract: ``REPRO_COMPILE=sync`` pins every engine back to
-the classic synchronous compile path, so all the fast paths stay
-differential-testable bit-identical against the classic engine; in
+Determinism contract: ``compile_mode="sync"`` (the default) runs every
+engine on the classic synchronous compile path, so all the fast paths
+stay differential-testable bit-identical against the classic engine; in
 async mode per-iteration *values*, *trap kinds* and *printed output*
 are still bit-identical (only cycle attribution changes — background
 compile cycles are no longer charged to the running iteration).

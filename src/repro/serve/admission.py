@@ -28,24 +28,23 @@ class ServiceConfig:
             a :class:`TenantSpec` can override per tenant).
         eviction_policy: ``"lru"`` or ``"hotness"`` victim selection.
         cache_shards: shard count of the shared code cache.
-        compile_mode: ``"sync"`` / ``"async"`` / None — forwarded into
-            every tenant's :class:`~repro.jit.config.JitConfig`; None
-            defers to ``REPRO_COMPILE`` (sync remains the hard pin).
+        compile_mode: ``"sync"`` (default) or ``"async"`` — forwarded
+            into every tenant's :class:`~repro.jit.config.JitConfig`;
+            any other value fails the first ``admit``.
         share_profiles: predicate on qualified method names selecting
             the methods whose profiles are pooled across tenants
             (None = pool everything).
         hot_threshold: default compile threshold for tenant engines.
-        backend: ``"machine"`` / ``"py"`` / None — default executor
+        backend: ``"machine"`` (default) or ``"py"`` — executor
             backend forwarded into every tenant's
             :class:`~repro.jit.config.JitConfig` (a tenant's ``jit``
-            overrides win); None defers to ``REPRO_BACKEND``
-            (``machine`` remains the hard pin).
+            overrides win).
     """
 
     def __init__(self, max_tenants=16, compile_workers=2,
                  queue_capacity=64, cache_budget=None, tenant_quota=None,
-                 eviction_policy="lru", cache_shards=8, compile_mode=None,
-                 share_profiles=None, hot_threshold=40, backend=None):
+                 eviction_policy="lru", cache_shards=8, compile_mode="sync",
+                 share_profiles=None, hot_threshold=40, backend="machine"):
         self.max_tenants = max_tenants
         self.compile_workers = compile_workers
         self.queue_capacity = queue_capacity

@@ -102,10 +102,8 @@ class VMService:
             hotness_fn=self._hotness_of,
             obs=self.obs,
         )
-        #: "sync" | "async", resolved once (REPRO_COMPILE=sync pins).
-        self.mode = JitConfig(
-            compile_mode=self.config.compile_mode
-        ).resolve("compile_mode")
+        #: "sync" | "async"; every tenant engine compiles this way.
+        self.mode = self.config.compile_mode
         self.scheduler = (
             BackgroundCompiler(
                 workers=self.config.compile_workers,

@@ -14,7 +14,7 @@ Examples::
 
     python -m repro.tools.serve --tenants 6 --iterations 8
     python -m repro.tools.serve --smoke --flight-out serve-flight.jsonl
-    REPRO_COMPILE=sync python -m repro.tools.serve --tenants 4
+    python -m repro.tools.serve --tenants 4 --mode sync
 """
 
 import argparse
@@ -138,8 +138,7 @@ def main(argv=None):
     )
     parser.add_argument(
         "--mode", choices=("sync", "async"), default="async",
-        help="compile mode for the plain run (default async; "
-        "REPRO_COMPILE=sync still pins)",
+        help="compile mode for the plain run (default async)",
     )
     parser.add_argument(
         "--smoke", action="store_true",

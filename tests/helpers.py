@@ -14,24 +14,43 @@ from repro.runtime import VMState, install_builtins
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def pin_combos(pins):
-    """Environments for a pin matrix over *pins* (rows of
-    :data:`repro.jit.config.PINS`): nothing pinned, each row
-    hard-pinned alone, and every row hard-pinned at once — the corner
-    uses each row's last hard spelling, so the alternates run too."""
-    return (
-        [{}]
-        + [{pin.env: pin.hard[0]} for pin in pins]
-        + [{pin.env: pin.hard[-1] for pin in pins}]
-    )
+#: The :class:`~repro.jit.config.JitConfig` fields that choose between
+#: a reference and an alternative: ``{field: (reference, alternative)}``.
+CHOICES = {
+    "interp_predecode": (False, True),
+    "speculate": (False, True),
+    "typespec": (False, True),
+    "osr": (False, True),
+    "backend": ("machine", "py"),
+    "compile_mode": ("sync", "async"),
+}
 
 
-def run_pinned(child, pins):
-    """Run the *child* script in a fresh interpreter whose only
-    ``REPRO_*`` variables are *pins*; returns its JSON output."""
-    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
-    env.update(pins)
-    env["PYTHONPATH"] = os.path.join(ROOT, "src")
+def reference_combos(fields):
+    """Field sets for a config matrix over *fields* (keys of
+    :data:`CHOICES`) to put at their reference: none, each field alone,
+    and every field at once."""
+    return [()] + [(field,) for field in fields] + [tuple(fields)]
+
+
+def engine_choices(engine):
+    """What *engine* took of each :data:`CHOICES` field, read from the
+    engine and its compiler rather than from its config."""
+    speculation = engine.compiler.context.speculation
+    return {
+        "interp_predecode": engine.interpreter.predecode,
+        "speculate": speculation.enabled,
+        "typespec": speculation.typecheck,
+        "osr": engine.interpreter.osr_hook is not None,
+        "backend": engine.backend,
+        "compile_mode": engine.compile_mode,
+    }
+
+
+def run_fresh(child):
+    """Run the *child* script in a fresh interpreter; returns its JSON
+    output."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run(
         [sys.executable, "-c", child],
         env=env,
@@ -39,7 +58,7 @@ def run_pinned(child, pins):
         capture_output=True,
         text=True,
     )
-    assert proc.returncode == 0, "pins %r failed:\n%s" % (pins, proc.stderr)
+    assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
 

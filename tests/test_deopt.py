@@ -29,13 +29,6 @@ from repro.obs.report import build_report, render_report
 from repro.runtime import VMState
 
 
-@pytest.fixture(autouse=True)
-def _unpinned_speculation(monkeypatch):
-    # These tests enable speculation explicitly; a REPRO_SPECULATE=off
-    # pin in the environment would turn them into no-ops.
-    monkeypatch.delenv("REPRO_SPECULATE", raising=False)
-
-
 def flip_program():
     """Shapes variant whose receiver distribution is driver-controlled.
 
@@ -301,25 +294,6 @@ def test_bounded_recompilation_no_deopt_loops():
         assert engine.call("Main", "drive", [kind]) == expected
     assert engine.deopt_count <= 2
     assert engine.compilation_count <= 6
-
-
-def test_env_off_pins_speculation(monkeypatch):
-    monkeypatch.setenv("REPRO_SPECULATE", "off")
-    assert JitConfig(speculate=True).resolve("speculate") is False
-    program = flip_program()
-    engine = speculative_engine(program)
-    for _ in range(10):
-        engine.call("Main", "drive", [0])
-    assert engine.call("Main", "drive", [1]) == 2 * 27
-    assert engine.deopt_count == 0, "pinned-off runs never deopt"
-
-
-def test_env_on_enables_default_config(monkeypatch):
-    monkeypatch.setenv("REPRO_SPECULATE", "on")
-    assert JitConfig().resolve("speculate") is True
-    monkeypatch.delenv("REPRO_SPECULATE")
-    assert JitConfig().resolve("speculate") is False
-    assert JitConfig(speculate=True).resolve("speculate") is True
 
 
 # ---------------------------------------------------------------------------

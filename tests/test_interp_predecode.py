@@ -430,28 +430,6 @@ def test_engine_cycle_model_identical_with_inliner():
 # ----------------------------------------------------------------------
 
 
-def test_env_knob_selects_tier(monkeypatch):
-    # The engine resolves REPRO_INTERP; an Interpreter built directly
-    # never reads it. ``predecode`` applies only when the config leaves
-    # the choice open; ``classic`` is a hard pin that beats an explicit
-    # ``interp_predecode=True``.
-    program = shapes_program()
-
-    def tier(**config):
-        return Engine(program, JitConfig(**config)).interpreter.predecode
-
-    monkeypatch.setenv("REPRO_INTERP", "predecode")
-    assert tier() is True
-    assert tier(interp_predecode=False) is False
-    assert Interpreter(VMState(program)).predecode is False
-    monkeypatch.setenv("REPRO_INTERP", "classic")
-    assert tier(interp_predecode=True) is False
-    assert tier() is False
-    monkeypatch.delenv("REPRO_INTERP")
-    assert tier() is False
-    assert tier(interp_predecode=True) is True
-
-
 def test_jit_config_threads_flag_to_interpreter():
     program = shapes_program()
     engine = Engine(program, JitConfig(interp_predecode=True))

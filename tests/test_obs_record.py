@@ -19,7 +19,7 @@ import pytest
 from repro.baselines import tuned_inliner
 from repro.bench.suite import get_benchmark
 from repro.errors import CompileError
-from repro.jit.config import PINS, JitConfig
+from repro.jit.config import JitConfig
 from repro.jit.engine import Engine
 from repro.lang import compile_source
 from repro.obs import Observability
@@ -47,8 +47,6 @@ CAPACITY = 1 << 20
 
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
-    for pin in PINS:
-        monkeypatch.delenv(pin.env, raising=False)
     monkeypatch.delenv("REPRO_FLIGHT_DUMP", raising=False)
 
 

@@ -9,7 +9,7 @@ from repro.opts import canonicalize
 from tests.execution import compare_tiers
 from tests.helpers import (
     fresh_program,
-    run_pinned,
+    run_fresh,
     shapes_program,
     single_method_program,
 )
@@ -408,6 +408,6 @@ class TestUseOrder:
         order, which follows object addresses, the ids of the nodes
         later rewrites create, and with them the py tier's local names,
         changed from one process to the next on these cases."""
-        first = run_pinned(_PY_SOURCES, {})
+        first = run_fresh(_PY_SOURCES)
         assert all(first)
-        assert run_pinned(_PY_SOURCES, {}) == first
+        assert run_fresh(_PY_SOURCES) == first

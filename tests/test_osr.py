@@ -6,7 +6,7 @@ off — only the tier that executes the loop changes. These tests pin the
 transfer itself (a frame demonstrably finishes inside compiled code
 mid-method), the state mapping (locals *and* a live operand stack),
 the deopt fallback out of OSR code, failure containment, counters and
-cache accounting, and the ``REPRO_OSR`` environment pin.
+cache accounting, and the ``osr`` config field.
 """
 
 import pytest
@@ -33,12 +33,6 @@ def osr_engine(program, obs=None, **config_kw):
     return Engine(
         program, JitConfig(**config_kw), tuned_inliner(1.0), obs=obs
     )
-
-
-@pytest.fixture(autouse=True)
-def _clean_env(monkeypatch):
-    monkeypatch.delenv("REPRO_OSR", raising=False)
-    monkeypatch.delenv("REPRO_SPECULATE", raising=False)
 
 
 # ----------------------------------------------------------------------
@@ -301,18 +295,6 @@ class TestOsrDeoptAndFailure:
         assert len(engine._osr_failed) == 1
         assert len(attempts) == 1
 
-    def test_env_pin_overrides_explicit_config(self, monkeypatch):
-        monkeypatch.setenv("REPRO_OSR", "off")
-        engine = osr_engine(shapes_program())
-        assert engine.call("Main", "run") == SHAPES_RESULT
-        assert engine.osr_entry_count == 0
-
-    def test_env_enables_when_config_defers(self, monkeypatch):
-        monkeypatch.setenv("REPRO_OSR", "on")
-        engine = osr_engine(shapes_program(), osr=None, osr_threshold=25)
-        assert engine.call("Main", "run") == SHAPES_RESULT
-        assert engine.osr_entry_count == 1
-
 
 # ----------------------------------------------------------------------
 # Counters, provenance, cache accounting
@@ -374,29 +356,24 @@ class TestOsrObservability:
 
 
 # ----------------------------------------------------------------------
-# Config resolution
+# Config
 # ----------------------------------------------------------------------
 
 
 class TestOsrConfig:
     def test_defaults_to_off(self):
-        assert not JitConfig().resolve("osr")
+        engine = Engine(shapes_program(), JitConfig())
+        assert engine.interpreter.osr_hook is None
 
     def test_explicit_on(self):
-        assert JitConfig(osr=True).resolve("osr")
-
-    def test_env_off_pins_explicit_true(self, monkeypatch):
-        monkeypatch.setenv("REPRO_OSR", "off")
-        assert not JitConfig(osr=True).resolve("osr")
-
-    def test_env_on_resolves_deferred(self, monkeypatch):
-        monkeypatch.setenv("REPRO_OSR", "on")
-        assert JitConfig().resolve("osr")
-        assert not JitConfig(osr=False).resolve("osr")
+        engine = Engine(shapes_program(), JitConfig(osr=True))
+        assert engine.interpreter.osr_hook is not None
 
     def test_interpreter_only_vm_never_osrs(self):
-        config = JitConfig(compile_enabled=False, osr=True)
-        assert not config.resolve("osr")
+        engine = Engine(
+            shapes_program(), JitConfig(compile_enabled=False, osr=True)
+        )
+        assert engine.interpreter.osr_hook is None
 
 
 # ----------------------------------------------------------------------

@@ -363,26 +363,6 @@ def test_phi_undefined_on_every_edge_starts_null():
     assert [kind for kind, _ in py[0]] == ["value"] * 3
 
 
-def test_env_pin_forces_machine(monkeypatch):
-    monkeypatch.setenv("REPRO_BACKEND", "machine")
-    engine = _engine(shapes_program(), "py")
-    for _ in range(3):
-        engine.run_iteration("Main", "run")
-    assert engine.backend == "machine"
-    assert engine.py_exec_count == 0
-
-
-def test_env_pin_enables_py(monkeypatch):
-    monkeypatch.setenv("REPRO_BACKEND", "py")
-    engine = Engine(
-        shapes_program(), JitConfig(hot_threshold=3), tuned_inliner(0.1)
-    )
-    for _ in range(3):
-        engine.run_iteration("Main", "run")
-    assert engine.backend == "py"
-    assert engine.py_exec_count > 0
-
-
 def test_py_source_attached():
     engine = _engine(shapes_program(), "py")
     for _ in range(3):

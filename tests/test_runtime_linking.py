@@ -36,12 +36,6 @@ from tests.helpers import fresh_program, shapes_program
 from tests.test_deopt import flip_program, speculative_engine
 
 
-@pytest.fixture(autouse=True)
-def _unpinned(monkeypatch):
-    for name in ("REPRO_BACKEND", "REPRO_SPECULATE", "REPRO_COMPILE"):
-        monkeypatch.delenv(name, raising=False)
-
-
 def _steady_config(backend="py"):
     return JitConfig(
         hot_threshold=25, interp_predecode=True, backend=backend,
@@ -61,7 +55,7 @@ def _installed(engine):
     bci)`` for OSR continuations."""
     cache = engine.code_cache
     if isinstance(cache, CodeCache):
-        return {**cache._code, **cache._osr_code}
+        return dict(cache._code)
     return {
         entry.key: entry.code
         for shard in cache._shared._shards

@@ -6,10 +6,7 @@ guards need frame-state capture), a profile-monomorphic
 Pi pinning the operand, the canonicalizer folds the check (and every
 dominated check), a refuted guard deopts through the standard resume
 path bit-identically, and the refuted site is never re-speculated.
-``REPRO_TYPESPEC=off`` pins the whole feature off from the outside.
 """
-
-import pytest
 
 from repro.baselines import tuned_inliner
 from repro.bytecode import MethodBuilder, verify_program
@@ -21,12 +18,6 @@ from repro.jit.engine import Engine
 from repro.obs import Observability
 from repro.runtime import VMState
 from tests.helpers import fresh_program
-
-
-@pytest.fixture(autouse=True)
-def _unpinned(monkeypatch):
-    monkeypatch.delenv("REPRO_TYPESPEC", raising=False)
-    monkeypatch.delenv("REPRO_SPECULATE", raising=False)
 
 
 def classify_program():
@@ -135,30 +126,6 @@ class TestSpeculation:
             engine.run_iteration("Main", "drive", (0,))
         assert _metric(obs, "inline.type_speculations") == 0
         assert engine.deopt_count == 0
-
-
-class TestEnvPin:
-    def test_off_pins_feature_off(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TYPESPEC", "off")
-        program = classify_program()
-        obs = Observability()
-        engine = _engine(program, obs=obs)
-        kinds = [0] * 6 + [1, 0, 1]
-        values = [
-            engine.run_iteration("Main", "drive", (k,)).value for k in kinds
-        ]
-        assert values == _reference(program, kinds)
-        assert _metric(obs, "inline.type_speculations") == 0
-        assert _metric(obs, "deopt.reasons.typecheck") == 0
-
-    def test_on_enables_when_config_unset(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TYPESPEC", "on")
-        assert JitConfig(typespec=None).resolve("typespec")
-        monkeypatch.setenv("REPRO_TYPESPEC", "off")
-        assert not JitConfig(typespec=True).resolve("typespec")
-        monkeypatch.delenv("REPRO_TYPESPEC")
-        assert not JitConfig(typespec=None).resolve("typespec")
-        assert JitConfig(typespec=True).resolve("typespec")
 
 
 class TestExplain:
