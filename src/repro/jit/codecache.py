@@ -22,12 +22,15 @@ Two implementations share the same surface:
 Both report every change to an engine's installed code through the hook
 the engine registers with ``watch(hook)``: ``hook(key, code)``, where
 *key* is the method, or ``(method, bci)`` for an OSR continuation, and
-*code* the code now installed there (``None`` once it is gone). A
-py-tier engine binds and drops its closures there, so a binding lives
-exactly as long as its entry. The hook runs inside the mutation (under
-the shared cache's lock), and only after the sizes are updated.
+*code* the code now installed there (``None`` once it is gone). The
+shared cache adds the new entry at an install, ``hook(key, code,
+entry)``: its ``tick`` is the entry's LRU stamp. An engine binds and
+drops its compiled calls there, so a binding lives exactly as long as
+its entry. The hook runs inside the mutation (under the shared cache's
+lock), and only after the sizes are updated.
 """
 
+import itertools
 import threading
 
 from repro.obs import NULL_OBS
@@ -183,8 +186,14 @@ class SharedCodeCache:
     """Process-wide installed-code store for multi-tenant serving.
 
     - **Sharded**: entries are spread over ``shards`` dicts by key hash;
-      lookups are lock-free dict reads (atomic under the GIL), so hot
-      dispatch paths of concurrent tenants never contend.
+      lookups are lock-free dict reads (atomic under the GIL), so
+      lookups of concurrent tenants never contend.
+    - **One LRU clock**: ``clock`` stamps an entry's ``tick`` at its
+      install, at each ``get``/``get_osr`` hit, and at each linked call
+      of a tenant's engine, which calls its installed code without a
+      ``get`` (the stamp reaches the engine through its hook). Each
+      stamp is one ``next(clock)``, atomic under the GIL, so concurrent
+      tenants never share one.
     - **Budgeted**: a global byte ``budget`` bounds the sum of installed
       code across all tenants; per-tenant byte quotas bound each
       tenant's share. Exceeding either evicts victims.
@@ -215,7 +224,9 @@ class SharedCodeCache:
         self._shard_count = max(1, int(shards))
         self._shards = [{} for _ in range(self._shard_count)]
         self._lock = threading.RLock()
-        self._tick = 0
+        #: The LRU clock: ``next(clock)`` is a fresh stamp (class
+        #: docstring).
+        self.clock = itertools.count(1)
         self.total_size = 0
         self._tenant_bytes = {}
         self._quotas = {}
@@ -291,8 +302,7 @@ class SharedCodeCache:
     def _get(self, key):
         entry = self._shard_of(key).get(key)
         if entry is not None:
-            self._tick += 1
-            entry.tick = self._tick
+            entry.tick = next(self.clock)
             if self._m_hits is not None:
                 self._m_hits.inc()
             return entry.code
@@ -338,7 +348,7 @@ class SharedCodeCache:
         )
         hook = self._hooks.get(tenant)
         if hook is not None:
-            hook(entry.key, entry.code)
+            hook(entry.key, entry.code, entry)
         if not entry.is_osr and (tenant, entry.method) in self._evicted_methods:
             self._evicted_methods.discard((tenant, entry.method))
             self._reinstalls_after_evict[tenant] = (
@@ -352,14 +362,14 @@ class SharedCodeCache:
 
     def install(self, tenant, method, code):
         with self._lock:
-            self._tick += 1
-            entry = _Entry(code, self._tick, tenant, method)
+            entry = _Entry(code, next(self.clock), tenant, method)
             return self._install(tenant, (tenant, method), entry)
 
     def install_osr(self, tenant, method, bci, code):
         with self._lock:
-            self._tick += 1
-            entry = _Entry(code, self._tick, tenant, method, osr_bci=bci)
+            entry = _Entry(
+                code, next(self.clock), tenant, method, osr_bci=bci
+            )
             return self._install(tenant, (tenant, method, bci), entry)
 
     def _account_removal(self, entry):
@@ -528,44 +538,45 @@ class TenantCacheView:
     tenant — sharing the icache penalty across tenants is the point of
     a shared cache."""
 
-    __slots__ = ("_shared", "tenant")
+    __slots__ = ("shared", "tenant")
 
     def __init__(self, shared, tenant):
-        self._shared = shared
+        #: The :class:`SharedCodeCache` this view opens onto.
+        self.shared = shared
         self.tenant = tenant
 
     @property
     def total_size(self):
-        return self._shared.total_size
+        return self.shared.total_size
 
     @property
     def reinstalls_after_evict(self):
-        return self._shared.reinstalls_after_evict(self.tenant)
+        return self.shared.reinstalls_after_evict(self.tenant)
 
     def watch(self, hook):
-        self._shared.watch(self.tenant, hook)
+        self.shared.watch(self.tenant, hook)
 
     def get(self, method):
-        return self._shared.get(self.tenant, method)
+        return self.shared.get(self.tenant, method)
 
     def __contains__(self, method):
-        return self._shared.contains(self.tenant, method)
+        return self.shared.contains(self.tenant, method)
 
     def install(self, method, code):
-        return self._shared.install(self.tenant, method, code)
+        return self.shared.install(self.tenant, method, code)
 
     def evict(self, method):
-        return self._shared.evict(self.tenant, method)
+        return self.shared.evict(self.tenant, method)
 
     def get_osr(self, method, bci):
-        return self._shared.get_osr(self.tenant, method, bci)
+        return self.shared.get_osr(self.tenant, method, bci)
 
     def install_osr(self, method, bci, code):
-        return self._shared.install_osr(self.tenant, method, bci, code)
+        return self.shared.install_osr(self.tenant, method, bci, code)
 
     def evict_osr(self, method, bci):
-        return self._shared.evict_osr(self.tenant, method, bci)
+        return self.shared.evict_osr(self.tenant, method, bci)
 
     def installed_methods(self):
-        return self._shared.installed_methods(self.tenant)
+        return self.shared.installed_methods(self.tenant)
 

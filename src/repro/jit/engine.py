@@ -47,7 +47,7 @@ from repro.deopt import DeoptSignal, SpeculationLog, resume_frames
 from repro.errors import CompileError, IRError, VMError
 from repro.interp.interpreter import Interpreter, OSR_MISS
 from repro.interp.profiles import ProfileStore
-from repro.jit.codecache import CodeCache
+from repro.jit.codecache import CodeCache, TenantCacheView
 from repro.jit.config import JitConfig
 from repro.obs import NULL_OBS
 from repro.runtime.vmstate import VMState
@@ -154,24 +154,35 @@ class Engine:
         #: continuation. On a py engine it is the installed code's
         #: closure bound to this engine's VM state, dispatch and cycle
         #: sink (code the generator bailed out of has none); on a
-        #: linking machine engine it is the installed code itself. The
-        #: cache hook (:meth:`_code_changed`) binds at install and drops
-        #: at replacement or eviction, so a binding lives exactly as
-        #: long as its cache entry.
+        #: machine engine it is the installed code itself. A linking
+        #: tenant of a shared cache (``_shared``) keeps the pair
+        #: ``(binding, entry)``, where ``entry.tick`` is the entry's LRU
+        #: stamp. The cache hook (:meth:`_code_changed`) writes the
+        #: value at install and drops it at replacement or eviction, in
+        #: one dict operation each, so a binding lives exactly as long
+        #: as its cache entry and no thread sees one without its stamp.
         self._bindings = {}
         #: Whether dispatch links (:meth:`_dispatch_linked`): calls
         #: run a method's binding straight from ``_bindings``, on
-        #: either backend. Only an engine with a private cache and
-        #: observability off links: a shared cache must tick LRU and
-        #: count a hit per call, and metrics must see each lookup, so
-        #: those engines keep :meth:`_dispatch`.
-        self._linked = (
-            isinstance(self.code_cache, CodeCache) and not self.obs.enabled
+        #: either backend and either cache. Only observability keeps
+        #: :meth:`_dispatch`, whose lookups its metrics count.
+        self._linked = not self.obs.enabled
+        #: The :class:`~repro.jit.codecache.SharedCodeCache` whose
+        #: entries a linked call stamps, as a ``get`` hit does; None on
+        #: a private cache and on an engine that does not link.
+        self._shared = (
+            self.code_cache.shared
+            if self._linked and isinstance(self.code_cache, TenantCacheView)
+            else None
         )
-        #: ``icache.entry_penalty(total_size)`` on a linking engine,
-        #: kept current by the cache hook: it runs on every install and
-        #: evict, the only changes of ``total_size``.
+        #: ``icache.entry_penalty(total_size)`` on a linking engine. A
+        #: private cache's hook recomputes it at every install and
+        #: evict, the only changes of its ``total_size``. A shared
+        #: cache's total also moves with the other tenants' code, so a
+        #: linked call of its tenant recomputes it when the total
+        #: differs from ``_penalty_total``, the one it was computed for.
         self._penalty = 0
+        self._penalty_total = None
         #: The dispatch entry every tier calls, chosen once here.
         self._dispatcher = (
             self._dispatch_linked if self._linked else self._dispatch
@@ -257,19 +268,22 @@ class Engine:
         :class:`~repro.deopt.DeoptSignal`; callers don't care which ran.
         """
         if self._py:
-            entry = self._bindings.get(key)
-            if entry is not None:
+            binding = self._bindings.get(key)
+            if binding is not None:
+                if self._shared is not None:
+                    binding = binding[0]
                 self.py_exec_count += 1
-                return entry(args)
+                return binding(args)
         return self.executor.execute(code, args)
 
-    def _code_changed(self, key, code):
+    def _code_changed(self, key, code, entry=None):
         """Cache hook (``code_cache.watch``) of a py or a linking
         engine: *code* is now installed at *key*, or nothing when
-        ``None``.
+        ``None``; a shared cache also passes the new *entry*.
 
-        Binds *key* anew (see ``_bindings``); on a linking engine also
-        recomputes the entry penalty for the new ``total_size``.
+        Binds *key* anew (see ``_bindings``); on a linking engine with
+        a private cache also recomputes the entry penalty for the new
+        ``total_size``.
         """
         binding = code
         if self._py and code is not None:
@@ -279,11 +293,13 @@ class Engine:
                 if factory is not None
                 else None
             )
-        if binding is not None:
+        if binding is None:
+            self._bindings.pop(key, None)
+        elif self._shared is None:
             self._bindings[key] = binding
         else:
-            self._bindings.pop(key, None)
-        if self._linked:
+            self._bindings[key] = (binding, entry)
+        if self._linked and self._shared is None:
             self._penalty = self.config.icache.entry_penalty(
                 self.code_cache.total_size
             )
@@ -295,30 +311,48 @@ class Engine:
     def _dispatch_linked(self, method, args):
         """:meth:`_dispatch` for a linking engine (see ``_linked``).
 
-        A linked method runs its binding directly: no cache lookup, no
-        :meth:`_execute`, and the entry penalty computed at the last
-        install or evict. Anything else takes :meth:`_dispatch`.
-        Cycles, counts and deopt handling are the same either way.
+        A linked method runs its binding directly: no cache lookup and
+        no :meth:`_execute`. On a private cache the entry penalty is
+        the one computed at the last install or evict. A tenant of a
+        shared cache ticks its entry's LRU stamp from the cache's clock,
+        as a ``get`` hit would, and recomputes the penalty only when the
+        cache's global ``total_size`` has changed since its last call.
+        Anything else takes :meth:`_dispatch`. Cycles, counts, LRU
+        stamps and deopt handling are the same either way.
         """
-        entry = self._bindings.get(method)
-        if entry is None:
+        binding = self._bindings.get(method)
+        if binding is None:
             return self._dispatch(method, args)
+        shared = self._shared
+        if shared is not None:
+            binding, entry = binding
+            entry.tick = next(shared.clock)
+            total = shared.total_size
+            if total != self._penalty_total:
+                self._penalty = self.config.icache.entry_penalty(total)
+                self._penalty_total = total
         penalty = self._penalty
         if penalty:
             self.icache_cycles += penalty
         try:
             if self._py:
                 self.py_exec_count += 1
-                return entry(args)
+                return binding(args)
             # Looked up per call, not bound once: a wrapper put on the
             # executor after construction (a tracer) sees every call.
-            return self.executor.execute(entry, args)
+            return self.executor.execute(binding, args)
         except DeoptSignal as signal:
             return self._handle_deopt(method, signal)
 
     def _dispatch(self, method, args):
         code = self.code_cache.get(method)
-        if code is None and self._should_compile(method):
+        if (
+            code is None
+            # A queued method is not requested again: a lock-free read,
+            # which ``_request_compile`` repeats under its lock.
+            and not (self._async and method in self._pending)
+            and self._should_compile(method)
+        ):
             if self._async:
                 # Online mode: enqueue and keep interpreting this call;
                 # a later dispatch picks up the installed code.

@@ -5,12 +5,11 @@ import pytest
 
 from repro.backend import CostModel, ICacheModel, lower_graph
 from repro.backend import machine as m
-from repro.bytecode import MethodBuilder
 from repro.errors import DivisionByZeroTrap
 from repro.ir import build_graph
 from repro.ir import nodes as n
 from tests.execution import compare_tiers, execute_graph
-from tests.helpers import fresh_program, shapes_program, single_method_program
+from tests.helpers import shapes_program, single_method_program
 
 
 class TestLowering:

@@ -1,8 +1,6 @@
 """Benchmark infrastructure tests: suite registry, measurement
 protocol, harness validation."""
 
-import pytest
-
 from repro.bench import all_benchmarks, get_benchmark
 from repro.bench.configs import CONFIG_FACTORIES
 from repro.bench.harness import run_matrix, format_table

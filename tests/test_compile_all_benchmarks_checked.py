@@ -19,10 +19,8 @@ from repro.jit import Engine, JitConfig
 @pytest.mark.parametrize("name", [spec.name for spec in all_benchmarks()])
 def test_checked_compilation(name):
     from repro.bench.suite import get_benchmark
-    from repro.backend.lowering import lower_graph
     from repro.ir.builder import build_graph
     from repro.ir.frequency import annotate_frequencies
-    from repro.errors import CompileError
 
     spec = get_benchmark(name)
     program = spec.load()

@@ -56,7 +56,6 @@ class TestEndToEnd:
 
     def test_typeswitch_semantics(self):
         from repro.runtime import VMState
-        from repro.interp import Interpreter
 
         program = shapes_program()
         graph, context = _prepare(program, method=("Main", "total"))

@@ -3,7 +3,7 @@ discovery, polymorphic profiles and node normalization."""
 
 import pytest
 
-from repro.core.calltree import CallNode, NodeKind, make_root
+from repro.core.calltree import NodeKind, make_root
 from repro.core.params import InlinerParams
 from repro.core.trials import (
     apply_argument_stamps,

@@ -178,10 +178,10 @@ class TestOracle:
         assert machine.backend == "machine" and py.py_exec_count > 0
         for engine in engines:
             cache = engine.code_cache
-            assert cache._shared.budget == CACHE_BUDGETS["jit-py-evict"]
+            assert cache.shared.budget == CACHE_BUDGETS["jit-py-evict"]
             assert cache.reinstalls_after_evict > 10
         live = {
-            entry.key for shard in py.code_cache._shared._shards
+            entry.key for shard in py.code_cache.shared._shards
             for entry in shard.values()
         }
         assert set(py._bindings) <= live
@@ -213,7 +213,7 @@ class TestBisect:
         assert len(engines) == len(report.stages) == 7
         for engine in engines:
             cache = engine.code_cache
-            assert cache._shared.budget == CACHE_BUDGETS["jit-py-evict"]
+            assert cache.shared.budget == CACHE_BUDGETS["jit-py-evict"]
         assert engines[-1].code_cache.reinstalls_after_evict > 10
 
 

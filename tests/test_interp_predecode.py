@@ -13,14 +13,12 @@ runs, comparing every observable.
 import pytest
 
 from repro.bytecode import MethodBuilder
-from repro.bytecode.opcodes import Op
 from repro.errors import LinkError, TrapError, VMError
 from repro.interp import Interpreter
 from repro.interp.profiles import ProfileStore
 from repro.jit.config import JitConfig
 from repro.jit.engine import Engine
 from repro.runtime import VMState
-from repro.runtime.int64 import INT64_MAX, INT64_MIN
 from tests.helpers import (
     SHAPES_RESULT,
     fresh_program,

@@ -7,9 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bytecode import Instr, MethodBuilder, Op
-from repro.bytecode.klass import FieldDef
-from repro.bytecode.method import Method
+from repro.bytecode import MethodBuilder, Op
 from repro.errors import (
     BoundsTrap,
     CastTrap,

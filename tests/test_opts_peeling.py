@@ -9,7 +9,6 @@ from repro.bench.suite import all_benchmarks
 from repro.bytecode import MethodBuilder
 from repro.bytecode.method import Method
 from repro.ir import build_graph, check_graph
-from repro.ir import stamps as stm
 from repro.ir.printer import format_graph
 from repro.opts import peel_loops, pipeline
 from repro.opts.peeling import (
@@ -19,7 +18,7 @@ from repro.opts.peeling import (
     _should_peel,
 )
 from repro.ir.dominators import compute_loops
-from tests.execution import compare_tiers, execute_graph
+from tests.execution import compare_tiers
 from tests.helpers import fresh_program, single_method_program
 
 

@@ -2,9 +2,10 @@
 
 Each generated py closure resolves its static fields, type-test types
 and virtual method names once, when the engine binds it. An engine with
-a private code cache and observability off, on either backend,
-dispatches a call of installed code straight to the callee's binding
-(its closure, or its machine code), skipping the cache lookup. These
+observability off, on either backend and either cache, dispatches a
+call of installed code straight to the callee's binding (its closure,
+or its machine code), skipping the cache lookup
+(``tests/test_serve_linking.py`` covers the shared cache's LRU stamps). These
 tests pin the mechanism (the steady state makes no resolution call and
 no cache lookup), its failure edges (an unresolvable name raises the
 machine tier's ``LinkError`` at the access and caches nothing), its
@@ -50,30 +51,49 @@ def _outcome(fn, *args):
         return ("LinkError", str(error))
 
 
+def _entries(view):
+    """The shared-cache entries of *view*'s tenant, by engine-side key."""
+    return {
+        entry.key: entry
+        for shard in view.shared._shards
+        for entry in shard.values()
+        if entry.tenant == view.tenant
+    }
+
+
 def _installed(engine):
     """*engine*'s cache as ``{key: code}``: methods, and ``(method,
     bci)`` for OSR continuations."""
     cache = engine.code_cache
     if isinstance(cache, CodeCache):
         return dict(cache._code)
-    return {
-        entry.key: entry.code
-        for shard in cache._shared._shards
-        for entry in shard.values()
-        if entry.tenant == cache.tenant
-    }
+    return {key: entry.code for key, entry in _entries(cache).items()}
 
 
 def _assert_bindings_match_cache(engine):
-    """One binding per installed code with a closure, and each is that
-    code's closure (it shares the generated module's globals)."""
+    """One binding per installed code with something to bind: on a py
+    engine each is that code's closure (it shares the generated
+    module's globals), on a machine engine the code itself. A linking
+    tenant of a shared cache pairs each with its live entry."""
+    py = engine.backend == "py"
     installed = {
         key: code for key, code in _installed(engine).items()
-        if code.py_factory is not None
+        if not py or code.py_factory is not None
     }
     assert set(engine._bindings) == set(installed)
-    for key, entry in engine._bindings.items():
-        assert entry.__globals__ is installed[key].py_factory.__globals__
+    entries = (
+        _entries(engine.code_cache) if engine._shared is not None else None
+    )
+    for key, binding in engine._bindings.items():
+        if entries is not None:
+            binding, entry = binding
+            assert entry is entries[key]
+        if py:
+            assert binding.__globals__ is (
+                installed[key].py_factory.__globals__
+            )
+        else:
+            assert binding is installed[key]
 
 
 # ----------------------------------------------------------------------
@@ -139,31 +159,43 @@ def test_steady_window_makes_no_resolution_calls(monkeypatch, name):
 
 def test_choice_of_dispatch_path():
     program = shapes_program()
-    # Both backends link with a private cache and observability off.
+    # Both backends link with observability off, on a private cache and
+    # on a shared one; only a shared cache's tenant stamps its entries.
     for backend in ("py", "machine"):
-        linked = Engine(program, JitConfig(backend=backend))
-        assert linked._linked
-        assert linked._dispatcher == linked._dispatch_linked
-        assert linked.interpreter.dispatch == linked._dispatch_linked
-        assert linked.executor.dispatch == linked._dispatch_linked
-        assert linked.code_cache._hook == linked._code_changed
-    # A shared cache and observability keep the generic path, on both
-    # backends (and a machine engine that does not link binds nothing).
-    for backend in ("py", "machine"):
+        shared_cache = SharedCodeCache()
+        private = Engine(program, JitConfig(backend=backend))
         shared = Engine(
             program, JitConfig(backend=backend),
-            code_cache=SharedCodeCache().view(0),
+            code_cache=shared_cache.view(0),
         )
-        observed = Engine(
+        for linked in (private, shared):
+            assert linked._linked
+            assert linked._dispatcher == linked._dispatch_linked
+            assert linked.interpreter.dispatch == linked._dispatch_linked
+            assert linked.executor.dispatch == linked._dispatch_linked
+        assert private.code_cache._hook == private._code_changed
+        assert shared_cache._hooks[0] == shared._code_changed
+        assert private._shared is None
+        assert shared._shared is shared_cache
+    # Observability keeps the generic path, on both backends and either
+    # cache (and a machine engine that does not link binds nothing).
+    for backend in ("py", "machine"):
+        shared_cache = SharedCodeCache()
+        private = Engine(
             program, JitConfig(backend=backend), obs=Observability()
         )
-        for engine in (shared, observed):
-            assert not engine._linked
-            assert engine._dispatcher == engine._dispatch
-            assert engine.executor.dispatch == engine._dispatch
+        shared = Engine(
+            program, JitConfig(backend=backend), obs=Observability(),
+            code_cache=shared_cache.view(0),
+        )
+        for observed in (private, shared):
+            assert not observed._linked
+            assert observed._shared is None
+            assert observed._dispatcher == observed._dispatch
+            assert observed.executor.dispatch == observed._dispatch
         if backend == "machine":
-            assert observed.code_cache._hook is None
-            assert 0 not in shared.code_cache._shared._hooks
+            assert private.code_cache._hook is None
+            assert 0 not in shared_cache._hooks
 
 
 def _counting(monkeypatch, counts, window, owner, attr):

@@ -8,6 +8,7 @@ via :meth:`~repro.serve.scheduler.BackgroundCompiler.run_queued` — so
 test *constructs*, not a race it hopes to win.
 """
 
+import collections
 import os
 import sys
 import threading
@@ -141,10 +142,41 @@ class TestBackgroundCompilation:
             engine = _async_engine(service)
             for _ in range(5):
                 engine.run_iteration("Main", "run")
-            # Every hot dispatch past the threshold re-triggers, but the
-            # pending marker keeps one request per method in flight.
+            # The pending marker keeps one request per method in flight.
             methods = [r.describe() for r in engine.pending_compiles()]
             assert len(methods) == len(set(methods))
+
+    def test_queued_method_is_not_requested_again(self, monkeypatch):
+        """A hot call of a method whose compile is queued makes no
+        ``_should_compile`` or ``_request_compile`` call: the dispatch
+        sees the pending marker first."""
+        calls = []
+        for name in ("_dispatch", "_should_compile", "_request_compile"):
+            original = getattr(Engine, name)
+
+            def counted(engine, method, *args, _name=name,
+                        _original=original):
+                calls.append((_name, method))
+                return _original(engine, method, *args)
+
+            monkeypatch.setattr(Engine, name, counted)
+        with BackgroundCompiler(workers=0) as service:
+            engine = _async_engine(service)
+            for _ in range(3):
+                engine.run_iteration("Main", "run")
+            queued = {request.method for request in engine.pending_compiles()}
+            depth = service.depth
+            assert queued
+            del calls[:]
+            for _ in range(3):
+                engine.run_iteration("Main", "run")
+            assert service.depth == depth
+        on_queued = collections.Counter(
+            name for name, method in calls if method in queued
+        )
+        assert on_queued["_dispatch"] > 0
+        assert on_queued["_should_compile"] == 0
+        assert on_queued["_request_compile"] == 0
 
     def test_cancelled_before_drain_never_installs(self):
         with BackgroundCompiler(workers=0) as service:
