@@ -123,10 +123,11 @@ class MachineCode:
             until then. ``instrs`` stays the source of truth.
         py_factory / py_source: the Python execution tier riding along
             (:mod:`repro.backend.pycodegen`): ``py_factory(vm,
-            dispatch, sink)`` returns the closure the engine runs
+            links, sink)`` returns the closure the engine runs
             instead of the machine executor when the ``py`` backend is
             selected, with its static fields, type tests and virtual
-            call names linked against *vm*; ``py_source`` is the
+            call names linked against *vm* and its direct callees'
+            link cells fetched from *links*; ``py_source`` is the
             generated source (debugging and tests). ``None`` when the
             machine backend is selected or the generator bailed out.
             An engine calls the factory once, when its cache installs

@@ -64,10 +64,13 @@ instruction by instruction):
   in the same block or in a block that dominates it: a test that
   passed proved the value is not null, and an SSA value never changes
   (a loop phi is reassigned only on the way into its header, and a
-  test in the loop cannot dominate the header). A non-null stamp
-  proves nothing here: a parameter's holds only if every call tests
-  its receiver, and a call devirtualized by class-hierarchy analysis
-  tests none, on either tier.
+  test in the loop cannot dominate the header). The true arm of an
+  instance test counts as a test of its input where that arm's edge
+  dominates (an instance test is false on null), and a Pi node as the
+  value it renames. A non-null stamp proves nothing here: a
+  parameter's holds only if every call tests its receiver, and a call
+  devirtualized by class-hierarchy analysis tests none, on either
+  tier.
 - array bounds: a negative index is tested, and the list's own
   ``IndexError`` stands for the upper-bound test; either raises the
   machine tier's ``BoundsTrap('index / length')``.
@@ -77,6 +80,12 @@ instruction by instruction):
   <repro.bytecode.program.Program.subtype_row>`, ``dispatch_row``), so a
   site is one subscript; a name that does not resolve raises the
   machine tier's :class:`~repro.errors.LinkError` at the access itself.
+- calls: a non-native call runs ``cell[0](*args)``, where ``cell`` is
+  its target's link cell in the engine's ``links`` table: fetched once
+  per binding for a direct call, by the resolved target at a virtual
+  one. The engine keeps in it either the callee's closure or an entry
+  into its dispatcher (which charges the icache penalty and catches the
+  callee's deopts), so a call site needs no ``try``.
 - cycles: the machine charges each block's cost (lowering's ``COST``
   pseudo-instruction) on entry and flushes its count to the sink
   before non-native dispatches, before a deopt raise and at returns;
@@ -95,7 +104,8 @@ instruction by instruction):
   exactly the machine's sum, and an iteration of a loop without
   branches pays one add, on its back edge, rather than one per block.
   The sink is any object with a ``compiled_cycles`` attribute (the
-  engine), as for :class:`~repro.backend.machine.MachineExecutor`.
+  engine), as for :class:`~repro.backend.machine.MachineExecutor`; the
+  closure also counts its entry in the sink's ``py_exec_count``.
 - phis: a phi with a ``None`` input (a local undefined along that
   edge) starts as ``None`` at entry, as its machine register starts
   NULL; that edge assigns nothing on either tier.
@@ -210,6 +220,14 @@ def _null_tested(node):
     return None
 
 
+def _renamed(value):
+    """The value *value* renames: a Pi node's input, through chains of
+    them (the closure assigns a Pi its input, so both are one object)."""
+    while type(value) is n.PiNode:
+        value = value.inputs[0]
+    return value
+
+
 def _range_test(node):
     """The range test the exact result of the wrapping binary op *node*
     needs (``_OUTSIDE``, ``_ABOVE`` or ``_BELOW``), or ``None`` when it
@@ -234,10 +252,13 @@ def _range_test(node):
 def generate(graph, cost_model=None):
     """Generate the Python tier for *graph*.
 
-    Returns ``(factory, source)`` where ``factory(vm, dispatch, sink)``
-    binds one engine's VM state, dispatch and cycle sink (an object
-    with a ``compiled_cycles`` attribute) and returns the ``run(args)``
-    closure.
+    Returns ``(factory, source)`` where ``factory(vm, links, sink)``
+    binds one engine's VM state, link table and cycle sink and returns
+    the ``run(*args)`` closure, which takes the graph's parameters
+    positionally. *links* maps a method to its link cell, a one-element
+    list holding what a call of that method runs (a miss creates the
+    cell); *sink* is an object with ``compiled_cycles`` and
+    ``py_exec_count`` attributes (the engine).
     Raises :class:`PyCodegenBailout` when the graph cannot be
     translated faithfully.
     """
@@ -403,6 +424,18 @@ class _PyCodegen:
             ))
         return name
 
+    def _cell(self, method):
+        """The factory local holding *method*'s link cell, ``links[m]``:
+        fetched once per binding, shared by every call of *method*."""
+        key = ("cell", method)
+        name = self._linked.get(key)
+        if name is None:
+            name = self._linked[key] = "_c%d" % len(self._linked)
+            self._link_lines.append(
+                "%s = links[%s]" % (name, self._bind("m", method))
+            )
+        return name
+
     def _static(self, node):
         """``table[key]`` for *node*'s static field: the two halves of
         its :meth:`~repro.runtime.vmstate.VMState.static_slot`."""
@@ -467,7 +500,8 @@ class _PyCodegen:
 
     def _emit_function(self, order):
         """The module source: the deopt helper, the factory and the
-        structured ``_run`` closure."""
+        structured ``_run`` closure, whose first line counts its entry
+        in the sink's ``py_exec_count``."""
         graph = self.graph
         body = self._structure(order)
         self._plan(body, [], None)
@@ -478,19 +512,20 @@ class _PyCodegen:
         lines.append("    raise _DS(_METHOD, _REASONS[index],")
         lines.append("        (frames[0].method.qualified_name,"
                      " frames[0].bci), frames)")
-        lines.append("def _factory(vm, dispatch, sink):")
+        lines.append("def _factory(vm, links, sink):")
         for binding in (
             "_vm = vm",
-            "_call = dispatch",
+            "_lk = links",
             "_sink = sink",
             "_alloc = vm.allocate",
             "_allocarr = vm.allocate_array",
         ):
             lines.append("    " + binding)
         links_at = len(lines)
-        lines.append("    def _run(args):")
-        for index, param in enumerate(graph.params):
-            self._line(2, "v%d = args[%d]" % (param.id, index))
+        lines.append("    def _run(%s):" % ", ".join(
+            "v%d" % param.id for param in graph.params
+        ))
+        self._line(2, "_sink.py_exec_count += 1")
         # An edge with a None phi input assigns nothing, so the phi
         # keeps whatever it held, as its machine register does; that
         # register starts NULL, and so must the local.
@@ -550,16 +585,25 @@ class _PyCodegen:
 
     def _plan_null_tests(self, order):
         """``_null_testers``: for each value some node tests for null,
-        the blocks holding such a node."""
-        testers = {}
+        the blocks holding such a node; ``_null_arms``: for each value
+        an instance test checks, the true successors entered only from
+        that test's branch (an instance test is false on null). Values
+        are keyed through Pi nodes (:func:`_renamed`)."""
+        testers, arms = {}, {}
         for block in order:
             for node in block.instrs:
                 value = _null_tested(node)
                 if value is not None:
-                    blocks = testers.setdefault(value, [])
+                    blocks = testers.setdefault(_renamed(value), [])
                     if not blocks or blocks[-1] is not block:
                         blocks.append(block)
+            term = block.terminator
+            if type(term) is n.IfNode:
+                cond, arm = term.inputs[0], term.true_block
+                if type(cond) is n.InstanceOfNode and arm.preds == [block]:
+                    arms.setdefault(_renamed(cond.inputs[0]), []).append(arm)
         self._null_testers = testers
+        self._null_arms = arms
 
     # -- structuring ----------------------------------------------------------
 
@@ -1072,17 +1116,27 @@ class _PyCodegen:
     def _null_test(self, value, message, depth):
         """``raise _NPT(message)`` when *value* is None, unless it is an
         allocation or a test of it already ran: earlier in this block,
-        or in a block that strictly dominates this one. A non-null
-        stamp is no proof: a parameter's holds only when every call
-        tests its receiver, and a call devirtualized by class-hierarchy
-        analysis does not."""
-        block = self._block
-        if type(value) in _ALLOCATIONS or value in self._tested or any(
-            tester is not block and dominates(self._idom, tester, block)
-            for tester in self._null_testers[value]
+        in a block that strictly dominates this one, or as an instance
+        test whose true arm dominates this block. A Pi node counts as
+        the value it renames. A non-null stamp is no proof: a
+        parameter's holds only when every call tests its receiver, and
+        a call devirtualized by class-hierarchy analysis does not."""
+        block, idom = self._block, self._idom
+        root = _renamed(value)
+        if (
+            type(root) in _ALLOCATIONS
+            or root in self._tested
+            or any(
+                tester is not block and dominates(idom, tester, block)
+                for tester in self._null_testers.get(root, ())
+            )
+            or any(
+                dominates(idom, arm, block)
+                for arm in self._null_arms.get(root, ())
+            )
         ):
             return
-        self._tested.add(value)
+        self._tested.add(root)
         self._line(depth, "if %s is None:" % self._val(value))
         self._line(depth + 1, "raise _NPT(%r)" % message)
 
@@ -1134,10 +1188,9 @@ class _PyCodegen:
                     dst, name, "".join(", " + a for a in args)
                 ))
             else:
-                name = self._bind("m", target)
+                cell = self._cell(target)
                 self._flush(depth, True)
-                line(depth, "%s_call(%s, [%s])"
-                     % (dst, name, ", ".join(args)))
+                line(depth, "%s%s[0](%s)" % (dst, cell, ", ".join(args)))
         else:
             receiver = args[0]
             self._null_test(
@@ -1151,7 +1204,7 @@ class _PyCodegen:
                 receiver,
             ))
             self._flush(depth, True)
-            line(depth, "%s_call(_t, [%s])" % (dst, ", ".join(args)))
+            line(depth, "%s_lk[_t][0](%s)" % (dst, ", ".join(args)))
 
     def _deopt_entry(self, frames, state_values, reason):
         """Build a deopt-table entry over tuple positions.

@@ -27,6 +27,7 @@ persist into later iterations, so precise-exception bugs — state
 diverging at the trap point — become observable.
 """
 
+from repro.backend.icache import ICacheModel
 from repro.baselines import C2Inliner, GreedyInliner, tuned_inliner
 from repro.errors import TrapError, VMError
 from repro.interp import Interpreter
@@ -159,6 +160,16 @@ ORACLE_CONFIGS = {
     # dropped and re-bound with its cache entry.
     "jit-py-evict": lambda: (
         _cfg(backend="py", speculate=True, osr=True, osr_threshold=6),
+        tuned_inliner(0.1),
+    ),
+    # ... and over an instruction cache so small that the entry penalty
+    # turns nonzero after a few installs: the link cells of compiled
+    # calls must leave the callees' closures for the dispatcher entry,
+    # which charges the penalty, and the machine twin checks every
+    # iteration's icache cycles.
+    "jit-py-icache": lambda: (
+        _cfg(backend="py", speculate=True, osr=True, osr_threshold=6,
+             icache=ICacheModel(capacity=400, penalty=40)),
         tuned_inliner(0.1),
     ),
 }

@@ -106,6 +106,26 @@ class IterationResult:
         )
 
 
+class _Links(dict):
+    """An engine's link table (``Engine._links``): method -> link cell.
+
+    A miss creates the cell under the engine's cache lock, so it cannot
+    interleave with the cache hook that re-points cells: a cell never
+    holds a closure whose code has left the cache.
+    """
+
+    __slots__ = ("engine",)
+
+    def __init__(self, engine):
+        super().__init__()
+        self.engine = engine
+
+    def __missing__(self, method):
+        engine = self.engine
+        with engine._cache_lock:
+            return self.setdefault(method, [engine._target(method)])
+
+
 class Engine:
     """A tiered VM instance.
 
@@ -152,7 +172,7 @@ class Engine:
         #: What a linked call of an installed key runs, keyed like the
         #: cache: the method, or ``(method, bci)`` for an OSR
         #: continuation. On a py engine it is the installed code's
-        #: closure bound to this engine's VM state, dispatch and cycle
+        #: closure bound to this engine's VM state, link table and cycle
         #: sink (code the generator bailed out of has none); on a
         #: machine engine it is the installed code itself. A linking
         #: tenant of a shared cache (``_shared``) keeps the pair
@@ -187,6 +207,22 @@ class Engine:
         self._dispatcher = (
             self._dispatch_linked if self._linked else self._dispatch
         )
+        #: The link table py closures call through: method -> its link
+        #: cell, a one-element list holding what a call of the method
+        #: runs now (:meth:`_target`). A closure fetches a direct
+        #: callee's cell once, when it is bound, and a virtual one's
+        #: per call; a miss creates the cell (:class:`_Links`). Cells
+        #: are created and re-pointed only under ``_cache_lock``.
+        self._links = _Links(self)
+        #: method -> its bound closure, for installed code a cell may
+        #: run without the dispatcher: code with no deopt point, so no
+        #: ``DeoptSignal`` leaves the closure. Only an engine that links
+        #: over a private cache keeps one (a shared cache's tenant ticks
+        #: an LRU stamp per call); None elsewhere.
+        self._raw = (
+            {} if self._py and self._linked and self._shared is None
+            else None
+        )
         if self._py or self._linked:
             self.code_cache.watch(self._code_changed)
         self.interpreter = Interpreter(
@@ -201,9 +237,9 @@ class Engine:
             speculation_log=self.speculation_log,
         )
         self.executor = MachineExecutor(self.vm, self._dispatcher, self)
-        #: Executions served by the Python tier (plain attribute so
-        #: un-instrumented differential tests can assert the py tier
-        #: actually ran).
+        #: Entries into py closures, counted by the closures themselves
+        #: (plain attribute so un-instrumented differential tests can
+        #: assert the py tier actually ran).
         self.py_exec_count = 0
         self.compiled_cycles = 0
         self.compile_cycles = 0
@@ -272,8 +308,7 @@ class Engine:
             if binding is not None:
                 if self._shared is not None:
                     binding = binding[0]
-                self.py_exec_count += 1
-                return binding(args)
+                return binding(*args)
         return self.executor.execute(code, args)
 
     def _code_changed(self, key, code, entry=None):
@@ -283,13 +318,14 @@ class Engine:
 
         Binds *key* anew (see ``_bindings``); on a linking engine with
         a private cache also recomputes the entry penalty for the new
-        ``total_size``.
+        ``total_size``, and re-points *key*'s link cell, or every cell
+        when the penalty crossed zero (see :meth:`_target`).
         """
         binding = code
         if self._py and code is not None:
             factory = code.py_factory
             binding = (
-                factory(self.vm, self._dispatcher, self)
+                factory(self.vm, self._links, self)
                 if factory is not None
                 else None
             )
@@ -299,10 +335,50 @@ class Engine:
             self._bindings[key] = binding
         else:
             self._bindings[key] = (binding, entry)
+        crossed = False
         if self._linked and self._shared is None:
-            self._penalty = self.config.icache.entry_penalty(
+            penalty = self.config.icache.entry_penalty(
                 self.code_cache.total_size
             )
+            crossed = (penalty == 0) != (self._penalty == 0)
+            self._penalty = penalty
+        raw = self._raw
+        if raw is None:
+            return
+        if type(key) is not tuple:  # an OSR continuation has no cell
+            if binding is not None and not code.deopt_table:
+                raw[key] = binding
+            else:
+                raw.pop(key, None)
+        links = self._links
+        if crossed:
+            for method, cell in links.items():
+                cell[0] = self._target(method)
+        elif key in links:
+            links[key][0] = self._target(key)
+
+    def _target(self, method):
+        """What a call of *method* through its link cell runs now.
+
+        The bound closure itself when the call needs no engine work:
+        the engine links over a private cache, the icache entry penalty
+        is 0, and the installed code has no deopt point (``_raw``).
+        Otherwise an entry into the dispatcher, which charges the
+        penalty, ticks a shared cache's LRU stamp, catches the callee's
+        deopt, compiles a method not compiled yet, and runs code the
+        generator bailed out of on the machine executor, as for any
+        other call.
+        """
+        if self._raw is not None and not self._penalty:
+            closure = self._raw.get(method)
+            if closure is not None:
+                return closure
+        dispatcher = self._dispatcher
+
+        def entry(*args):
+            return dispatcher(method, list(args))
+
+        return entry
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -336,8 +412,7 @@ class Engine:
             self.icache_cycles += penalty
         try:
             if self._py:
-                self.py_exec_count += 1
-                return binding(args)
+                return binding(*args)
             # Looked up per call, not bound once: a wrapper put on the
             # executor after construction (a tracer) sees every call.
             return self.executor.execute(binding, args)

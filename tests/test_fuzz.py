@@ -186,6 +186,43 @@ class TestOracle:
         }
         assert set(py._bindings) <= live
 
+    def test_icache_config_moves_cells_off_closures_and_agrees(
+        self, monkeypatch
+    ):
+        # Case 1010 installs past the 400-unit icache on its third
+        # install: the penalty turns nonzero, and the link cell that
+        # held a callee's closure moves to the dispatcher entry.
+        engines, seen = [], []
+
+        def recording_engine(*args, **kwargs):
+            engines.append(Engine(*args, **kwargs))
+            return engines[-1]
+
+        changed = Engine._code_changed
+
+        def watched(self, *args):
+            changed(self, *args)
+            if self.backend == "py":
+                seen.append((self._penalty, [
+                    cell[0].__code__.co_filename.startswith("<pycodegen:")
+                    for cell in self._links.values()
+                ]))
+
+        monkeypatch.setattr(oracle_module, "Engine", recording_engine)
+        monkeypatch.setattr(Engine, "_code_changed", watched)
+        program, entry = generate_case(1010).build()
+        assert check_program(program, entry, ["jit-py-icache"]) is None
+        py, machine = engines
+        assert machine.backend == "machine" and py.py_exec_count > 0
+        crossed = next(
+            index for index, (penalty, _) in enumerate(seen) if penalty
+        )
+        assert any(any(raw) for _, raw in seen[:crossed])
+        assert all(
+            penalty and raw and not any(raw) for penalty, raw in seen[crossed:]
+        )
+        assert py.icache_cycles == machine.icache_cycles > 0
+
 
 class TestBisect:
     def test_names_the_guilty_stage(self, monkeypatch):

@@ -374,7 +374,14 @@ def test_py_source_attached():
     assert codes
     for code in codes:
         assert code.py_factory is not None
-        assert "def _run(args):" in code.py_source
+        # One positional parameter per argument slot, and the entry
+        # counted first.
+        params = "".join(
+            "v%d, " % slot for slot in range(code.method.num_arg_slots())
+        )
+        assert "    def _run(%s):\n        _sink.py_exec_count += 1\n" % (
+            params[:-2]
+        ) in code.py_source
 
 
 def test_bailout_falls_back_to_machine(monkeypatch):
@@ -588,7 +595,10 @@ def fueled_cfg(spec):
 
 class _Flushed(list):
     """A cycle sink that keeps every flush: ``compiled_cycles`` reads
-    their sum, and each ``+=`` hands its setter one flush."""
+    their sum, and each ``+=`` hands its setter one flush. A closure's
+    entry counts in ``py_exec_count``, as it does on an engine."""
+
+    py_exec_count = 0
 
     @property
     def compiled_cycles(self):
@@ -597,6 +607,13 @@ class _Flushed(list):
     @compiled_cycles.setter
     def compiled_cycles(self, total):
         self.append(total - sum(self))
+
+
+class _NoLinks(dict):
+    """A link table for closures that make no calls: a lookup fails."""
+
+    def __missing__(self, method):
+        raise AssertionError("no calls expected")
 
 
 def run_cfg(spec, tier, args, pin=None):
@@ -622,10 +639,14 @@ def run_cfg(spec, tier, args, pin=None):
             return executor.execute(code, list(args) + [fuel])
     else:
         factory, _ = pycodegen.generate(graph)
-        run = factory(vm, dispatch, flushed)
+        run = factory(vm, _NoLinks(), flushed)
 
         def call():
-            return run(list(args) + [fuel])
+            assert flushed.py_exec_count == 0
+            try:
+                return run(*args, fuel)
+            finally:
+                assert flushed.py_exec_count == 1
     try:
         outcome = ("value", call())
     except TrapError as trap:
@@ -1080,8 +1101,8 @@ def run_tiers(graph, program, arg_lists):
                 call = lambda: executor.execute(code, list(args))
             else:
                 factory, _ = pycodegen.generate(graph)
-                run = factory(vm, dispatch, flushed)
-                call = lambda: run(list(args))
+                run = factory(vm, _NoLinks(), flushed)
+                call = lambda: run(*args)
             try:
                 outcome = ("value", call())
             except TrapError as trap:
@@ -1108,7 +1129,7 @@ def traced_charges(run, source, args):
     previous = sys.gettrace()
     sys.settrace(tracer)
     try:
-        run(args)
+        run(*args)
     finally:
         sys.settrace(previous)
     return count
@@ -1132,7 +1153,7 @@ def test_counting_loop_charges_once_per_iteration():
     program = compile_source(COUNTING_LOOP)
     graph = optimized_graph(program, "Main", "count")
     factory, source = pycodegen.generate(graph)
-    run = factory(VMState(program), None, _Flushed())
+    run = factory(VMState(program), _NoLinks(), _Flushed())
     counts = [traced_charges(run, source, [trips]) for trips in range(2, 9)]
     assert [b - a for a, b in zip(counts, counts[1:])] == [1] * 6, source
     machine, py = run_tiers(graph, program, [[trips] for trips in range(9)])
@@ -1231,6 +1252,39 @@ def test_allocations_get_no_null_test_but_this_does():
         _, sources[method_name] = pycodegen.generate(graph)
     assert "is None" not in sources["fresh"], sources["fresh"]
     assert sources["twice"].count("is None:") == 1, sources["twice"]
+
+
+def test_instance_test_arm_needs_no_null_test():
+    # scaladoc's Seq.foreach inlines ArraySeq's `length` and `get` behind
+    # an exact-type test of the receiver, whose true arm reads it through
+    # a Pi node. An instance test is false on null, so neither arm tests
+    # the renamed receiver; the call arms still test it, and a null
+    # receiver traps there as on the machine tier, for the same cycles.
+    runs = []
+    for backend in ("machine", "py"):
+        engine = Engine(
+            get_benchmark("scaladoc").load(),
+            JitConfig(hot_threshold=25, interp_predecode=True,
+                      backend=backend, speculate=False, typespec=False,
+                      osr=False),
+            tuned_inliner(0.1),
+        )
+        for _ in range(30):
+            engine.run_iteration("Main")
+        foreach = engine.program.lookup_method("Seq", "foreach")
+        assert foreach in engine.code_cache
+        before = engine.compiled_cycles
+        with pytest.raises(NullPointerTrap) as trap:
+            engine.call("Seq", "foreach", [None, None])
+        runs.append((str(trap.value), engine.compiled_cycles - before))
+    source = engine.code_cache.get(foreach).py_source
+    renames = re.findall(r"^\s*(v\d+) = v0$", source, re.M)
+    assert len(renames) >= 2, source
+    for name in renames:
+        assert "if %s is None:" % name not in source, source
+    assert "if v0 is None:\n" in source, source
+    assert runs[0] == runs[1]
+    assert runs[1][0] == "NullPointer: call length"
 
 
 def test_devirtualized_call_on_null_receiver_traps_in_the_callee():

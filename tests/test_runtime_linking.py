@@ -5,18 +5,24 @@ and virtual method names once, when the engine binds it. An engine with
 observability off, on either backend and either cache, dispatches a
 call of installed code straight to the callee's binding (its closure,
 or its machine code), skipping the cache lookup
-(``tests/test_serve_linking.py`` covers the shared cache's LRU stamps). These
-tests pin the mechanism (the steady state makes no resolution call and
-no cache lookup), its failure edges (an unresolvable name raises the
-machine tier's ``LinkError`` at the access and caches nothing), its
-invalidation (bindings live exactly as long as their cache entries)
-and its invisibility (values, cycles and metrics equal an unlinked
-engine's).
+(``tests/test_serve_linking.py`` covers the shared cache's LRU stamps).
+A py closure calls through its callee's link cell, which holds the
+callee's closure itself when the call needs no engine work, so a warm
+window enters the engine once per iteration. These tests pin the
+mechanism (the steady state makes no resolution call, no cache lookup
+and no dispatch of a compiled call), its failure edges (an
+unresolvable name raises the machine tier's ``LinkError`` at the
+access and caches nothing), its invalidation (bindings and cells live
+exactly as long as their cache entries) and its invisibility (values,
+cycles and metrics equal an unlinked engine's).
 """
 
 import collections
+import inspect
 import pickle
 import sys
+import threading
+import weakref
 
 import pytest
 
@@ -96,6 +102,38 @@ def _assert_bindings_match_cache(engine):
             assert binding is installed[key]
 
 
+def _is_entry(target):
+    """Whether a link cell's *target* is a dispatcher entry (else it is
+    a bound closure)."""
+    return target.__qualname__ == "Engine._target.<locals>.entry"
+
+
+def _assert_cells_match(engine):
+    """Each link cell holds its method's bound closure exactly when a
+    call needs no engine work: a py engine that links over a private
+    cache, a zero entry penalty, and installed code with a closure and
+    no deopt point. Any other cell holds the entry into the engine's
+    dispatcher for its method."""
+    installed = _installed(engine)
+    direct = (
+        engine.backend == "py" and not engine.obs.enabled
+        and isinstance(engine.code_cache, CodeCache)
+        and engine._penalty == 0
+    )
+    for method, cell in engine._links.items():
+        code = installed.get(method)
+        if (
+            direct and code is not None and code.py_factory is not None
+            and not code.deopt_table
+        ):
+            assert cell[0] is engine._bindings[method]
+        else:
+            assert _is_entry(cell[0])
+            assert inspect.getclosurevars(cell[0]).nonlocals == {
+                "dispatcher": engine._dispatcher, "method": method,
+            }
+
+
 # ----------------------------------------------------------------------
 # The mechanism: no resolution call in the steady state
 # ----------------------------------------------------------------------
@@ -155,6 +193,31 @@ def test_steady_window_makes_no_resolution_calls(monkeypatch, name):
     assert engine.py_exec_count - execs > 100
     assert generated == {"get_static": 0, "is_subtype": 0, "resolve_method": 0}
     assert lookups == []
+
+
+@pytest.mark.parametrize("name", ["xalan", "scaladoc"])
+def test_warm_py_window_dispatches_once_per_iteration(monkeypatch, name):
+    """After warm-up, a py engine enters the dispatcher once per
+    iteration, for the root call: every compiled call goes from closure
+    to closure through its link cell."""
+    counts = collections.Counter()
+    window = [False]
+    _counting(monkeypatch, counts, window, Engine, "_dispatch_linked")
+    _counting(monkeypatch, counts, window, Engine, "_dispatch")
+    engine = Engine(
+        get_benchmark(name).load(), _steady_config(), tuned_inliner(0.1)
+    )
+    for _ in range(30):
+        engine.run_iteration("Main")
+    _assert_cells_match(engine)
+    assert any(not _is_entry(cell[0]) for cell in engine._links.values())
+    execs = engine.py_exec_count
+    window[0] = True
+    for _ in range(10):
+        engine.run_iteration("Main")
+    window[0] = False
+    assert engine.py_exec_count - execs > 100
+    assert (counts["_dispatch_linked"], counts["_dispatch"]) == (10, 0)
 
 
 def test_choice_of_dispatch_path():
@@ -517,6 +580,7 @@ def test_links_rebind_after_deopt_and_cycles_match_machine():
         assert results[0] == results[1], step
         trail.append(results[1][1][1])
         _assert_bindings_match_cache(py)
+        _assert_cells_match(py)
         if step == 9:
             first = py._bindings[drive]
         if step == 10:
@@ -638,3 +702,182 @@ def test_async_serve_bindings_follow_evictions_across_threads():
         assert tenant.outcomes == reference.outcomes
         assert tenant.output == reference.output
         _assert_bindings_match_cache(tenant.engine)
+
+
+# ----------------------------------------------------------------------
+# Link cells: what a compiled call runs follows the cache and the penalty
+# ----------------------------------------------------------------------
+
+
+class _RootsOnly:
+    """An inliner that inlines into the named roots only, so calls out
+    of every other compiled method stay calls."""
+
+    def __init__(self, inner, roots):
+        self.inner = inner
+        self.roots = roots
+
+    def run(self, graph, context):
+        if graph.method.qualified_name in self.roots:
+            return self.inner.run(graph, context)
+        return None
+
+
+def _chain_program():
+    """``Main.top(k)`` calls ``Main.outer(k)``, which calls the flip
+    program's ``Main.drive(k)``."""
+    program = flip_program()
+    main = program.klass("Main")
+    b = MethodBuilder("outer", ["int"], "int", is_static=True)
+    b.load(0).invokestatic("Main", "drive").const(1).add().retv()
+    main.add_method(b.build())
+    b = MethodBuilder("top", ["int"], "int", is_static=True)
+    b.load(0).invokestatic("Main", "outer").load(0).add().retv()
+    main.add_method(b.build())
+    return program
+
+
+def _chain_engine(obs=None, capacity=60_000):
+    """A py engine for :func:`_chain_program` that inlines (and
+    speculates) in ``Main.drive`` only, over an icache of *capacity*."""
+    config = JitConfig(
+        backend="py", speculate=True, hot_threshold=4,
+        icache=ICacheModel(capacity=capacity, penalty=40),
+    )
+    return Engine(
+        _chain_program(), config,
+        _RootsOnly(tuned_inliner(1.0), {"Main.drive"}), obs=obs,
+    )
+
+
+def test_cells_follow_installs_deopts_and_the_penalty():
+    """Over a 30-unit icache, ``Main.outer``'s cell holds its closure
+    while the penalty is 0 and the dispatcher entry while it is not: it
+    turns nonzero when ``Main.drive`` installs, 0 again when drive's
+    deopt evicts it, and nonzero at its recompile. ``Main.drive``, whose
+    code has a guard, stays on the entry. Every call's value, compiled
+    and icache cycles equal an observed engine's."""
+    linked, observed = _chain_engine(capacity=30), _chain_engine(
+        Observability(), capacity=30
+    )
+    assert linked._raw is not None and observed._raw is None
+    outer = linked.program.lookup_method("Main", "outer")
+    drive = linked.program.lookup_method("Main", "drive")
+    states = []
+    for kind in [0] * 8 + [1] + [1, 0] * 4:
+        step = _step(linked, "Main", "top", [kind])
+        assert step == _step(observed, "Main", "top", [kind])
+        _assert_bindings_match_cache(linked)
+        _assert_cells_match(linked)
+        if outer in linked._links:
+            states.append((
+                linked._penalty > 0, _is_entry(linked._links[outer][0]),
+                linked.deopt_count,
+            ))
+            assert _is_entry(linked._links[drive][0])
+    # Installed, the penalty up, down after the deopt, up again.
+    assert list(dict.fromkeys(states)) == [
+        (True, True, 0), (False, False, 1), (True, True, 1),
+    ]
+    assert linked.deopt_count == observed.deopt_count == 1
+
+
+def test_cells_follow_a_replacement_and_do_not_pin_evicted_code():
+    """Replacing ``Main.outer``'s code points its cell at the new
+    closure; a deopt evicting ``Main.drive`` moves nothing but drops
+    its closure. Neither old closure outlives its cache entry."""
+    engine = _chain_engine()
+    outer = engine.program.lookup_method("Main", "outer")
+    drive = engine.program.lookup_method("Main", "drive")
+    for _ in range(6):
+        engine.call("Main", "top", [0])
+    first = engine._links[outer][0]
+    assert first is engine._bindings[outer]
+    old_outer = weakref.ref(first)
+    old_drive = weakref.ref(engine._bindings[drive])
+    del first
+    engine._install(outer, engine.compiler.compile(outer))
+    assert engine._links[outer][0] is engine._bindings[outer]
+    assert old_outer() is None
+    _assert_cells_match(engine)
+    assert engine.call("Main", "top", [1]) == 56
+    assert engine.deopt_count == 1 and drive not in engine.code_cache
+    assert old_drive() is None
+    _assert_cells_match(engine)
+
+
+def test_guarded_callee_keeps_its_deopt_boundary():
+    """``Main.drive`` speculates; its cell holds the dispatcher entry, so
+    its deopt is caught at its own call and resumes in the interpreter,
+    and ``Main.outer``, which ``Main.top`` calls through a direct link,
+    sees an ordinary return."""
+    engine = _chain_engine()
+    outer = engine.program.lookup_method("Main", "outer")
+    drive = engine.program.lookup_method("Main", "drive")
+    for _ in range(6):
+        assert engine.call("Main", "top", [0]) == 33
+    top = engine.program.lookup_method("Main", "top")
+    assert engine.code_cache.get(drive).deopt_table
+    assert not engine.code_cache.get(outer).deopt_table
+    assert _is_entry(engine._links[drive][0])
+    assert engine._links[outer][0] is engine._bindings[outer]
+    assert "_c0[0](v0)" in engine.code_cache.get(top).py_source
+    ops = engine.interpreter.ops_executed
+    execs = engine.py_exec_count
+    assert engine.call("Main", "top", [1]) == 56
+    assert engine.deopt_count == 1
+    assert engine.interpreter.ops_executed > ops
+    # top and outer ran compiled; drive entered its closure and left it.
+    assert engine.py_exec_count - execs == 3
+    assert outer in engine.code_cache and drive not in engine.code_cache
+
+
+def test_concurrent_async_installs_keep_cells_on_live_code(monkeypatch):
+    """A py engine compiling on its own worker thread, under a switch
+    interval of 1 us, with speculation (deopts evict on the app thread)
+    and an icache the installs overflow: after every cache change, on
+    either thread, each cell holds live code or the dispatcher entry,
+    and the engine computes what a sync engine does."""
+    failures, threads = [], set()
+    changed = Engine._code_changed
+
+    def checked(self, *args):
+        changed(self, *args)
+        threads.add(threading.current_thread().name)
+        try:
+            _assert_cells_match(self)
+        except AssertionError as error:
+            failures.append(error)
+
+    monkeypatch.setattr(Engine, "_code_changed", checked)
+
+    def run(mode):
+        config = JitConfig(
+            backend="py", compile_mode=mode, hot_threshold=5,
+            speculate=True, icache=ICacheModel(capacity=900, penalty=40),
+        )
+        engine = Engine(
+            get_benchmark("pmd").load(), config, tuned_inliner(0.1)
+        )
+        values = []
+        try:
+            for _ in range(6):
+                values.append(engine.run_iteration("Main").value)
+                with engine._cache_lock:
+                    _assert_cells_match(engine)
+            assert engine.drain_compiles()
+        finally:
+            engine.shutdown()
+        return engine, values
+
+    _, expected = run("sync")
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        engine, values = run("async")
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert values == expected
+    assert failures == []
+    assert engine.async_installs > 5 and len(threads) == 2
+    assert engine._penalty > 0 and engine.py_exec_count > 0

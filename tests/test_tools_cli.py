@@ -137,7 +137,7 @@ class TestDisasmTool:
             [demo_file, "--method", "Main.helper", "--form", "py"]
         ) == 0
         out = capsys.readouterr().out
-        assert "def _run(args):" in out
+        assert "def _run(v0):" in out
         assert "_wrap(" in out
 
     def test_py_form_decides_constant_bounds(self, tmp_path, capsys):
